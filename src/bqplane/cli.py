@@ -44,6 +44,11 @@ from .parsing import (
 )
 
 DEFAULT_SEED = 1729
+DEFAULT_SAMPLES = 200
+# Largest p search-preservers accepts: its set-up builds unit-neighbour
+# tables that grow as p^4 before the first node is visited (about 0.8 s
+# at p = 61 on a 2-core Xeon), so the bound keeps every --p cheap to start.
+MAX_SEARCH_P = 61
 
 
 @dataclass
@@ -75,7 +80,7 @@ def _run_verify_identities(args, k) -> RunReport:
     elif args.exhaustive or isinstance(k, PrimeField):
         mode, samples = "exhaustive", 0
     else:
-        mode, samples = "samples", 200
+        mode, samples = "samples", DEFAULT_SAMPLES
     result = verify_transform_identities(k, mode, samples=samples, seed=args.seed)
     rep.add({"record": "run", "command": rep.command, "field": str(k),
              "mode": result.mode},
@@ -167,7 +172,8 @@ def _prep_decompose(args):
     elif args.exhaustive:
         raise FieldNotFinite(f"exhaustive verification impossible over {k}")
     else:
-        domain = sample_domain(args.samples or 200, args.seed)
+        samples = DEFAULT_SAMPLES if args.samples is None else args.samples
+        domain = sample_domain(samples, args.seed)
     return k, f, source, domain
 
 
@@ -215,10 +221,9 @@ def _run_enumerate_ortho(args, k) -> RunReport:
 
 
 def _prep_search(args):
-    k = PrimeField(args.p)
-    if k.p % 4 != 1:
-        raise InvalidField(f"search needs p = 1 mod 4, got {k.p}")
-    return k
+    if args.p > MAX_SEARCH_P:
+        raise InvalidField(f"search needs p <= {MAX_SEARCH_P}, got {args.p}")
+    return PrimeField(args.p)
 
 
 def _run_search(args, k) -> RunReport:
@@ -227,7 +232,7 @@ def _run_search(args, k) -> RunReport:
     rep.add({"record": "run", "command": rep.command, "p": k.p,
              "budget": args.budget},
             f"search-preservers p={k.p}"
-            + (f" budget={args.budget}" if args.budget else ""))
+            + (f" budget={args.budget}" if args.budget is not None else ""))
     rep.add({"record": "census", "p": census.p, "found": census.total_found,
              "expected": census.expected, "complete": census.complete,
              "nodes": census.nodes, "anomaly_count": len(census.anomalies)},
@@ -247,8 +252,7 @@ def _run_witness(args, _prepared) -> RunReport:
     k = parse_field("Q[sqrt 2][i]")
     level = tower_levels(k)[0].level
     f = SemiAffineMap(identity_map(k), LevelConjugation(level))
-    samples = args.samples or 200
-    pres = preserves_unit_distance(f, k, sample_domain(samples, args.seed))
+    pres = preserves_unit_distance(f, k, sample_domain(args.samples, args.seed))
     r = k(tower_levels(k)[0].radical)
     i = imaginary_unit(k)
     x = point(k, 0, 0)
@@ -276,6 +280,20 @@ def _run_witness(args, _prepared) -> RunReport:
 
 # -------------------------------------------------------------- plumbing
 
+def _int_at_least(low: int):
+    """argparse type for an integer option with a lower bound."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=DEFAULT_SEED,
@@ -295,7 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--field", required=True)
     grp = sp.add_mutually_exclusive_group()
     grp.add_argument("--exhaustive", action="store_true")
-    grp.add_argument("--samples", type=int)
+    grp.add_argument("--samples", type=_int_at_least(1))
     sp.set_defaults(prepare=_prep_verify_identities, run=_run_verify_identities)
 
     sp = sub.add_parser("chain", parents=[common],
@@ -304,7 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--to", dest="dst", required=True, metavar="POINT")
     sp.add_argument("--field", default="Q")
     sp.add_argument("--mode", choices=("rational", "auto"), default="auto")
-    sp.add_argument("--budget", type=int, default=10_000,
+    sp.add_argument("--budget", type=_int_at_least(0), default=10_000,
                     help="step budget for rational mode")
     sp.set_defaults(prepare=_prep_chain, run=_run_chain)
 
@@ -325,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
         src.add_argument("--table", help="file of 'x1,x2 -> y1,y2' lines")
         grp = sp.add_mutually_exclusive_group()
         grp.add_argument("--exhaustive", action="store_true")
-        grp.add_argument("--samples", type=int)
+        grp.add_argument("--samples", type=_int_at_least(1))
         sp.set_defaults(prepare=_prep_decompose,
                         run=(lambda a, p, _r=route: _run_decompose(a, p, route=_r)))
 
@@ -337,13 +355,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("search-preservers", parents=[common],
                         help="backtracking census of all unit-distance preservers of GF(p)^2")
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--budget", type=int, default=None,
+    sp.add_argument("--budget", type=_int_at_least(0), default=None,
                     help="node limit; omitted means run to completion")
     sp.set_defaults(prepare=_prep_search, run=_run_search)
 
     sp = sub.add_parser("witness-nonisometry", parents=[common],
                         help="the end-to-end non-isometric unit-preserver demonstration")
-    sp.add_argument("--samples", type=int, default=200)
+    sp.add_argument("--samples", type=_int_at_least(1), default=DEFAULT_SAMPLES)
     sp.set_defaults(prepare=lambda args: None, run=_run_witness)
 
     return parser

@@ -302,7 +302,7 @@ def decompose(f, k: FieldTower, domain: DomainSpec = EXHAUSTIVE
     of the requested domain."""
     ev = _oracle(f)
     if isinstance(k, PrimeField):
-        raw = _raw_table_of(f, ev, k)
+        raw = raw_image_table(ev, k)
         return _decompose_prime_raw(raw, k)
     f0 = ev(point(k, 0, 0))
     fx = ev(point(k, 1, 0))
@@ -317,13 +317,6 @@ def decompose(f, k: FieldTower, domain: DomainSpec = EXHAUSTIVE
     if isinstance(k, QuadExt) and k.d == -1:
         branch = detect_branch(g, k)
     return DecompositionResult(normalizer, ext.hom, branch, domain, k)
-
-
-def _raw_table_of(f, ev, k: PrimeField) -> list[int]:
-    if isinstance(f, (AffineOrthoMap, SemiAffineMap, MapTable)):
-        return raw_image_table(f, k)
-    p = k.p
-    return [img.x1.rep * p + img.x2.rep for img in map(ev, all_points(k))]
 
 
 def _decompose_prime_raw(raw: list[int], k: PrimeField) -> DecompositionResult:
@@ -395,7 +388,7 @@ def decompose_lorentz(f, k: FieldTower, domain: DomainSpec = EXHAUSTIVE
         raise NoImaginaryUnit(f"{k} has no i; the Lorentz route needs one")
     ev = _oracle(f)
     if isinstance(k, PrimeField):
-        raw = _raw_table_of(f, ev, k)
+        raw = raw_image_table(ev, k)
         return _lorentz_prime_raw(raw, k)
     t0 = ev(point(k, 0, 0))
 

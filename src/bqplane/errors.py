@@ -118,10 +118,6 @@ class CaseUndetermined(BQError):
     """Normalized Lorentz map matches neither the plain nor the swapped case."""
 
 
-class BudgetExhausted(BQError):
-    """Node budget hit in a context with no partial result to return."""
-
-
 # ------------------------------------------------------------------- cli
 
 class ParseError(BQError):

@@ -8,7 +8,6 @@ are exact field elements.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -145,7 +144,7 @@ class IdentityCheck:
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return self.checked > 0 and not self.violations
 
 
 @dataclass
@@ -159,42 +158,44 @@ class TransformIdentityReport:
         return all(c.ok for c in self.checks)
 
 
+def _note(check: IdentityCheck, *witness: Point) -> None:
+    # keep the first 10 witnesses in scan order
+    if len(check.violations) < 10:
+        check.violations.append(tuple(str(x) for x in witness))
+
+
 def _identity_violations(pairs, pts) -> list[IdentityCheck]:
+    """Check the two form identities on every pair and the two inverse
+    identities on every point; each distinct point is mapped through xi
+    and eta once per call."""
+    images: dict[Point, tuple[Point, Point]] = {}
+
+    def image(x: Point) -> tuple[Point, Point]:
+        got = images.get(x)
+        if got is None:
+            got = images[x] = (xi(x), eta(x))
+        return got
+
     checks = [IdentityCheck(name, 0, []) for name in _IDENTITY_NAMES]
-    by_name = {c.name: c for c in checks}
+    phi_lm, lm_phi, eta_xi, xi_eta = checks
     for x, y in pairs:
-        c = by_name["phi_matches_lm_after_xi"]
-        c.checked += 1
-        if phi(x, y) != lm_distance(xi(x), xi(y)):
-            c.violations.append((str(x), str(y)))
-        c = by_name["lm_matches_phi_after_eta"]
-        c.checked += 1
-        if lm_distance(x, y) != phi(eta(x), eta(y)):
-            c.violations.append((str(x), str(y)))
+        xi_x, eta_x = image(x)
+        xi_y, eta_y = image(y)
+        phi_lm.checked += 1
+        if phi(x, y) != lm_distance(xi_x, xi_y):
+            _note(phi_lm, x, y)
+        lm_phi.checked += 1
+        if lm_distance(x, y) != phi(eta_x, eta_y):
+            _note(lm_phi, x, y)
     for x in pts:
-        c = by_name["eta_after_xi_is_id"]
-        c.checked += 1
-        if eta(xi(x)) != x:
-            c.violations.append((str(x),))
-        c = by_name["xi_after_eta_is_id"]
-        c.checked += 1
-        if xi(eta(x)) != x:
-            c.violations.append((str(x),))
-    for c in checks:
-        del c.violations[10:]
+        xi_x, eta_x = image(x)
+        eta_xi.checked += 1
+        if eta(xi_x) != x:
+            _note(eta_xi, x)
+        xi_eta.checked += 1
+        if xi(eta_x) != x:
+            _note(xi_eta, x)
     return checks
-
-
-def _scan_pair_range(args):
-    # worker for exhaustive prime-field scans; returns picklable violation lists
-    p, start, stop = args
-    k = PrimeField(p)
-    pts = all_points(k)
-    pairs = ((pts[i], y) for i in range(start, stop) for y in pts)
-    return [
-        (c.name, c.checked, c.violations)
-        for c in _identity_violations(pairs, pts[start:stop])
-    ]
 
 
 def verify_transform_identities(
@@ -203,47 +204,23 @@ def verify_transform_identities(
     *,
     samples: int = 200,
     seed: int = 0,
-    workers: int | None = None,
 ) -> TransformIdentityReport:
     """Certify the four xi/eta identities on k^2.
 
-    mode "exhaustive" scans all point pairs of a finite field (optionally
-    split across processes, see the BQ_WORKERS env var); mode "samples"
-    checks seeded random pairs over any field presenting i.
+    mode "exhaustive" scans all point pairs of a finite field; mode
+    "samples" checks seeded random pairs over any field presenting i.
+    A check that covered nothing is not ok.
     """
     _unit(k)  # fail early with NoImaginaryUnit
     if mode == "exhaustive":
         if not isinstance(k, PrimeField):
             raise FieldMismatch("exhaustive identity scan needs a finite field")
-        if workers is None:
-            workers = int(os.environ.get("BQ_WORKERS", "1"))
         pts = all_points(k)
-        if workers > 1:
-            checks = _parallel_scan(k.p, workers)
-        else:
-            pairs = ((x, y) for x in pts for y in pts)
-            checks = _identity_violations(pairs, pts)
-        return TransformIdentityReport(str(k), "exhaustive", checks)
+        pairs = ((x, y) for x in pts for y in pts)
+        return TransformIdentityReport(
+            str(k), "exhaustive", _identity_violations(pairs, pts))
     rng = random.Random(seed)
     pairs = [(random_point(k, rng), random_point(k, rng)) for _ in range(samples)]
     pts = [x for x, _ in pairs]
     checks = _identity_violations(pairs, pts)
     return TransformIdentityReport(str(k), f"samples({samples},seed={seed})", checks)
-
-
-def _parallel_scan(p: int, workers: int) -> list[IdentityCheck]:
-    from concurrent.futures import ProcessPoolExecutor
-
-    n = p * p
-    step = (n + workers - 1) // workers
-    chunks = [(p, s, min(s + step, n)) for s in range(0, n, step)]
-    merged = {name: IdentityCheck(name, 0, []) for name in _IDENTITY_NAMES}
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_scan_pair_range, chunks):
-            for name, checked, violations in part:
-                merged[name].checked += checked
-                merged[name].violations.extend(violations)
-    checks = [merged[name] for name in _IDENTITY_NAMES]
-    for c in checks:
-        del c.violations[10:]
-    return checks

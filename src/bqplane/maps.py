@@ -224,10 +224,6 @@ class MapTable:
         return self.images[x]
 
 
-def apply_map(m, x: Point) -> Point:
-    return m(x)
-
-
 # -------------------------------------------------- compose and inverse
 
 def _general_parts(m):
@@ -379,6 +375,10 @@ class DomainSpec:
     samples: int = 0
     seed: int = 0
 
+    def __post_init__(self):
+        if self.samples < 0:
+            raise ValueError(f"sample count must be >= 0, got {self.samples}")
+
     def describe(self) -> str:
         if self.kind == "exhaustive":
             return "exhaustive"
@@ -401,7 +401,7 @@ class PreservationReport:
 
     @property
     def ok(self) -> bool:
-        return not self.witnesses
+        return self.checked > 0 and not self.witnesses
 
 
 def _sample_unit_pair(k: FieldTower, rng: random.Random) -> tuple[Point, Point]:
@@ -450,15 +450,10 @@ def preserves_unit_distance(m, k: FieldTower, domain: DomainSpec) -> Preservatio
 def _sample_rational_phi_pair(k: FieldTower, rng: random.Random) -> tuple[Point, Point]:
     # X plus a rational multiple of a unit vector keeps phi in the prime
     # subfield: phi = r^2.
-    x = random_point(k, rng)
-    while True:
-        t = random_element(k, rng)
-        try:
-            u = unit_from_parameter(k, t)
-        except ZeroParameter:
-            continue
-        r = k(rng.randint(-9, 9))
-        return x, x + Point(r * u.x1, r * u.x2)
+    x, y = _sample_unit_pair(k, rng)
+    u = y - x
+    r = k(rng.randint(-9, 9))
+    return x, x + Point(r * u.x1, r * u.x2)
 
 
 def preserves_phi(m, k: FieldTower, domain: DomainSpec) -> PreservationReport:
@@ -597,9 +592,6 @@ def raw_image_table(m, k: PrimeField) -> list[int]:
                 for x in range(p) for y in range(p)]
     if isinstance(m, SemiAffineMap) and isinstance(m.gamma, Identity):
         return raw_image_table(m.outer, k)
-    if isinstance(m, MapTable):
-        return [m.images[pt].x1.rep * p + m.images[pt].x2.rep
-                for pt in all_points(k)]
     return [img.x1.rep * p + img.x2.rep
             for img in (m(pt) for pt in all_points(k))]
 

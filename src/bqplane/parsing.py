@@ -355,8 +355,10 @@ def format_map(expr: MapExpression) -> str:
 # ------------------------------------------------------- map table files
 
 def parse_table_lines(text: str, k: FieldTower) -> dict[Point, Point]:
-    """Parse ``x1,x2 -> y1,y2`` lines into a point-image mapping."""
+    """Parse ``x1,x2 -> y1,y2`` lines into a point-image mapping; a
+    source point given twice is rejected."""
     table: dict[Point, Point] = {}
+    line_of: dict[Point, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -369,6 +371,10 @@ def parse_table_lines(text: str, k: FieldTower) -> dict[Point, Point]:
             dst = _parse_pair(rhs, k)
         except ParseError as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
+        if src in line_of:
+            raise ParseError(f"line {lineno}: point {format_point(src)}"
+                             f" already mapped on line {line_of[src]}")
+        line_of[src] = lineno
         table[src] = dst
     return table
 

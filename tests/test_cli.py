@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bqplane.cli import run_command
+from bqplane.cli import MAX_SEARCH_P, run_command
 from bqplane.geometry import all_points
 from bqplane.maps import identity_map, raw_image_table
 from bqplane.parsing import format_table_lines
@@ -26,6 +26,16 @@ def corrupt_table_file(tmp_path, gf13):
     text = format_table_lines({pts[i]: pts[raw[i]] for i in range(169)})
     path = tmp_path / "bad_table.txt"
     path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture
+def duplicate_table_file(tmp_path, gf13):
+    lines = format_table_lines(
+        {pt: pt for pt in all_points(gf13)}).splitlines()
+    lines.append(lines[4])  # (0, 4) mapped again on line 170
+    path = tmp_path / "dup_table.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(path)
 
 
@@ -121,6 +131,11 @@ class TestPassingCommands:
         wit = next(r for r in recs if r["record"] == "witness")
         assert wit["phi"] != wit["phi_image"]
 
+    def test_zero_budget_kept_in_header(self, run):
+        code, out, _ = run("search-preservers", "--p", "13", "--budget", "0")
+        assert code == 0
+        assert out.splitlines()[0] == "search-preservers p=13 budget=0"
+
     def test_help_exits_clean(self, run):
         code, out, _ = run("--help")
         assert code == 0
@@ -170,10 +185,34 @@ class TestUsageErrors:
         ("decompose", "--field", "GF(13)", "--table", "/no/such/file"),
         ("search-preservers", "--p", "12"),
         ("enumerate-ortho", "--field", "Q"),
+        ("verify-identities", "--field", "Q[i]", "--samples", "0"),
+        ("decompose", "--field", "Q[i]", "--map", "hom(id)", "--samples", "0"),
+        ("decompose-lorentz", "--field", "Q[sqrt 2][i]",
+         "--map", "translate(1,2)", "--samples", "-1"),
+        ("witness-nonisometry", "--samples", "0"),
+        ("witness-nonisometry", "--samples", "-5"),
+        ("witness-nonisometry", "--samples", "many"),
+        ("search-preservers", "--p", "13", "--budget", "-1"),
+        ("chain", "--from", "(0,0)", "--to", "(3/5,4/5)", "--budget", "-1"),
     ])
     def test_exit_code_two(self, run, argv):
         code, out, err = run(*argv)
         assert code == 2
+        assert "error:" in err
+
+    def test_duplicate_table_line(self, run, duplicate_table_file):
+        code, out, err = run("decompose", "--field", "GF(13)",
+                             "--table", duplicate_table_file)
+        assert code == 2 and out == ""
+        assert "line 170" in err and "line 5" in err
+
+    def test_search_prime_above_bound(self, run):
+        # 73 is the first p = 1 mod 4 above the bound; the budget keeps a
+        # missing bound from turning this into a full census
+        assert MAX_SEARCH_P < 73
+        code, out, err = run("search-preservers", "--p", "73", "--budget", "0")
+        assert code == 2 and out == ""
+        assert f"p <= {MAX_SEARCH_P}" in err
 
 
 class TestOutputStability:

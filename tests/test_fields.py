@@ -263,6 +263,11 @@ class TestHomomorphisms:
         rep = hom_check(LevelConjugation(2), QS2I, 150, seed=3)
         assert rep.ok and rep.pairs_checked == 150
 
+    def test_hom_check_of_nothing_is_not_ok(self):
+        rep = hom_check(Identity(), QS2I, 0)
+        assert rep.pairs_checked == 0 and not rep.failures
+        assert not rep.ok and not rep
+
     def test_hom_check_exhaustive_needs_finite_field(self):
         with pytest.raises(InvalidField):
             hom_check(Identity(), QI, "exhaustive")

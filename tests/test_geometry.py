@@ -11,7 +11,8 @@ from bqplane.errors import (
     NoImaginaryUnit,
     ZeroScale,
 )
-from bqplane.fields import Q, QuadExt, from_coeff_vector
+from bqplane import geometry
+from bqplane.fields import PrimeField, Q, QuadExt, from_coeff_vector
 from bqplane.geometry import (
     Point,
     all_points,
@@ -122,18 +123,6 @@ class TestIdentityReports:
         assert by_name["phi_matches_lm_after_xi"].checked == 169 * 169
         assert by_name["eta_after_xi_is_id"].checked == 169
 
-    def test_parallel_scan_matches_serial(self, gf13):
-        serial = verify_transform_identities(gf13)
-        parallel = verify_transform_identities(gf13, workers=2)
-        assert parallel.ok
-        assert [(c.name, c.checked) for c in parallel.checks] == \
-            [(c.name, c.checked) for c in serial.checks]
-
-    def test_worker_env_override(self, gf13, monkeypatch):
-        monkeypatch.setenv("BQ_WORKERS", "2")
-        rep = verify_transform_identities(gf13)
-        assert rep.ok and rep.checks[0].checked == 169 * 169
-
     def test_sampled_scan(self, qi):
         rep = verify_transform_identities(qi, "samples", samples=60, seed=2)
         assert rep.ok
@@ -142,6 +131,11 @@ class TestIdentityReports:
         assert [(c.name, c.checked) for c in again.checks] == \
             [(c.name, c.checked) for c in rep.checks]
 
+    def test_zero_samples_is_not_ok(self, qi):
+        rep = verify_transform_identities(qi, "samples", samples=0)
+        assert all(c.checked == 0 and not c.violations for c in rep.checks)
+        assert not rep.ok and not any(c.ok for c in rep.checks)
+
     def test_exhaustive_needs_finite_field(self, qi):
         with pytest.raises(FieldMismatch):
             verify_transform_identities(qi, "exhaustive")
@@ -149,3 +143,63 @@ class TestIdentityReports:
     def test_field_without_i_fails_early(self, qs2):
         with pytest.raises(NoImaginaryUnit):
             verify_transform_identities(qs2, "samples")
+
+
+# ------------------------------------- differential test of the scan
+
+def _reference_identity_checks(pairs, pts):
+    """Uncached per-pair recomputation of the four identities through
+    geometry.xi/eta, keeping the first 10 witnesses of each in scan order."""
+    xi, eta = geometry.xi, geometry.eta
+    cases = (
+        ("phi_matches_lm_after_xi", pairs,
+         lambda x, y: phi(x, y) == lm_distance(xi(x), xi(y))),
+        ("lm_matches_phi_after_eta", pairs,
+         lambda x, y: lm_distance(x, y) == phi(eta(x), eta(y))),
+        ("eta_after_xi_is_id", [(x,) for x in pts], lambda x: eta(xi(x)) == x),
+        ("xi_after_eta_is_id", [(x,) for x in pts], lambda x: xi(eta(x)) == x),
+    )
+    out = []
+    for name, items, holds in cases:
+        bad = [tuple(str(x) for x in item) for item in items if not holds(*item)]
+        out.append((name, len(items), bad[:10]))
+    return out
+
+
+def _scan_and_reference(k, mode, samples=0, seed=0):
+    """The scan's (name, checked, violations) beside the reference's."""
+    rep = verify_transform_identities(k, mode, samples=samples, seed=seed)
+    if mode == "exhaustive":
+        pts = all_points(k)
+        pairs = [(x, y) for x in pts for y in pts]
+    else:
+        rng = random.Random(seed)
+        pairs = [(random_point(k, rng), random_point(k, rng))
+                 for _ in range(samples)]
+        pts = [x for x, _ in pairs]
+    got = [(c.name, c.checked, c.violations) for c in rep.checks]
+    return rep, got, _reference_identity_checks(pairs, pts)
+
+
+QS2I = QuadExt(QuadExt(Q, 2), -1)
+
+
+class TestScanAgainstReference:
+    @pytest.mark.parametrize("k, mode, samples", [
+        (PrimeField(13), "exhaustive", 0),
+        (QS2I, "samples", 60),
+    ], ids=["GF(13)-exhaustive", "Q[sqrt 2][i]-samples"])
+    def test_matches_uncached_scan(self, k, mode, samples):
+        rep, got, want = _scan_and_reference(k, mode, samples, seed=2)
+        assert rep.ok
+        assert got == want
+
+    def test_wrong_xi_is_reported(self, gf13, monkeypatch):
+        # i replaced by 1: phi no longer matches the product form
+        monkeypatch.setattr(geometry, "xi",
+                            lambda x: Point(x.x1 + x.x2, x.x1 - x.x2))
+        rep, got, want = _scan_and_reference(gf13, "exhaustive")
+        assert not rep.ok
+        assert got == want
+        assert [len(v) for _, _, v in got] == [10, 0, 10, 10]
+        assert [n for _, n, _ in got] == [169 * 169, 169 * 169, 169, 169]

@@ -21,8 +21,9 @@ from bqplane.fields import (
     Q,
     QuadExt,
     from_coeff_vector,
+    random_element,
 )
-from bqplane.geometry import Point, all_points, phi, point
+from bqplane.geometry import Point, all_points, phi, point, random_point
 from bqplane.maps import (
     EXHAUSTIVE,
     AffineMap2,
@@ -50,6 +51,7 @@ from bqplane.maps import (
     translation_map,
     unit_circle,
     unit_from_parameter,
+    _sample_rational_phi_pair,
 )
 from bqplane.parsing import parse_map
 
@@ -275,6 +277,30 @@ class TestPreservationScans:
         conj = SemiAffineMap(identity_map(qi), LevelConjugation(1))
         rep = preserves_phi(conj, qi, sample_domain(40, seed=1))
         assert rep.ok and rep.checked == 40
+
+    def test_rational_phi_pairs_match_inline_sampler(self, qs2i):
+        def reference(k, rng):
+            x = random_point(k, rng)
+            while True:
+                try:
+                    u = unit_from_parameter(k, random_element(k, rng))
+                except ZeroParameter:
+                    continue
+                r = k(rng.randint(-9, 9))
+                return x, x + Point(r * u.x1, r * u.x2)
+
+        for seed in range(3):
+            got, want = random.Random(seed), random.Random(seed)
+            for _ in range(20):
+                assert _sample_rational_phi_pair(qs2i, got) == reference(qs2i, want)
+
+    def test_zero_samples_is_not_ok(self, qi):
+        conj = SemiAffineMap(identity_map(qi), LevelConjugation(1))
+        for scan in (preserves_unit_distance, preserves_phi):
+            rep = scan(conj, qi, sample_domain(0))
+            assert rep.checked == 0 and not rep.witnesses and not rep.ok
+        with pytest.raises(ValueError):
+            sample_domain(-1)
 
 
 class TestCaseMatrices:
