@@ -71,9 +71,6 @@ from .maps import (
     table_from_raw,
 )
 
-_DEFAULT_PROBES = 60
-
-
 # ------------------------------------------------------------- results
 
 @dataclass
@@ -171,6 +168,14 @@ def _check_prime_hom_table(table: list[int], k: PrimeField) -> int:
     return p * p
 
 
+def _require_samples(domain: DomainSpec) -> None:
+    """A sampled domain must name at least one probe; a decomposition
+    verified on nothing is no verdict."""
+    if domain.kind == "samples" and domain.samples < 1:
+        raise ValueError(
+            f"a sampled domain needs at least 1 sample, got {domain.samples}")
+
+
 def _tower_hom_from_eval(gamma_eval, k: FieldTower, domain: DomainSpec
                          ) -> tuple[Homomorphism, int]:
     """Probe-set extraction over an infinite tower: law spot checks with
@@ -179,7 +184,7 @@ def _tower_hom_from_eval(gamma_eval, k: FieldTower, domain: DomainSpec
     if domain.kind == "exhaustive":
         raise FieldNotFinite(
             f"exhaustive homomorphism checking needs a finite field, not {k}")
-    count = domain.samples or _DEFAULT_PROBES
+    count = domain.samples
     rng = random.Random(domain.seed)
     probes = probe_elements(k, rng, count)
     cache: dict[FieldElement, FieldElement] = {}
@@ -238,6 +243,7 @@ def extract_homomorphism(g, k: FieldTower, domain: DomainSpec = EXHAUSTIVE
     checked on the seeded probe set and gamma is matched against the
     conjugation catalog.
     """
+    _require_samples(domain)
     ev = _oracle(g)
     zero = k.zero
 
@@ -259,7 +265,7 @@ def extract_homomorphism(g, k: FieldTower, domain: DomainSpec = EXHAUSTIVE
 
     hom, law_pairs = _tower_hom_from_eval(gamma_eval, k, domain)
     rng = random.Random(domain.seed + 1)
-    count = domain.samples or _DEFAULT_PROBES
+    count = domain.samples
     probes = probe_elements(k, rng, count)
     checked = 0
     for _ in range(count):
@@ -300,6 +306,7 @@ def decompose(f, k: FieldTower, domain: DomainSpec = EXHAUSTIVE
     extract gamma from J composed with f, detect the branch when the
     field presents i.  Prime fields are verified exhaustively regardless
     of the requested domain."""
+    _require_samples(domain)
     ev = _oracle(f)
     if isinstance(k, PrimeField):
         raw = raw_image_table(ev, k)
@@ -367,7 +374,7 @@ def _domain_points(k: FieldTower, domain: DomainSpec) -> list[Point]:
         return all_points(k)
     rng = random.Random(domain.seed + 2)
     return [random_point(k, rng)
-            for _ in range(domain.samples or _DEFAULT_PROBES)]
+            for _ in range(domain.samples)]
 
 
 def decompose_lorentz(f, k: FieldTower, domain: DomainSpec = EXHAUSTIVE
@@ -383,6 +390,7 @@ def decompose_lorentz(f, k: FieldTower, domain: DomainSpec = EXHAUSTIVE
     rebuilt from the case matrix and sigma and must agree with f on the
     whole domain.
     """
+    _require_samples(domain)
     i0 = imaginary_unit(k)
     if i0 is None:
         raise NoImaginaryUnit(f"{k} has no i; the Lorentz route needs one")

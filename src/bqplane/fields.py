@@ -201,6 +201,8 @@ class Rationals(FieldTower):
     def _mul(self, a, b):
         return a * b
 
+    _scale = _mul
+
     def _inv(self, a):
         if not a:
             raise DivisionByZero("division by zero in Q")
@@ -321,6 +323,12 @@ class QuadExt(FieldTower):
         self.level = self.depth
         self.zero_rep = (base.zero_rep, base.zero_rep)
         self.one_rep = (base.one_rep, base.zero_rep)
+        # A rational radicand such as -1 or 5/4 is also kept as a Fraction:
+        # products with it scale the 2^k leaves instead of making a full
+        # tower product.
+        coeffs = coeff_vector(d)
+        self._rational_d = None if any(coeffs[1:]) else coeffs[0]
+        self._hash = hash(("bqplane.QuadExt", hash(base), d.rep))
 
     def _coerce(self, v):
         return (self.base._coerce(v), self.base.zero_rep)
@@ -337,25 +345,50 @@ class QuadExt(FieldTower):
         base = self.base
         return (base._neg(a[0]), base._neg(a[1]))
 
-    def _mul(self, a, b):
+    def _scale(self, a, q: Fraction):
         base = self.base
-        d = self.d.rep
-        return (
-            base._add(base._mul(a[0], b[0]), base._mul(base._mul(a[1], b[1]), d)),
-            base._add(base._mul(a[0], b[1]), base._mul(a[1], b[0])),
-        )
+        return (base._scale(a[0], q), base._scale(a[1], q))
+
+    def _times_d(self, x):
+        """d * x for a base representation x."""
+        if self._rational_d is not None:
+            return self.base._scale(x, self._rational_d)
+        return self.base._mul(x, self.d.rep)
+
+    def _plus(self, x, y):
+        """Sum of two base representations, with None standing for zero."""
+        if x is None:
+            return self.base.zero_rep if y is None else y
+        return x if y is None else self.base._add(x, y)
+
+    def _mul(self, a, b):
+        # (a0 + a1 r)(b0 + b1 r) = (a0 b0 + d a1 b1) + (a0 b1 + a1 b0) r,
+        # leaving out every product with a zero factor.
+        base = self.base
+        is_zero = base._is_zero
+        a0, a1 = a
+        b0, b1 = b
+        a0z, a1z, b0z, b1z = is_zero(a0), is_zero(a1), is_zero(b0), is_zero(b1)
+        lo = self._plus(
+            None if a0z or b0z else base._mul(a0, b0),
+            None if a1z or b1z else self._times_d(base._mul(a1, b1)))
+        hi = self._plus(
+            None if a0z or b1z else base._mul(a0, b1),
+            None if a1z or b0z else base._mul(a1, b0))
+        return (lo, hi)
 
     def _inv(self, a):
         base = self.base
-        d = self.d.rep
+        a0, a1 = a
+        if base._is_zero(a1):
+            if base._is_zero(a0):
+                raise DivisionByZero(f"division by zero in {self}")
+            return (base._inv(a0), a1)
         # norm (a0 + a1 r)(a0 - a1 r) = a0^2 - d a1^2 vanishes only at zero
         # because d is a non-square.
-        norm = base._sub(base._mul(a[0], a[0]),
-                         base._mul(d, base._mul(a[1], a[1])))
-        if base._is_zero(norm):
-            raise DivisionByZero(f"division by zero in {self}")
+        norm = base._sub(base._mul(a0, a0), self._times_d(base._mul(a1, a1)))
         ninv = base._inv(norm)
-        return (base._mul(a[0], ninv), base._neg(base._mul(a[1], ninv)))
+        return (base._mul(a0, ninv), base._neg(base._mul(a1, ninv)))
 
     def _is_zero(self, a):
         base = self.base
@@ -372,14 +405,17 @@ class QuadExt(FieldTower):
         return f"{self.base.describe()}[sqrt {format_element(self.d)}]"
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if isinstance(other, FieldTower):
             return (isinstance(other, QuadExt)
+                    and other._hash == self._hash
                     and other.d.rep == self.d.rep
                     and other.base == self.base)
         return NotImplemented
 
     def __hash__(self):
-        return hash(("bqplane.QuadExt", hash(self.base), self.d.rep))
+        return self._hash
 
 
 Q = Rationals()
@@ -702,6 +738,9 @@ def catalog_homomorphisms(k: FieldTower) -> list[Homomorphism]:
     return out
 
 
+_MAX_HOM_FAILURES = 10
+
+
 @dataclass
 class HomCheckReport:
     pairs_checked: int
@@ -720,31 +759,33 @@ def hom_check(h, k: FieldTower, budget, *, seed: int = 0) -> HomCheckReport:
 
     ``h`` may be a catalog Homomorphism or any callable on elements.
     ``budget`` is "exhaustive" (finite fields only) or a pair count for
-    seeded sampling.  Failures carry (x, y, law) witnesses.
+    seeded sampling.  Failures carry (x, y, law) witnesses; checking
+    stops at the tenth, and ``pairs_checked`` counts the pairs reached.
     """
     if isinstance(h, (Identity, LevelConjugation, Composite)):
         fn = lambda e: apply_hom(h, e)
     else:
         fn = h
-    pairs = []
     if budget == "exhaustive":
         if not isinstance(k, PrimeField):
             raise InvalidField("exhaustive hom_check needs a finite field")
         elems = [k(v) for v in range(k.p)]
-        pairs = [(x, y) for x in elems for y in elems]
+        pairs = ((x, y) for x in elems for y in elems)
     else:
         rng = random.Random(seed)
-        for _ in range(int(budget)):
-            pairs.append((random_element(k, rng), random_element(k, rng)))
+        pairs = ((random_element(k, rng), random_element(k, rng))
+                 for _ in range(int(budget)))
     failures = []
+    checked = 0
     for x, y in pairs:
+        checked += 1
         if fn(x + y) != fn(x) + fn(y):
             failures.append((x, y, "additivity"))
-        if fn(x * y) != fn(x) * fn(y):
+        if len(failures) < _MAX_HOM_FAILURES and fn(x * y) != fn(x) * fn(y):
             failures.append((x, y, "multiplicativity"))
-        if len(failures) >= 10:
+        if len(failures) >= _MAX_HOM_FAILURES:
             break
-    return HomCheckReport(len(pairs), failures)
+    return HomCheckReport(checked, failures)
 
 
 # ------------------------------------------------------ random elements

@@ -96,6 +96,24 @@ class TestHomExtraction:
             extract_homomorphism(sq, qi, sample_domain(40))
 
 
+class TestZeroSampleDomain:
+    @pytest.mark.parametrize("run", [decompose, decompose_lorentz,
+                                     extract_homomorphism])
+    @pytest.mark.parametrize("field", ["QS2I", "gf13"])
+    def test_refused_before_any_probe(self, run, field, request):
+        k = QS2I if field == "QS2I" else request.getfixturevalue(field)
+        f = _expr("translate(1, 0)", k)
+        probed = []
+
+        def counted(x: Point) -> Point:
+            probed.append(x)
+            return f(x)
+
+        with pytest.raises(ValueError, match="at least 1 sample"):
+            run(counted, k, sample_domain(0, seed=1))
+        assert probed == []
+
+
 class TestBranchDetection:
     def test_theta_and_zeta(self, qi):
         assert detect_branch(identity_map(qi), qi) == "theta"

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from bqplane.errors import (
     AlreadySquare,
+    DivisionByZero,
     FieldMismatch,
     InvalidField,
     InvalidLevel,
@@ -27,15 +29,18 @@ from bqplane.fields import (
     compose_homs,
     embed,
     ensure_sqrt,
+    format_element,
     from_coeff_vector,
     hom_check,
     hom_from_levels,
     imaginary_unit,
     probe_elements,
+    random_element,
     re_im,
     sqrt_in_field,
     tower_levels,
 )
+from bqplane.parsing import parse_field
 
 QI = QuadExt(Q, -1)
 QS2 = QuadExt(Q, 2)
@@ -282,6 +287,19 @@ class TestHomomorphisms:
         rep = hom_check(shifted, gf13, 50, seed=0)
         assert not rep.ok and rep.failures
 
+    def test_hom_check_counts_only_pairs_reached(self):
+        # e + 1 fails additivity on every pair, so the cap of 10 failures
+        # is reached after a handful of the 50 sampled pairs
+        rep = hom_check(lambda e: e + 1, PrimeField(13), 50, seed=0)
+        assert len(rep.failures) == 10
+        assert 5 <= rep.pairs_checked <= 10
+        gf13 = PrimeField(13)
+        rng = random.Random(0)
+        sampled = [(random_element(gf13, rng), random_element(gf13, rng))
+                   for _ in range(50)]
+        reached = sampled[:rep.pairs_checked]
+        assert {(x, y) for x, y, _ in rep.failures} == set(reached)
+
 
 class TestProbes:
     def test_probe_set_is_deterministic(self):
@@ -298,3 +316,111 @@ class TestProbes:
 
     def test_prime_field_probes(self, gf13):
         assert probe_elements(gf13, random.Random(0), 5) == [gf13(v) for v in range(5)]
+
+
+# ------------------------------------------------------ schoolbook oracle
+#
+# The tower product and inverse before the sparse kernel: four base
+# products and a full base product by the radicand at every level, with
+# no zero skipping and no rational scaling.  Patched onto QuadExt, they
+# make every level of a tower compute schoolbook.
+
+def _schoolbook_mul(self, a, b):
+    base = self.base
+    d = self.d.rep
+    return (
+        base._add(base._mul(a[0], b[0]), base._mul(base._mul(a[1], b[1]), d)),
+        base._add(base._mul(a[0], b[1]), base._mul(a[1], b[0])),
+    )
+
+
+def _schoolbook_inv(self, a):
+    base = self.base
+    d = self.d.rep
+    norm = base._sub(base._mul(a[0], a[0]),
+                     base._mul(d, base._mul(a[1], a[1])))
+    if base._is_zero(norm):
+        raise DivisionByZero(f"division by zero in {self}")
+    ninv = base._inv(norm)
+    return (base._mul(a[0], ninv), base._neg(base._mul(a[1], ninv)))
+
+
+def schoolbook(fn, *args):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(QuadExt, "_mul", _schoolbook_mul)
+        mp.setattr(QuadExt, "_inv", _schoolbook_inv)
+        return fn(*args)
+
+
+# Depth 1-6: rational radicands, nested ones and [i] on top.
+KERNEL_TOWERS = [
+    "Q[sqrt 2]",
+    "Q[i]",
+    "Q[sqrt 2][i]",
+    "Q[sqrt 2][sqrt 1 + r1]",
+    "Q[sqrt 2][sqrt 1 + r1][i]",
+    "Q[sqrt 2][sqrt 1 + r1][sqrt 3][i]",
+    "Q[sqrt 2][sqrt 1 + r1][sqrt 3][sqrt 3 + r3][i]",
+    "Q[sqrt 2][sqrt 1 + r1][sqrt 3][sqrt 5/4][sqrt 3 + r1*r3][i]",
+]
+_BUILT_ONCE = {spec: parse_field(spec) for spec in KERNEL_TOWERS}
+
+
+@st.composite
+def sparse_elements(draw, k):
+    """Elements with zero halves: coefficients survive only on monomials
+    that agree with a drawn monomial ``shift`` outside a drawn level set
+    ``free``, so at every level outside ``free`` one half is zero."""
+    width = 1 << k.depth
+    vec = draw(st.lists(st.one_of(st.just(Fraction(0)), fractions),
+                        min_size=width, max_size=width))
+    free = draw(st.integers(0, width - 1))
+    shift = draw(st.integers(0, width - 1)) & ~free
+    vec = [c if idx & ~free == shift else Fraction(0)
+           for idx, c in enumerate(vec)]
+    return from_coeff_vector(k, vec)
+
+
+def _assert_same(x, y):
+    if x is None or y is None:
+        assert x is None and y is None
+        return
+    assert x.rep == y.rep
+    assert hash(x) == hash(y)
+    assert format_element(x) == format_element(y)
+
+
+class TestSparseKernel:
+    @pytest.mark.parametrize("spec", KERNEL_TOWERS)
+    @given(data=st.data())
+    def test_matches_schoolbook(self, spec, data):
+        k = _BUILT_ONCE[spec]
+        a = data.draw(sparse_elements(k))
+        b = data.draw(sparse_elements(k))
+        _assert_same(a * b, schoolbook(operator.mul, a, b))
+        if b:
+            _assert_same(a / b, schoolbook(operator.truediv, a, b))
+        square = a * a
+        _assert_same(sqrt_in_field(square), schoolbook(sqrt_in_field, square))
+        _assert_same(sqrt_in_field(a), schoolbook(sqrt_in_field, a))
+
+    def test_distinct_towers_differ(self):
+        built = list(_BUILT_ONCE.values())
+        for n, k in enumerate(built):
+            for other in built[n + 1:]:
+                assert k != other and not k == other
+
+    @pytest.mark.parametrize("spec", KERNEL_TOWERS)
+    @given(data=st.data())
+    def test_tower_built_twice(self, spec, data):
+        once, again = _BUILT_ONCE[spec], parse_field(spec)
+        assert again is not once
+        assert again == once and once == again
+        assert hash(again) == hash(once)
+        a = data.draw(sparse_elements(once))
+        b = data.draw(sparse_elements(once))
+        a2 = from_coeff_vector(again, coeff_vector(a))
+        b2 = from_coeff_vector(again, coeff_vector(b))
+        assert a2 == a and hash(a2) == hash(a)
+        assert a2 * b == a * b2 and hash(a2 * b) == hash(a * b2)
+        _assert_same(a2 * b2, a * b)
