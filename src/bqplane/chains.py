@@ -132,8 +132,8 @@ def _strip_imaginary(s: Point, t: Point):
     return s, t
 
 
-def _lift_point(p: Point, lift) -> Point:
-    return Point(lift(p.x1), lift(p.x2))
+def _lift_point(p: Point, field: FieldTower) -> Point:
+    return Point(field(p.x1), field(p.x2))
 
 
 def _auto_extend_chain(s: Point, t: Point) -> Chain:
@@ -151,25 +151,25 @@ def _auto_extend_chain(s: Point, t: Point) -> Chain:
     if steps_along == 0:
         # close S -> M -> T directly; the circle-intersection height only
         # needs sqrt((4 - D) / (4 D)), no sqrt(D)
-        k2, lift, h = ensure_sqrt(
+        k2, h = ensure_sqrt(
             k, (4 - dist2) / (4 * dist2), positive=True)
-        s2, t2 = _lift_point(s, lift), _lift_point(t, lift)
+        s2, t2 = _lift_point(s, k2), _lift_point(t, k2)
         diff = t2 - s2
         half = k2(Fraction(1, 2))
         mid = Point(s2.x1 + half * diff.x1, s2.x2 + half * diff.x2)
         m = Point(mid.x1 - h * diff.x2, mid.x2 + h * diff.x1)
         return Chain([s2, m, t2], k2, reported_edge_bound=2)
-    k1, lift1, root = ensure_sqrt(k, dist2, positive=True)
-    s1, t1 = _lift_point(s, lift1), _lift_point(t, lift1)
+    k1, root = ensure_sqrt(k, dist2, positive=True)
+    s1, t1 = _lift_point(s, k1), _lift_point(t, k1)
     diff = t1 - s1
     u = Point(diff.x1 / root, diff.x2 / root)
     remainder = root - steps_along  # in (1, 2] by choice of steps_along
-    k2, lift2, h = ensure_sqrt(
+    k2, h = ensure_sqrt(
         k1, k1.one - remainder * remainder / 4, positive=True)
-    u2 = _lift_point(u, lift2)
-    s2 = _lift_point(s1, lift2)
-    t2 = _lift_point(t1, lift2)
-    rem2 = lift2(remainder)
+    u2 = _lift_point(u, k2)
+    s2 = _lift_point(s1, k2)
+    t2 = _lift_point(t1, k2)
+    rem2 = k2(remainder)
     pts = [s2]
     for j in range(1, steps_along + 1):
         jj = k2(j)
@@ -371,13 +371,13 @@ def build_lemma3_chain(x: Point, target: Point | None = None
         if target != Point(i0, i0):
             raise ValueError("only the (i, i) target is supported")
 
-    f1, lift1, s1 = ensure_sqrt(base, base.one + b2 * b2, positive=True)
-    a1, b1, a2, b2 = (lift1(e) for e in (a1, b1, a2, b2))
-    f2, lift2, s2 = ensure_sqrt(
+    f1, s1 = ensure_sqrt(base, base.one + b2 * b2, positive=True)
+    a1, b1, a2, b2 = (f1(e) for e in (a1, b1, a2, b2))
+    f2, s2 = ensure_sqrt(
         f1, f1.one + (b1 - 1) * (b1 - 1), positive=True)
-    a1, b1, a2, b2, s1 = (lift2(e) for e in (a1, b1, a2, b2, s1))
-    f3, lift3, s3 = ensure_sqrt(f2, f2(2), positive=True)
-    a1, b1, a2, b2, s1, s2 = (lift3(e) for e in (a1, b1, a2, b2, s1, s2))
+    a1, b1, a2, b2, s1 = (f2(e) for e in (a1, b1, a2, b2, s1))
+    f3, s3 = ensure_sqrt(f2, f2(2), positive=True)
+    a1, b1, a2, b2, s1, s2 = (f3(e) for e in (a1, b1, a2, b2, s1, s2))
 
     start = Point(a1 + s1, a2 + s2)
     goal = Point(s3, f3.zero)

@@ -63,10 +63,6 @@ class RunReport:
         self.lines.extend(lines)
 
 
-def _pt(p: Point) -> str:
-    return format_point(p)
-
-
 # ------------------------------------------------------------- commands
 
 def _prep_verify_identities(args):
@@ -108,10 +104,10 @@ def _run_chain(args, prepared) -> RunReport:
     chain = build_real_chain(s, t, mode=mode, budget=args.budget)
     verdict = verify_chain(chain)
     rep.add({"record": "run", "command": rep.command, "field": str(k),
-             "from": _pt(s), "to": _pt(t), "mode": args.mode},
-            f"chain {_pt(s)} -> {_pt(t)} over {k}, mode {args.mode}")
+             "from": format_point(s), "to": format_point(t), "mode": args.mode},
+            f"chain {format_point(s)} -> {format_point(t)} over {k}, mode {args.mode}")
     rep.add({"record": "chain", "field": str(chain.field),
-             "points": [_pt(p) for p in chain.points],
+             "points": [format_point(p) for p in chain.points],
              "edge_bound": chain.reported_edge_bound},
             f"  {len(chain.points)} points, {len(chain.points) - 1} edges"
             f" (reported bound {chain.reported_edge_bound})"
@@ -137,12 +133,12 @@ def _run_lemma3(args, prepared) -> RunReport:
     chain, certs = build_lemma3_chain(x)
     verdict = verify_chain(chain, require_psi=True)
     rep.add({"record": "run", "command": rep.command, "field": str(k),
-             "point": _pt(x)},
-            f"lemma3-chain from {_pt(x)} over {k}")
+             "point": format_point(x)},
+            f"lemma3-chain from {format_point(x)} over {k}")
     rep.add({"record": "chain", "field": str(chain.field),
-             "points": [_pt(p) for p in chain.points],
+             "points": [format_point(p) for p in chain.points],
              "edge_bound": chain.reported_edge_bound},
-            f"  {len(chain.points)} points ending at {_pt(chain.points[-1])}"
+            f"  {len(chain.points)} points ending at {format_point(chain.points[-1])}"
             f" in {chain.field}")
     rep.add({"record": "psi_certificates",
              "values": [format_element(c.psi_value) for c in certs]},
@@ -267,9 +263,9 @@ def _run_witness(args, _prepared) -> RunReport:
              "witnesses": pres.witnesses},
             f"  unit pairs preserved: {pres.checked - len(pres.witnesses)}"
             f"/{pres.checked}")
-    rep.add({"record": "witness", "X": _pt(x), "Y": _pt(y),
+    rep.add({"record": "witness", "X": format_point(x), "Y": format_point(y),
              "phi": format_element(before), "phi_image": format_element(after)},
-            f"  X = {_pt(x)}, Y = {_pt(y)}",
+            f"  X = {format_point(x)}, Y = {format_point(y)}",
             f"  phi(X, Y) = {format_element(before)}"
             f" but phi(f X, f Y) = {format_element(after)}")
     rep.ok = pres.ok and before == r and after == -r and before != after

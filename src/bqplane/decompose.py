@@ -46,8 +46,7 @@ from .errors import (
 from .fields import (
     FieldElement,
     FieldTower,
-    Homomorphism,
-    Identity,
+    LevelConjugation,
     PrimeField,
     QuadExt,
     apply_hom,
@@ -79,7 +78,7 @@ class DecompositionResult:
     input map equals invert(J) composed with the coordinatewise gamma."""
 
     normalizer: AffineOrthoMap
-    gamma: Homomorphism
+    gamma: LevelConjugation
     branch: str  # "theta" | "zeta" | "not_applicable"
     verified_on: DomainSpec
     field: FieldTower
@@ -113,7 +112,7 @@ class DecompositionResult:
 class HomExtraction:
     """Outcome of reading a homomorphism off a normalized map."""
 
-    hom: Homomorphism
+    hom: LevelConjugation
     law_pairs: int
     points_checked: int
     complete: bool
@@ -177,7 +176,7 @@ def _require_samples(domain: DomainSpec) -> None:
 
 
 def _tower_hom_from_eval(gamma_eval, k: FieldTower, domain: DomainSpec
-                         ) -> tuple[Homomorphism, int]:
+                         ) -> tuple[LevelConjugation, int]:
     """Probe-set extraction over an infinite tower: law spot checks with
     genuine witnesses, then a catalog match pinned on the monomial basis
     and re-verified on every probe."""
@@ -261,7 +260,7 @@ def extract_homomorphism(g, k: FieldTower, domain: DomainSpec = EXHAUSTIVE
                 raise ProductFormViolation(
                     f"g(({pt.x1}, {pt.x2})) = ({img.x1}, {img.x2}) "
                     "is not coordinatewise", witness=pt)
-        return HomExtraction(Identity(), law_pairs, p * p, True)
+        return HomExtraction(LevelConjugation(), law_pairs, p * p, True)
 
     hom, law_pairs = _tower_hom_from_eval(gamma_eval, k, domain)
     rng = random.Random(domain.seed + 1)
@@ -360,22 +359,11 @@ def _decompose_prime_raw(raw: list[int], k: PrimeField) -> DecompositionResult:
     q = OrthoMatrix2(k(u1), k(u2), k(v1), k(v2))
     shift = q.apply(point(k, a0, b0))
     normalizer = AffineOrthoMap(q, Point(-shift.x1, -shift.x2))
-    return DecompositionResult(normalizer, Identity(), "not_applicable",
+    return DecompositionResult(normalizer, LevelConjugation(), "not_applicable",
                                EXHAUSTIVE, k)
 
 
 # ---------------------------------------------------- Lorentz pipeline
-
-def _domain_points(k: FieldTower, domain: DomainSpec) -> list[Point]:
-    if domain.kind == "exhaustive":
-        if not isinstance(k, PrimeField):
-            raise FieldNotFinite(
-                f"exhaustive domain needs a finite field, not {k}")
-        return all_points(k)
-    rng = random.Random(domain.seed + 2)
-    return [random_point(k, rng)
-            for _ in range(domain.samples)]
-
 
 def decompose_lorentz(f, k: FieldTower, domain: DomainSpec = EXHAUSTIVE
                       ) -> DecompositionResult:
@@ -433,7 +421,11 @@ def decompose_lorentz(f, k: FieldTower, domain: DomainSpec = EXHAUSTIVE
                    else lorentz_case2_matrix)(a, sigma, k)
     outer = AffineOrthoMap(case_matrix, t0)
     recon = SemiAffineMap(outer, sigma)
-    for x in _domain_points(k, domain):
+    # GF(p) returned through the raw table above, and an exhaustive domain
+    # over a tower was refused by _tower_hom_from_eval, so this is sampled.
+    rng = random.Random(domain.seed + 2)
+    for _ in range(domain.samples):
+        x = random_point(k, rng)
         if recon(x) != ev(x):
             raise ProductFormViolation(
                 f"case-{case} reconstruction disagrees at ({x.x1}, {x.x2})",
@@ -501,7 +493,7 @@ def _lorentz_prime_raw(raw: list[int], k: PrimeField) -> DecompositionResult:
                 witness=point(k, x1, x2))
     matrix = OrthoMatrix2(k(m11), k(m12), k(m21), k(m22))
     outer = AffineOrthoMap(matrix, point(k, t0a, t0b))
-    return DecompositionResult(invert(outer), Identity(), "not_applicable",
+    return DecompositionResult(invert(outer), LevelConjugation(), "not_applicable",
                                EXHAUSTIVE, k, route="lorentz",
                                lorentz_case=case, lorentz_scale=k(a))
 
@@ -532,9 +524,14 @@ class SearchCensus:
 
     @property
     def ok(self) -> bool:
+        """No anomalies, and either every expected preserver was found or,
+        for a budget-limited census, at least one was: a census that
+        found nothing checked nothing."""
         if self.anomalies:
             return False
-        return not self.complete or self.total_found == self.expected
+        if self.complete:
+            return self.total_found == self.expected
+        return self.total_found > 0
 
 
 def _neighbors(p: int, offs: list[tuple[int, int]]) -> list[list[int]]:
@@ -596,14 +593,9 @@ def search_unit_preservers(p: int, budget: int | None = None
     n = p * p
     offs = [(dx, dy) for dx in range(p) for dy in range(p)
             if (dx * dx + dy * dy) % p == 1]
-    masks = []
-    for x1 in range(p):
-        for x2 in range(p):
-            m = 0
-            for dx, dy in offs:
-                m |= 1 << (((x1 + dx) % p) * p + (x2 + dy) % p)
-            masks.append(m)
     neigh = _neighbors(p, offs)
+    # distinct offsets give distinct neighbours, so the sum is their union
+    masks = [sum(1 << v for v in row) for row in neigh]
     order, earlier = _search_order(neigh)
     full = (1 << n) - 1
     img = [0] * n

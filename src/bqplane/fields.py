@@ -8,14 +8,17 @@ equality, so every geometric identity downstream is checked exactly;
 no floating point enters any verdict.
 
 Field homomorphisms of a tower are generated by "level conjugations",
-the maps that negate the coefficient of one adjoined radical.  The
-catalog (identity, single conjugations, their compositions) is what the
-decomposition pipelines match extracted coordinate maps against.  On a
-prime field the identity is the only homomorphism.
+the maps that negate the coefficient of one adjoined radical.  They
+commute and are involutions, so each catalog homomorphism is exactly the
+set of levels it conjugates (``LevelConjugation(*levels)``; no levels is
+the identity).  The catalog is what the decomposition pipelines match
+extracted coordinate maps against.  On a prime field the identity is the
+only homomorphism.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -169,10 +172,6 @@ class FieldTower:
 
     def __repr__(self):
         return self.describe()
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
 
 
 class Rationals(FieldTower):
@@ -448,12 +447,6 @@ def embed(x: FieldElement, target: FieldTower) -> FieldElement:
     return FieldElement(target, rep)
 
 
-def adjoin_sqrt(k: FieldTower, d) -> tuple[QuadExt, "callable"]:
-    """Extend k by a square root of d; returns the new tower and the lift map."""
-    ext = QuadExt(k, d)
-    return ext, lambda x: embed(x, ext)
-
-
 # ----------------------------------------------------------- square roots
 
 def _flatten_coeffs(k: FieldTower, rep) -> list[Fraction]:
@@ -607,75 +600,43 @@ def real_value(x: FieldElement) -> float:
 def ensure_sqrt(k: FieldTower, x: FieldElement, *, positive: bool = False):
     """A square root of x, adjoining one if needed.
 
-    Returns (field, lift, root): ``field`` is k or a one-step extension,
-    ``lift`` embeds old elements, and ``root`` is the chosen square root
-    in ``field``.  With positive=True (real towers only) the root with
-    positive real value is chosen.
+    Returns (field, root): ``field`` is k or the one-step extension
+    k(sqrt x), which embeds elements of k when called on them, and
+    ``root`` is the chosen square root in ``field``.  With positive=True
+    (real towers only) the root with positive real value is chosen.
     """
     x = k(x)
     r = sqrt_in_field(x)
     if r is not None:
         if positive and not r.is_zero and real_value(r) < 0:
             r = -r
-        return k, (lambda e: e), r
-    ext, lift = adjoin_sqrt(k, x)
-    return ext, lift, ext.radical
+        return k, r
+    ext = QuadExt(k, x)
+    return ext, ext.radical
 
 
 # -------------------------------------------------------- homomorphisms
 
-@dataclass(frozen=True)
-class Identity:
-    def __str__(self):
-        return "hom(id)"
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LevelConjugation:
-    """Negate the coefficient of the radical adjoined at ``level``."""
+    """Negate the coefficients of the radicals adjoined at ``levels``.
 
-    level: int
+    With no levels this is the identity.
+    """
 
-    def __str__(self):
-        return f"hom(conj@{self.level})"
+    levels: frozenset[int]
 
-
-@dataclass(frozen=True)
-class Composite:
-    parts: tuple
+    def __init__(self, *levels: int):
+        object.__setattr__(self, "levels", frozenset(levels))
 
     def __str__(self):
-        return " . ".join(str(p) for p in self.parts) if self.parts else "hom(id)"
+        if not self.levels:
+            return "hom(id)"
+        return " . ".join(f"hom(conj@{L})" for L in sorted(self.levels))
 
 
-Homomorphism = Identity | LevelConjugation | Composite
-
-
-def conjugated_levels(h: Homomorphism) -> frozenset[int]:
-    """Normal form of h as the set of levels it conjugates."""
-    if isinstance(h, Identity):
-        return frozenset()
-    if isinstance(h, LevelConjugation):
-        return frozenset((h.level,))
-    if isinstance(h, Composite):
-        acc: frozenset[int] = frozenset()
-        for part in h.parts:
-            acc ^= conjugated_levels(part)
-        return acc
-    raise TypeError(f"not a homomorphism: {h!r}")
-
-
-def hom_from_levels(levels) -> Homomorphism:
-    levels = sorted(set(levels))
-    if not levels:
-        return Identity()
-    if len(levels) == 1:
-        return LevelConjugation(levels[0])
-    return Composite(tuple(LevelConjugation(L) for L in levels))
-
-
-def compose_homs(h1: Homomorphism, h2: Homomorphism) -> Homomorphism:
-    return hom_from_levels(conjugated_levels(h1) ^ conjugated_levels(h2))
+def compose_homs(h1: LevelConjugation, h2: LevelConjugation) -> LevelConjugation:
+    return LevelConjugation(*(h1.levels ^ h2.levels))
 
 
 def _conjugate_rep(k: FieldTower, rep, level: int):
@@ -687,22 +648,20 @@ def _conjugate_rep(k: FieldTower, rep, level: int):
             _conjugate_rep(k.base, rep[1], level))
 
 
-def apply_hom(h: Homomorphism, x: FieldElement) -> FieldElement:
+def apply_hom(h: LevelConjugation, x: FieldElement) -> FieldElement:
     """Apply a catalog homomorphism to x.
 
     Level conjugations act structurally on the coefficient tree; whether
     the result is multiplicative depends on the tower (see
     ``conjugation_is_automorphism``), and ``hom_check`` certifies it.
     """
-    levels = conjugated_levels(h)
-    if not levels:
+    if not h.levels:
         return x
     k = x.tower
-    for L in levels:
+    rep = x.rep
+    for L in h.levels:
         if not 1 <= L <= k.depth:
             raise InvalidLevel(f"level {L} not in 1..{k.depth} for {k}")
-    rep = x.rep
-    for L in sorted(levels):
         rep = _conjugate_rep(k, rep, L)
     return FieldElement(k, rep)
 
@@ -721,21 +680,16 @@ def conjugation_is_automorphism(k: FieldTower, level: int) -> bool:
     return True
 
 
-def catalog_homomorphisms(k: FieldTower) -> list[Homomorphism]:
+def catalog_homomorphisms(k: FieldTower) -> list[LevelConjugation]:
     """All homomorphisms in the catalog that are valid for k.
 
-    Identity first, then single conjugations by ascending level, then
+    The identity first, then single conjugations by ascending level, then
     larger compositions in subset order.
     """
-    if not isinstance(k, QuadExt):
-        return [Identity()]
     valid = [L for L in range(1, k.depth + 1) if conjugation_is_automorphism(k, L)]
-    out: list[Homomorphism] = [Identity()]
-    for mask in range(1, 1 << len(valid)):
-        levels = [valid[i] for i in range(len(valid)) if mask >> i & 1]
-        out.append(hom_from_levels(levels))
-    out.sort(key=lambda h: (len(conjugated_levels(h)), sorted(conjugated_levels(h))))
-    return out
+    return [LevelConjugation(*levels)
+            for n in range(len(valid) + 1)
+            for levels in itertools.combinations(valid, n)]
 
 
 _MAX_HOM_FAILURES = 10
@@ -757,12 +711,12 @@ class HomCheckReport:
 def hom_check(h, k: FieldTower, budget, *, seed: int = 0) -> HomCheckReport:
     """Certify additivity and multiplicativity of h on k.
 
-    ``h`` may be a catalog Homomorphism or any callable on elements.
+    ``h`` may be a catalog LevelConjugation or any callable on elements.
     ``budget`` is "exhaustive" (finite fields only) or a pair count for
     seeded sampling.  Failures carry (x, y, law) witnesses; checking
     stops at the tenth, and ``pairs_checked`` counts the pairs reached.
     """
-    if isinstance(h, (Identity, LevelConjugation, Composite)):
+    if isinstance(h, LevelConjugation):
         fn = lambda e: apply_hom(h, e)
     else:
         fn = h

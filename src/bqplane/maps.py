@@ -27,8 +27,6 @@ from .errors import (
 from .fields import (
     FieldElement,
     FieldTower,
-    Homomorphism,
-    Identity,
     LevelConjugation,
     PrimeField,
     Q,
@@ -149,7 +147,7 @@ class SemiAffineMap:
     """x -> outer((gamma(x1), gamma(x2))): the canonical decomposed form."""
 
     outer: AffineOrthoMap
-    gamma: Homomorphism
+    gamma: LevelConjugation
 
     @property
     def tower(self) -> FieldTower:
@@ -235,7 +233,7 @@ def _general_parts(m):
     return None
 
 
-def _hom_affine(h: Homomorphism, m: AffineOrthoMap) -> AffineOrthoMap:
+def _hom_affine(h: LevelConjugation, m: AffineOrthoMap) -> AffineOrthoMap:
     q = m.linear
     return AffineOrthoMap(
         OrthoMatrix2(apply_hom(h, q.q11), apply_hom(h, q.q12),
@@ -505,7 +503,7 @@ def _half_sum_terms(a: FieldElement):
     return big, small
 
 
-def lorentz_case1_matrix(a: FieldElement, sigma: Homomorphism, k: FieldTower) -> OrthoMatrix2:
+def lorentz_case1_matrix(a: FieldElement, sigma: LevelConjugation, k: FieldTower) -> OrthoMatrix2:
     """Orthogonal matrix reconstructing a product-form map whose
     normalization fixes coordinates (no swap)."""
     a = k(a)
@@ -517,7 +515,7 @@ def lorentz_case1_matrix(a: FieldElement, sigma: Homomorphism, k: FieldTower) ->
     return OrthoMatrix2(big, small * si, -small * i, -big * i * si)
 
 
-def lorentz_case2_matrix(a: FieldElement, sigma: Homomorphism, k: FieldTower) -> OrthoMatrix2:
+def lorentz_case2_matrix(a: FieldElement, sigma: LevelConjugation, k: FieldTower) -> OrthoMatrix2:
     """Variant for the swapped normalization case."""
     a = k(a)
     i = imaginary_unit(k)
@@ -552,12 +550,10 @@ def _atom_to_map(atom: MapAtom, k: FieldTower):
     if kind == "swap":
         return swap_affine(k)
     if kind == "hom":
-        if atom.args[0] == "id":
-            return SemiAffineMap(identity_map(k), Identity())
-        level = atom.args[1]
-        if not 1 <= level <= k.depth:
-            raise InvalidLevel(f"conj@{level} invalid for {k}")
-        return SemiAffineMap(identity_map(k), LevelConjugation(level))
+        for level in atom.args:
+            if not 1 <= level <= k.depth:
+                raise InvalidLevel(f"conj@{level} invalid for {k}")
+        return SemiAffineMap(identity_map(k), LevelConjugation(*atom.args))
     if kind == "lambda":
         z = k(atom.args[0])
         if z.is_zero:
@@ -590,7 +586,7 @@ def raw_image_table(m, k: PrimeField) -> list[int]:
         tx, ty = m.translation.x1.rep, m.translation.x2.rep
         return [((a * x + b * y + tx) % p) * p + (c * x + d * y + ty) % p
                 for x in range(p) for y in range(p)]
-    if isinstance(m, SemiAffineMap) and isinstance(m.gamma, Identity):
+    if isinstance(m, SemiAffineMap) and not m.gamma.levels:
         return raw_image_table(m.outer, k)
     return [img.x1.rep * p + img.x2.rep
             for img in (m(pt) for pt in all_points(k))]

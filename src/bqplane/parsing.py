@@ -38,6 +38,7 @@ from .errors import (
 from .fields import (
     FieldElement,
     FieldTower,
+    LevelConjugation,
     PrimeField,
     Q,
     QuadExt,
@@ -277,16 +278,14 @@ _MAP_ARITY = {
 @dataclass(frozen=True)
 class MapAtom:
     """One primitive in a map expression; args are FieldElements except
-    for hom, where args is ('id',) or ('conj', level)."""
+    for hom, where args are the conjugated levels (none for the identity)."""
 
     kind: str
     args: tuple
 
     def __str__(self):
         if self.kind == "hom":
-            if self.args[0] == "id":
-                return "hom(id)"
-            return f"hom(conj@{self.args[1]})"
+            return str(LevelConjugation(*self.args))
         if not self.args:
             return self.kind
         return f"{self.kind}({', '.join(format_element(a) for a in self.args)})"
@@ -314,11 +313,10 @@ def _parse_map_atom(p: _Parser, k: FieldTower) -> MapAtom:
     if arity == "hom":
         inner = p.expect("name")
         if inner.text == "id":
-            atom = MapAtom("hom", ("id",))
+            atom = MapAtom("hom", ())
         elif inner.text == "conj":
             p.expect("@")
-            level = int(p.expect("int").text)
-            atom = MapAtom("hom", ("conj", level))
+            atom = MapAtom("hom", (int(p.expect("int").text),))
         else:
             raise ParseError(f"expected 'id' or 'conj', found {inner.text!r}", inner.pos)
     else:

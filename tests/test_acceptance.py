@@ -23,7 +23,6 @@ from bqplane.decompose import (
 )
 from bqplane.errors import BranchUndetermined, SearchExhausted
 from bqplane.fields import (
-    Identity,
     LevelConjugation,
     Q,
     QuadExt,
@@ -91,7 +90,7 @@ def test_02_case_matrix_orthogonality(gf13, acceptance):
     ok = True
     for a in range(1, 13):
         for build in (lorentz_case1_matrix, lorentz_case2_matrix):
-            q = build(gf13(a), Identity(), gf13)
+            q = build(gf13(a), LevelConjugation(), gf13)
             ok = ok and q.matmul(q.transpose()) == ident13
     rng = random.Random(2)
     ident_qi = _identity_matrix(QI)
@@ -102,7 +101,7 @@ def test_02_case_matrix_orthogonality(gf13, acceptance):
             continue
         checked += 1
         for build in (lorentz_case1_matrix, lorentz_case2_matrix):
-            q = build(a, Identity(), QI)
+            q = build(a, LevelConjugation(), QI)
             ok = ok and q.matmul(q.transpose()) == ident_qi
     line = acceptance(2, ok, "case matrices exactly orthogonal for all 12 "
                              "GF(13) scales and 50 seeded Q(i) scales")
@@ -264,7 +263,7 @@ def test_08_nonisometry_witness(acceptance):
 
 def test_09_rational_phi_preserved_by_canonical_maps(acceptance):
     rng = random.Random(9)
-    gammas = [Identity(), LevelConjugation(1)]
+    gammas = [LevelConjugation(), LevelConjugation(1)]
     bad = 0
     for n in range(20):
         t = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
@@ -307,7 +306,7 @@ def test_11_branch_detection_accuracy(acceptance):
     i = imaginary_unit(QI)
     correct = 0
     for n in range(100):
-        gamma = Identity() if n < 50 else LevelConjugation(1)
+        gamma = LevelConjugation() if n < 50 else LevelConjugation(1)
         expect = "theta" if n < 50 else "zeta"
         t = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         u = unit_from_parameter(QI, t)

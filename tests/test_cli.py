@@ -133,8 +133,9 @@ class TestPassingCommands:
 
     def test_zero_budget_kept_in_header(self, run):
         code, out, _ = run("search-preservers", "--p", "13", "--budget", "0")
-        assert code == 0
+        assert code == 1
         assert out.splitlines()[0] == "search-preservers p=13 budget=0"
+        assert out.splitlines()[-1] == "FAIL"
 
     def test_help_exits_clean(self, run):
         code, out, _ = run("--help")

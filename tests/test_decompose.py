@@ -20,12 +20,10 @@ from bqplane.errors import (
     ProductFormViolation,
 )
 from bqplane.fields import (
-    Identity,
     LevelConjugation,
     Q,
     QuadExt,
     from_coeff_vector,
-    hom_from_levels,
     imaginary_unit,
 )
 from bqplane.geometry import Point, all_points, point
@@ -72,7 +70,7 @@ class TestNormalizer:
 class TestHomExtraction:
     def test_identity_on_normalized_affine(self, qi):
         ext = extract_homomorphism(identity_map(qi), qi, sample_domain(40))
-        assert ext.hom == Identity()
+        assert ext.hom == LevelConjugation()
         assert ext.law_pairs > 0 and ext.points_checked > 0
 
     def test_reads_conjugation(self):
@@ -82,7 +80,7 @@ class TestHomExtraction:
 
     def test_prime_field_is_exhaustive_and_rigid(self, gf13):
         ext = extract_homomorphism(identity_map(gf13), gf13)
-        assert ext.hom == Identity() and ext.complete
+        assert ext.hom == LevelConjugation() and ext.complete
 
     def test_swap_is_not_coordinatewise(self, gf13):
         with pytest.raises((NotAHomomorphism, ProductFormViolation)):
@@ -134,7 +132,7 @@ class TestFrameRoute:
     def test_prime_affine_round_trip(self, gf13):
         f = _expr("translate(2, 3) . rot(0, 1)", gf13)
         res = decompose(f, gf13)
-        assert res.route == "frame" and res.gamma == Identity()
+        assert res.route == "frame" and res.gamma == LevelConjugation()
         recon = res.reconstruction()
         assert raw_image_table(recon, gf13) == raw_image_table(f, gf13)
 
@@ -239,6 +237,12 @@ class TestPreserverSearch:
         assert census.total_found == 2
         assert census.anomalies == []
         assert census.ok  # incomplete census with no anomalies is consistent
+
+    def test_budget_limited_census_that_found_nothing_fails(self):
+        census = search_unit_preservers(13, budget=0)
+        assert census.nodes == 1 and not census.complete
+        assert census.total_found == 0 and census.anomalies == []
+        assert census.ok is False
 
     def test_found_tables_decompose(self):
         census = search_unit_preservers(17, budget=40_000)

@@ -1,5 +1,6 @@
 import operator
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -16,23 +17,22 @@ from bqplane.errors import (
     ZeroRadicand,
 )
 from bqplane.fields import (
-    Composite,
-    Identity,
+    _conjugate_rep,
+    FieldElement,
     LevelConjugation,
     PrimeField,
     Q,
     QuadExt,
-    adjoin_sqrt,
     apply_hom,
     catalog_homomorphisms,
     coeff_vector,
     compose_homs,
+    conjugation_is_automorphism,
     embed,
     ensure_sqrt,
     format_element,
     from_coeff_vector,
     hom_check,
-    hom_from_levels,
     imaginary_unit,
     probe_elements,
     random_element,
@@ -139,9 +139,9 @@ class TestTowerConstruction:
         with pytest.raises(ZeroRadicand):
             QuadExt(Q, 0)
 
-    def test_adjoin_sqrt_returns_lift(self):
-        ext, lift = adjoin_sqrt(Q, 3)
-        x = lift(Q(Fraction(2, 5)))
+    def test_extension_embeds_base_elements(self):
+        ext = QuadExt(Q, 3)
+        x = ext(Q(Fraction(2, 5)))
         assert x.tower is ext or x.tower == ext
         assert x == ext(Fraction(2, 5))
 
@@ -187,14 +187,14 @@ class TestSquareRoots:
         assert sqrt_in_field(Q(-1)) is None
 
     def test_ensure_sqrt_in_place_and_extension(self):
-        field, lift, root = ensure_sqrt(Q, Q(9))
+        field, root = ensure_sqrt(Q, Q(9))
         assert field is Q and root == Q(3)
-        field, lift, root = ensure_sqrt(Q, Q(5))
+        field, root = ensure_sqrt(Q, Q(5))
         assert isinstance(field, QuadExt) and field.d == 5
-        assert root * root == lift(Q(5))
+        assert root * root == field(Q(5))
 
     def test_ensure_sqrt_positive_branch(self):
-        field, _, root = ensure_sqrt(QS2, QS2(2), positive=True)
+        field, root = ensure_sqrt(QS2, QS2(2), positive=True)
         assert field == QS2 and coeff_vector(root) == [0, 1]
 
 
@@ -222,9 +222,10 @@ class TestImaginaryPresentation:
 class TestHomomorphisms:
     def test_catalog_order(self):
         cat = catalog_homomorphisms(QS2I)
-        assert cat[0] == Identity()
+        assert cat[0] == LevelConjugation()
         assert cat[1:3] == [LevelConjugation(1), LevelConjugation(2)]
-        assert isinstance(cat[3], Composite)
+        assert cat[3] == LevelConjugation(1, 2)
+        assert str(cat[3]) == "hom(conj@1) . hom(conj@2)"
         assert len(cat) == 4
 
     def test_catalog_skips_moved_radicands(self):
@@ -232,17 +233,21 @@ class TestHomomorphisms:
         # so only the outer conjugation survives the validity filter
         k = QuadExt(QS2, QS2(1) + from_coeff_vector(QS2, [0, 1]))
         cat = catalog_homomorphisms(k)
-        assert cat == [Identity(), LevelConjugation(2)]
+        assert cat == [LevelConjugation(), LevelConjugation(2)]
 
     def test_catalog_on_prime_field(self, gf13):
-        assert catalog_homomorphisms(gf13) == [Identity()]
+        assert catalog_homomorphisms(gf13) == [LevelConjugation()]
 
     def test_compose_is_symmetric_difference(self):
         c1, c2 = LevelConjugation(1), LevelConjugation(2)
-        assert compose_homs(c1, c1) == Identity()
-        assert compose_homs(c1, c2) == hom_from_levels([1, 2])
+        assert compose_homs(c1, c1) == LevelConjugation()
+        assert compose_homs(c1, c2) == LevelConjugation(1, 2)
         both = compose_homs(c1, c2)
         assert compose_homs(both, c2) == c1
+        # one encoding per level set, whatever order the levels come in
+        assert LevelConjugation(2, 1) == both and hash(LevelConjugation(2, 1)) == hash(both)
+        assert str(LevelConjugation(2, 1)) == str(both) == "hom(conj@1) . hom(conj@2)"
+        assert str(compose_homs(both, both)) == "hom(id)"
 
     @given(elements(QS2I), elements(QS2I))
     def test_conjugations_are_ring_maps(self, x, y):
@@ -260,7 +265,7 @@ class TestHomomorphisms:
             apply_hom(LevelConjugation(3), i)
 
     def test_hom_check_exhaustive(self, gf13):
-        rep = hom_check(Identity(), gf13, "exhaustive")
+        rep = hom_check(LevelConjugation(), gf13, "exhaustive")
         assert rep.ok and rep.pairs_checked == 13 * 13
         assert rep.failures == []
 
@@ -269,13 +274,13 @@ class TestHomomorphisms:
         assert rep.ok and rep.pairs_checked == 150
 
     def test_hom_check_of_nothing_is_not_ok(self):
-        rep = hom_check(Identity(), QS2I, 0)
+        rep = hom_check(LevelConjugation(), QS2I, 0)
         assert rep.pairs_checked == 0 and not rep.failures
         assert not rep.ok and not rep
 
     def test_hom_check_exhaustive_needs_finite_field(self):
         with pytest.raises(InvalidField):
-            hom_check(Identity(), QI, "exhaustive")
+            hom_check(LevelConjugation(), QI, "exhaustive")
 
     def test_hom_check_flags_fake_maps(self, gf13):
         squaring = lambda e: e * e  # multiplicative, not additive
@@ -316,6 +321,121 @@ class TestProbes:
 
     def test_prime_field_probes(self, gf13):
         assert probe_elements(gf13, random.Random(0), 5) == [gf13(v) for v in range(5)]
+
+
+# ---------------------------------------------- three-class hom oracle
+#
+# The homomorphism encoding before the level set: separate identity,
+# single-conjugation and composite classes, reduced to a frozenset of
+# levels by ``conjugated_levels`` whenever they were used.
+
+@dataclass(frozen=True)
+class _OldIdentity:
+    def __str__(self):
+        return "hom(id)"
+
+
+@dataclass(frozen=True)
+class _OldLevelConjugation:
+    level: int
+
+    def __str__(self):
+        return f"hom(conj@{self.level})"
+
+
+@dataclass(frozen=True)
+class _OldComposite:
+    parts: tuple
+
+    def __str__(self):
+        return " . ".join(str(p) for p in self.parts) if self.parts else "hom(id)"
+
+
+def _old_conjugated_levels(h) -> frozenset[int]:
+    if isinstance(h, _OldIdentity):
+        return frozenset()
+    if isinstance(h, _OldLevelConjugation):
+        return frozenset((h.level,))
+    acc: frozenset[int] = frozenset()
+    for part in h.parts:
+        acc ^= _old_conjugated_levels(part)
+    return acc
+
+
+def _old_hom_from_levels(levels):
+    levels = sorted(set(levels))
+    if not levels:
+        return _OldIdentity()
+    if len(levels) == 1:
+        return _OldLevelConjugation(levels[0])
+    return _OldComposite(tuple(_OldLevelConjugation(L) for L in levels))
+
+
+def _old_compose_homs(h1, h2):
+    return _old_hom_from_levels(_old_conjugated_levels(h1) ^ _old_conjugated_levels(h2))
+
+
+def _old_apply_hom(h, x):
+    levels = _old_conjugated_levels(h)
+    if not levels:
+        return x
+    k = x.tower
+    for L in levels:
+        if not 1 <= L <= k.depth:
+            raise InvalidLevel(f"level {L} not in 1..{k.depth} for {k}")
+    rep = x.rep
+    for L in sorted(levels):
+        rep = _conjugate_rep(k, rep, L)
+    return FieldElement(k, rep)
+
+
+def _old_catalog(k):
+    if not isinstance(k, QuadExt):
+        return [_OldIdentity()]
+    valid = [L for L in range(1, k.depth + 1) if conjugation_is_automorphism(k, L)]
+    out = [_OldIdentity()]
+    for mask in range(1, 1 << len(valid)):
+        out.append(_old_hom_from_levels(
+            [valid[i] for i in range(len(valid)) if mask >> i & 1]))
+    out.sort(key=lambda h: (len(_old_conjugated_levels(h)),
+                            sorted(_old_conjugated_levels(h))))
+    return out
+
+
+# Depth 1-4; "Q[sqrt 2][sqrt 1 + r1]" moves its level-2 radicand under
+# the level-1 conjugation, so that level drops out of the catalog.
+HOM_TOWERS = [
+    "Q[sqrt 2]",
+    "Q[sqrt 2][i]",
+    "Q[sqrt 2][sqrt 1 + r1]",
+    "Q[sqrt 2][sqrt 3][i]",
+    "Q[sqrt 2][sqrt 1 + r1][i]",
+    "Q[sqrt 2][sqrt 3][sqrt 5][i]",
+    "Q[sqrt 2][sqrt 1 + r1][sqrt 3][i]",
+]
+
+
+class TestLevelSetCatalog:
+    @pytest.mark.parametrize("spec", HOM_TOWERS + ["GF(13)"])
+    def test_matches_three_class_catalog(self, spec):
+        k = parse_field(spec)
+        new, old = catalog_homomorphisms(k), _old_catalog(k)
+        assert [str(h) for h in new] == [str(h) for h in old]
+        for h_new, h_old in zip(new, old):
+            assert h_new.levels == _old_conjugated_levels(h_old)
+            for x in probe_elements(k, random.Random(7), 40):
+                _assert_same(apply_hom(h_new, x), _old_apply_hom(h_old, x))
+        by_str = {str(h): h for h in new}
+        for a_new, a_old in zip(new, old):
+            for b_new, b_old in zip(new, old):
+                got = compose_homs(a_new, b_new)
+                want = _old_compose_homs(a_old, b_old)
+                assert str(got) == str(want)
+                assert got == by_str[str(want)]
+
+    def test_full_depth_four_catalog_size(self):
+        k = parse_field("Q[sqrt 2][sqrt 3][sqrt 5][i]")
+        assert len(catalog_homomorphisms(k)) == 16
 
 
 # ------------------------------------------------------ schoolbook oracle

@@ -16,7 +16,6 @@ from bqplane.errors import (
     ZeroScale,
 )
 from bqplane.fields import (
-    Identity,
     LevelConjugation,
     Q,
     QuadExt,
@@ -173,7 +172,7 @@ class TestComposeInvert:
         conj = SemiAffineMap(identity_map(qi), LevelConjugation(1))
         both = compose(conj, conj)
         assert isinstance(both, SemiAffineMap)
-        assert both.gamma == Identity()
+        assert both.gamma == LevelConjugation()
         x = point(qi, Fraction(1, 2), Fraction(-2, 3))
         assert both(x) == x
 
@@ -239,7 +238,7 @@ class TestMapTables:
         generic = [img.x1.rep * 13 + img.x2.rep
                    for img in (f(x) for x in all_points(gf13))]
         assert raw_image_table(f, gf13) == generic
-        wrapped = SemiAffineMap(f, Identity())
+        wrapped = SemiAffineMap(f, LevelConjugation())
         assert raw_image_table(wrapped, gf13) == generic
 
 
@@ -306,8 +305,8 @@ class TestPreservationScans:
 class TestCaseMatrices:
     def test_orthogonal_for_every_nonzero_parameter(self, gf13):
         for a in range(1, 13):
-            m1 = lorentz_case1_matrix(gf13(a), Identity(), gf13)
-            m2 = lorentz_case2_matrix(gf13(a), Identity(), gf13)
+            m1 = lorentz_case1_matrix(gf13(a), LevelConjugation(), gf13)
+            m2 = lorentz_case2_matrix(gf13(a), LevelConjugation(), gf13)
             assert m1.matmul(m1.transpose()) == _identity_matrix(gf13)
             assert m2.matmul(m2.transpose()) == _identity_matrix(gf13)
 
@@ -322,11 +321,11 @@ class TestCaseMatrices:
 
     def test_zero_parameter_rejected(self, gf13):
         with pytest.raises(ZeroParameter):
-            lorentz_case1_matrix(gf13(0), Identity(), gf13)
+            lorentz_case1_matrix(gf13(0), LevelConjugation(), gf13)
 
     def test_needs_imaginary_unit(self, qs2):
         with pytest.raises(NoImaginaryUnit):
-            lorentz_case1_matrix(qs2(2), Identity(), qs2)
+            lorentz_case1_matrix(qs2(2), LevelConjugation(), qs2)
 
 
 class TestExpressionElaboration:
