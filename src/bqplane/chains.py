@@ -185,15 +185,9 @@ def _auto_extend_chain(s: Point, t: Point) -> Chain:
 
 # -------------------------------------------------------- rational mode
 
-def _feasible_denominator(n: int) -> bool:
-    return all(p % 4 == 1 for p in factorint(n))
-
-
-def _two_squares(q: int) -> tuple[int, int]:
-    """A primitive representation q = e^2 + f^2 for q an odd prime power
-    with p = 1 mod 4, via Gaussian-integer powers of the prime's
-    representation."""
-    (p, k), = factorint(q).items()
+def _two_squares(p: int, k: int) -> tuple[int, int]:
+    """A primitive representation p^k = e^2 + f^2 for a prime p = 1 mod 4,
+    via Gaussian-integer powers of the prime's representation."""
     # find p = a^2 + b^2 by the Hermite-Serret walk
     a, b = p, _nonresidue_sqrt(p)
     while b * b > p:
@@ -205,7 +199,7 @@ def _two_squares(q: int) -> tuple[int, int]:
     for _ in range(k):
         ge, gf = ge * e - gf * f, ge * f + gf * e
     ge, gf = abs(ge), abs(gf)
-    assert ge * ge + gf * gf == q and math.gcd(ge, gf) == 1
+    assert ge * ge + gf * gf == p ** k and math.gcd(ge, gf) == 1
     return ge, gf
 
 
@@ -218,9 +212,11 @@ def _nonresidue_sqrt(p: int) -> int:
     raise ValueError(f"no sqrt(-1) mod {p}")
 
 
-def _axis_plan(v: Fraction) -> tuple[list[tuple[int, Fraction, Fraction]], int]:
+def _axis_plan(v: Fraction, factors: dict[int, int]
+               ) -> tuple[list[tuple[int, Fraction, Fraction]], int]:
     """Plan one axis: rhombus batches realizing each prime-power part of
-    the denominator, plus the leftover integer displacement.
+    the denominator, whose factorization is ``factors``, plus the
+    leftover integer displacement.
 
     Each batch is (signed rhombus count, long leg, short leg) where the
     legs are the components of the Pythagorean unit step; one rhombus is
@@ -229,13 +225,13 @@ def _axis_plan(v: Fraction) -> tuple[list[tuple[int, Fraction, Fraction]], int]:
     """
     batches = []
     remaining = v
-    for q_prime, mult in factorint(v.denominator).items():
+    for q_prime, mult in factors.items():
         q = q_prime ** mult
         rest = v.denominator // q
         c = v.numerator * pow(rest, -1, q) % q
         if c > q // 2:
             c -= q
-        e, f = _two_squares(q)
+        e, f = _two_squares(q_prime, mult)
         leg_long = Fraction(e * e - f * f, q)
         leg_short = Fraction(2 * e * f, q)
         # one rhombus moves 2*leg_long; solve for the count mod q
@@ -248,10 +244,12 @@ def _axis_plan(v: Fraction) -> tuple[list[tuple[int, Fraction, Fraction]], int]:
     return batches, remaining.numerator
 
 
-def _rational_chain_steps(v1: Fraction, v2: Fraction, budget: int) -> list[tuple[Fraction, Fraction]]:
-    """Unit steps (as (dx, dy) pairs) summing exactly to (v1, v2)."""
-    plan_x, whole_x = _axis_plan(v1)
-    plan_y, whole_y = _axis_plan(v2)
+def _rational_chain_steps(v1: Fraction, v2: Fraction, factors, budget: int
+                          ) -> list[tuple[Fraction, Fraction]]:
+    """Unit steps (as (dx, dy) pairs) summing exactly to (v1, v2), given
+    the factorizations of their denominators."""
+    plan_x, whole_x = _axis_plan(v1, factors[0])
+    plan_y, whole_y = _axis_plan(v2, factors[1])
     cost = sum(2 * abs(n) for n, _, _ in plan_x + plan_y) + abs(whole_x) + abs(whole_y)
     if cost > budget:
         raise SearchExhausted(
@@ -285,8 +283,10 @@ def _rational_only_chain(s: Point, t: Point, budget: int) -> Chain:
     v2 = rational_value(t.x2 - s.x2)
     if v1 == 0 and v2 == 0:
         return Chain([s, s + point(Q, 1, 0), s], Q, reported_edge_bound=2)
+    factors = []
     for coord in (v1, v2):
-        if not _feasible_denominator(coord.denominator):
+        factors.append(factorint(coord.denominator))
+        if any(p % 4 != 1 for p in factors[-1]):
             raise SearchExhausted(
                 f"displacement ({v1}, {v2}) is unreachable by rational unit steps: "
                 "coordinate denominators must factor into primes = 1 mod 4 "
@@ -299,7 +299,7 @@ def _rational_only_chain(s: Point, t: Point, budget: int) -> Chain:
         two_step = _try_two_step(s, t, v1, v2, dist2)
         if two_step is not None:
             return two_step
-    steps = _rational_chain_steps(v1, v2, budget)
+    steps = _rational_chain_steps(v1, v2, factors, budget)
     pts = [s]
     for dx, dy in steps:
         pts.append(Point(pts[-1].x1 + Q(dx), pts[-1].x2 + Q(dy)))

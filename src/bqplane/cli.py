@@ -20,8 +20,24 @@ import time
 from dataclasses import dataclass, field
 
 from .chains import build_lemma3_chain, build_real_chain, verify_chain
-from .errors import BQError, FieldNotFinite, InvalidField
-from .fields import LevelConjugation, PrimeField, imaginary_unit, tower_levels
+from .errors import (
+    BQError,
+    FieldMismatch,
+    InvalidField,
+    NoImaginaryPresentation,
+    NoImaginaryUnit,
+)
+from .fields import (
+    EXHAUSTIVE,
+    LevelConjugation,
+    PrimeField,
+    Q,
+    QuadExt,
+    imaginary_unit,
+    is_real_tower,
+    sample_domain,
+    tower_levels,
+)
 from .geometry import Point, phi, point, verify_transform_identities
 from .maps import (
     MapTable,
@@ -30,7 +46,6 @@ from .maps import (
     identity_map,
     map_from_expression,
     preserves_unit_distance,
-    sample_domain,
 )
 from .decompose import decompose, decompose_lorentz, search_unit_preservers
 from .parsing import (
@@ -64,27 +79,32 @@ class RunReport:
 
 
 # ------------------------------------------------------------- commands
+#
+# A _prep_* function also checks the field shape its command needs, so a
+# wrong field exits 2; refusals that depend on the point stay verdicts.
 
 def _prep_verify_identities(args):
-    return parse_field(args.field)
+    k = parse_field(args.field)
+    if imaginary_unit(k) is None:
+        raise NoImaginaryUnit(f"{k} has no canonical i with i*i = -1")
+    return k
 
 
 def _run_verify_identities(args, k) -> RunReport:
     rep = RunReport("verify-identities")
-    if args.samples is not None:
-        mode, samples = "samples", args.samples
-    elif args.exhaustive or isinstance(k, PrimeField):
+    if args.samples is None and isinstance(k, PrimeField):
         mode, samples = "exhaustive", 0
     else:
-        mode, samples = "samples", DEFAULT_SAMPLES
+        mode = "samples"
+        samples = DEFAULT_SAMPLES if args.samples is None else args.samples
     result = verify_transform_identities(k, mode, samples=samples, seed=args.seed)
     rep.add({"record": "run", "command": rep.command, "field": str(k),
              "mode": result.mode},
             f"verify-identities over {k}, {result.mode}")
     for c in result.checks:
-        status = "ok" if c.ok else f"{len(c.violations)} violations"
+        status = "ok" if c.ok else f"{len(c.witnesses)} violations"
         rep.add({"record": "identity_check", "name": c.name,
-                 "checked": c.checked, "violations": c.violations},
+                 "checked": c.checked, "violations": c.witnesses},
                 f"  {c.name}: {c.checked} checked, {status}")
     rep.ok = result.ok
     return rep
@@ -92,6 +112,11 @@ def _run_verify_identities(args, k) -> RunReport:
 
 def _prep_chain(args):
     k = parse_field(args.field)
+    real = k.base if isinstance(k, QuadExt) and k.d == -1 else k  # drops a top [i]
+    if args.mode == "rational" and real != Q:
+        raise FieldMismatch(f"rational chains need the field Q or Q[i], not {k}")
+    if args.mode == "auto" and not is_real_tower(real):
+        raise FieldMismatch(f"{real} is not a real tower")
     s = parse_point(args.src, k)
     t = parse_point(args.dst, k)
     mode = {"rational": "rational_only", "auto": "auto_extend"}[args.mode]
@@ -124,6 +149,8 @@ def _run_chain(args, prepared) -> RunReport:
 
 def _prep_lemma3(args):
     k = parse_field(args.field)
+    if not (isinstance(k, QuadExt) and k.d == -1):
+        raise NoImaginaryPresentation(f"{k} must be presented as F(i)")
     return k, parse_point(args.point, k)
 
 
@@ -156,6 +183,8 @@ def _run_lemma3(args, prepared) -> RunReport:
 
 def _prep_decompose(args):
     k = parse_field(args.field)
+    if args.command == "decompose-lorentz" and imaginary_unit(k) is None:
+        raise NoImaginaryUnit(f"{k} has no i; the Lorentz route needs one")
     if args.map is not None:
         f = map_from_expression(parse_map(args.map, k), k)
         source = {"map": args.map}
@@ -164,9 +193,7 @@ def _prep_decompose(args):
             f = MapTable(k, parse_table_lines(fh.read(), k))
         source = {"table": args.table}
     if isinstance(k, PrimeField):
-        domain = None  # decompose verifies finite fields exhaustively
-    elif args.exhaustive:
-        raise FieldNotFinite(f"exhaustive verification impossible over {k}")
+        domain = EXHAUSTIVE
     else:
         samples = DEFAULT_SAMPLES if args.samples is None else args.samples
         domain = sample_domain(samples, args.seed)
@@ -176,7 +203,7 @@ def _prep_decompose(args):
 def _run_decompose(args, prepared, *, route) -> RunReport:
     k, f, source, domain = prepared
     rep = RunReport("decompose" if route is decompose else "decompose-lorentz")
-    result = route(f, k) if domain is None else route(f, k, domain)
+    result = route(f, k, domain)
     rec = result.to_record()
     rep.add({"record": "run", "command": rep.command, "field": str(k), **source},
             f"{rep.command} over {k}")
@@ -307,9 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify-identities", parents=[common],
                         help="certify the xi/eta form identities on k^2")
     sp.add_argument("--field", required=True)
-    grp = sp.add_mutually_exclusive_group()
-    grp.add_argument("--exhaustive", action="store_true")
-    grp.add_argument("--samples", type=_int_at_least(1))
+    sp.add_argument("--samples", type=_int_at_least(1))
     sp.set_defaults(prepare=_prep_verify_identities, run=_run_verify_identities)
 
     sp = sub.add_parser("chain", parents=[common],
@@ -337,9 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
         src = sp.add_mutually_exclusive_group(required=True)
         src.add_argument("--map", help="map expression, e.g. 'translate(2,3) . rot(0,1)'")
         src.add_argument("--table", help="file of 'x1,x2 -> y1,y2' lines")
-        grp = sp.add_mutually_exclusive_group()
-        grp.add_argument("--exhaustive", action="store_true")
-        grp.add_argument("--samples", type=_int_at_least(1))
+        sp.add_argument("--samples", type=_int_at_least(1))
         sp.set_defaults(prepare=_prep_decompose,
                         run=(lambda a, p, _r=route: _run_decompose(a, p, route=_r)))
 

@@ -35,7 +35,6 @@ from .errors import (
     BranchUndetermined,
     CaseUndetermined,
     FieldMismatch,
-    FieldNotFinite,
     FrameNotOrthonormal,
     LorentzNormalizationFailed,
     NoImaginaryPresentation,
@@ -44,6 +43,8 @@ from .errors import (
     ProductFormViolation,
 )
 from .fields import (
+    EXHAUSTIVE,
+    DomainSpec,
     FieldElement,
     FieldTower,
     LevelConjugation,
@@ -57,9 +58,7 @@ from .fields import (
 )
 from .geometry import Point, all_points, eta, lambda_map, phi, point, random_point, xi
 from .maps import (
-    EXHAUSTIVE,
     AffineOrthoMap,
-    DomainSpec,
     MapTable,
     OrthoMatrix2,
     SemiAffineMap,
@@ -167,10 +166,11 @@ def _check_prime_hom_table(table: list[int], k: PrimeField) -> int:
     return p * p
 
 
-def _require_samples(domain: DomainSpec) -> None:
-    """A sampled domain must name at least one probe; a decomposition
+def _check_domain(domain: DomainSpec, k: FieldTower) -> None:
+    """An exhaustive domain needs a finite field (FieldNotFinite
+    otherwise) and a sampled one at least one probe; a decomposition
     verified on nothing is no verdict."""
-    if domain.kind == "samples" and domain.samples < 1:
+    if not domain.exhaustive_over(k) and domain.samples < 1:
         raise ValueError(
             f"a sampled domain needs at least 1 sample, got {domain.samples}")
 
@@ -179,10 +179,8 @@ def _tower_hom_from_eval(gamma_eval, k: FieldTower, domain: DomainSpec
                          ) -> tuple[LevelConjugation, int]:
     """Probe-set extraction over an infinite tower: law spot checks with
     genuine witnesses, then a catalog match pinned on the monomial basis
-    and re-verified on every probe."""
-    if domain.kind == "exhaustive":
-        raise FieldNotFinite(
-            f"exhaustive homomorphism checking needs a finite field, not {k}")
+    and re-verified on every probe.  The caller has refused an exhaustive
+    domain (k is infinite) and an empty sample."""
     count = domain.samples
     rng = random.Random(domain.seed)
     probes = probe_elements(k, rng, count)
@@ -242,7 +240,7 @@ def extract_homomorphism(g, k: FieldTower, domain: DomainSpec = EXHAUSTIVE
     checked on the seeded probe set and gamma is matched against the
     conjugation catalog.
     """
-    _require_samples(domain)
+    _check_domain(domain, k)
     ev = _oracle(g)
     zero = k.zero
 
@@ -305,7 +303,7 @@ def decompose(f, k: FieldTower, domain: DomainSpec = EXHAUSTIVE
     extract gamma from J composed with f, detect the branch when the
     field presents i.  Prime fields are verified exhaustively regardless
     of the requested domain."""
-    _require_samples(domain)
+    _check_domain(domain, k)
     ev = _oracle(f)
     if isinstance(k, PrimeField):
         raw = raw_image_table(ev, k)
@@ -378,7 +376,7 @@ def decompose_lorentz(f, k: FieldTower, domain: DomainSpec = EXHAUSTIVE
     rebuilt from the case matrix and sigma and must agree with f on the
     whole domain.
     """
-    _require_samples(domain)
+    _check_domain(domain, k)
     i0 = imaginary_unit(k)
     if i0 is None:
         raise NoImaginaryUnit(f"{k} has no i; the Lorentz route needs one")
@@ -422,7 +420,7 @@ def decompose_lorentz(f, k: FieldTower, domain: DomainSpec = EXHAUSTIVE
     outer = AffineOrthoMap(case_matrix, t0)
     recon = SemiAffineMap(outer, sigma)
     # GF(p) returned through the raw table above, and an exhaustive domain
-    # over a tower was refused by _tower_hom_from_eval, so this is sampled.
+    # over a tower was refused on entry, so this is sampled.
     rng = random.Random(domain.seed + 2)
     for _ in range(domain.samples):
         x = random_point(k, rng)

@@ -1,7 +1,7 @@
 """Exact arithmetic in the toolkit's computable fields.
 
 Three kinds of field are supported: the rationals Q, prime fields GF(p)
-with p >= 7 prime (p = 1 mod 4 by default), and towers of quadratic
+with p prime, p = 1 mod 4 and p != 5, and towers of quadratic
 extensions built over Q by repeatedly adjoining a square root of a
 non-square.  Elements carry canonical representations with decidable
 equality, so every geometric identity downstream is checked exactly;
@@ -14,6 +14,10 @@ set of levels it conjugates (``LevelConjugation(*levels)``; no levels is
 the identity).  The catalog is what the decomposition pipelines match
 extracted coordinate maps against.  On a prime field the identity is the
 only homomorphism.
+
+Every verdict scan covers a ``DomainSpec`` (all of a finite field, or a
+seeded sample) and reports a ``Check``: the cases covered and up to
+``MAX_WITNESSES`` counterexamples.  A check of no cases is not ok.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from sympy import isprime
@@ -31,6 +35,7 @@ from .errors import (
     AlreadySquare,
     DivisionByZero,
     FieldMismatch,
+    FieldNotFinite,
     InvalidField,
     InvalidLevel,
     NoImaginaryPresentation,
@@ -225,22 +230,19 @@ class Rationals(FieldTower):
 class PrimeField(FieldTower):
     """GF(p) with residue representations in [0, p).
 
-    p must be prime and outside {2, 3, 5}.  By default p = 1 mod 4 is
-    required so that -1 is a square and the unit circle is full-sized;
-    ``allow_3_mod_4=True`` lifts that restriction for negative-control
-    experiments only.
+    p must be prime and outside {2, 3, 5}, and p = 1 mod 4 so that -1 is
+    a square and the unit circle is full-sized.
     """
 
     characteristic: int
 
-    def __init__(self, p: int, *, allow_3_mod_4: bool = False):
+    def __init__(self, p: int):
         if not isinstance(p, int) or p < 2 or not isprime(p):
             raise InvalidField(f"GF({p}): p must be prime")
         if p in EXCLUDED_CHARACTERISTICS:
             raise InvalidField(f"GF({p}): characteristic {p} is excluded")
-        if p % 4 != 1 and not allow_3_mod_4:
-            raise InvalidField(
-                f"GF({p}): p = 3 mod 4 needs allow_3_mod_4=True (negative controls only)")
+        if p % 4 != 1:
+            raise InvalidField(f"GF({p}): p must be 1 mod 4")
         self.p = p
         self.characteristic = p
         self.zero_rep = 0
@@ -540,13 +542,11 @@ def sqrt_in_field(x: FieldElement) -> FieldElement | None:
 def imaginary_unit(k: FieldTower) -> FieldElement | None:
     """The canonical i with i*i = -1, when the field presents one.
 
-    Present for GF(p) with p = 1 mod 4 (smaller residue) and for towers
+    Present for every GF(p) (smaller residue; p = 1 mod 4) and for towers
     whose top adjunction is sqrt(-1).  Towers are conventionally built
     with the imaginary adjunction last, so only the top level is probed.
     """
     if isinstance(k, PrimeField):
-        if k.p % 4 != 1:
-            return None
         return sqrt_in_field(k(-1))
     if isinstance(k, QuadExt) and k.d == -1:
         return k.radical
@@ -613,6 +613,69 @@ def ensure_sqrt(k: FieldTower, x: FieldElement, *, positive: bool = False):
         return k, r
     ext = QuadExt(k, x)
     return ext, ext.radical
+
+
+# ------------------------------------------------------- verdict scans
+
+MAX_WITNESSES = 10
+
+
+@dataclass(frozen=True)
+class DomainSpec:
+    """What a verdict scan covers: every point (or pair) of a finite
+    field, or ``samples`` seeded draws."""
+
+    kind: str  # "exhaustive" | "samples"
+    samples: int = 0
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.samples < 0:
+            raise ValueError(f"sample count must be >= 0, got {self.samples}")
+
+    def exhaustive_over(self, k: FieldTower) -> bool:
+        """True when the scan must cover all of k, which then has to be
+        finite: an exhaustive domain over an infinite field is refused."""
+        if self.kind != "exhaustive":
+            return False
+        if not isinstance(k, PrimeField):
+            raise FieldNotFinite(f"an exhaustive scan needs a finite field, not {k}")
+        return True
+
+    def describe(self) -> str:
+        if self.kind == "exhaustive":
+            return "exhaustive"
+        return f"samples({self.samples},seed={self.seed})"
+
+
+EXHAUSTIVE = DomainSpec("exhaustive")
+
+
+def sample_domain(samples: int, seed: int = 0) -> DomainSpec:
+    return DomainSpec("samples", samples, seed)
+
+
+@dataclass
+class Check:
+    """One verdict scan: ``checked`` cases of ``domain`` and the first
+    MAX_WITNESSES counterexamples found.  A check that covered nothing
+    is not ok."""
+
+    name: str
+    domain: DomainSpec
+    checked: int = 0
+    witnesses: list = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return self.checked > 0 and not self.witnesses
+
+    def note(self, *witness) -> bool:
+        """Keep the witness while fewer than MAX_WITNESSES are held;
+        True once the cap is reached."""
+        if len(self.witnesses) < MAX_WITNESSES:
+            self.witnesses.append(witness)
+        return len(self.witnesses) >= MAX_WITNESSES
 
 
 # -------------------------------------------------------- homomorphisms
@@ -692,54 +755,34 @@ def catalog_homomorphisms(k: FieldTower) -> list[LevelConjugation]:
             for levels in itertools.combinations(valid, n)]
 
 
-_MAX_HOM_FAILURES = 10
-
-
-@dataclass
-class HomCheckReport:
-    pairs_checked: int
-    failures: list
-
-    @property
-    def ok(self) -> bool:
-        return self.pairs_checked > 0 and not self.failures
-
-    def __bool__(self):
-        return self.ok
-
-
-def hom_check(h, k: FieldTower, budget, *, seed: int = 0) -> HomCheckReport:
+def hom_check(h, k: FieldTower, domain: DomainSpec) -> Check:
     """Certify additivity and multiplicativity of h on k.
 
     ``h`` may be a catalog LevelConjugation or any callable on elements.
-    ``budget`` is "exhaustive" (finite fields only) or a pair count for
-    seeded sampling.  Failures carry (x, y, law) witnesses; checking
-    stops at the tenth, and ``pairs_checked`` counts the pairs reached.
+    ``domain`` is EXHAUSTIVE (every pair of a finite field's elements) or
+    a seeded sample of pairs.  Witnesses are (x, y, law) triples; checking
+    stops at the MAX_WITNESSES-th, and ``checked`` counts the pairs
+    reached.
     """
     if isinstance(h, LevelConjugation):
         fn = lambda e: apply_hom(h, e)
     else:
         fn = h
-    if budget == "exhaustive":
-        if not isinstance(k, PrimeField):
-            raise InvalidField("exhaustive hom_check needs a finite field")
+    if domain.exhaustive_over(k):
         elems = [k(v) for v in range(k.p)]
         pairs = ((x, y) for x in elems for y in elems)
     else:
-        rng = random.Random(seed)
+        rng = random.Random(domain.seed)
         pairs = ((random_element(k, rng), random_element(k, rng))
-                 for _ in range(int(budget)))
-    failures = []
-    checked = 0
+                 for _ in range(domain.samples))
+    check = Check("homomorphism_laws", domain)
     for x, y in pairs:
-        checked += 1
-        if fn(x + y) != fn(x) + fn(y):
-            failures.append((x, y, "additivity"))
-        if len(failures) < _MAX_HOM_FAILURES and fn(x * y) != fn(x) * fn(y):
-            failures.append((x, y, "multiplicativity"))
-        if len(failures) >= _MAX_HOM_FAILURES:
+        check.checked += 1
+        if fn(x + y) != fn(x) + fn(y) and check.note(x, y, "additivity"):
             break
-    return HomCheckReport(checked, failures)
+        if fn(x * y) != fn(x) * fn(y) and check.note(x, y, "multiplicativity"):
+            break
+    return check
 
 
 # ------------------------------------------------------ random elements

@@ -14,12 +14,16 @@ from fractions import Fraction
 
 from .errors import FieldMismatch, NoImaginaryUnit, ZeroScale
 from .fields import (
+    EXHAUSTIVE,
+    Check,
+    DomainSpec,
     FieldElement,
     FieldTower,
     PrimeField,
     imaginary_unit,
     random_element,
     re_im,
+    sample_domain,
 )
 
 
@@ -137,37 +141,20 @@ _IDENTITY_NAMES = (
 
 
 @dataclass
-class IdentityCheck:
-    name: str
-    checked: int
-    violations: list
-
-    @property
-    def ok(self) -> bool:
-        return self.checked > 0 and not self.violations
-
-
-@dataclass
 class TransformIdentityReport:
     field: str
     mode: str
-    checks: list[IdentityCheck]
+    checks: list[Check]
 
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
 
 
-def _note(check: IdentityCheck, *witness: Point) -> None:
-    # keep the first 10 witnesses in scan order
-    if len(check.violations) < 10:
-        check.violations.append(tuple(str(x) for x in witness))
-
-
-def _identity_violations(pairs, pts) -> list[IdentityCheck]:
+def _identity_checks(domain: DomainSpec, pairs, pts) -> list[Check]:
     """Check the two form identities on every pair and the two inverse
-    identities on every point; each distinct point is mapped through xi
-    and eta once per call."""
+    identities on every point, counting every case; each distinct point
+    is mapped through xi and eta once per call."""
     images: dict[Point, tuple[Point, Point]] = {}
 
     def image(x: Point) -> tuple[Point, Point]:
@@ -176,25 +163,25 @@ def _identity_violations(pairs, pts) -> list[IdentityCheck]:
             got = images[x] = (xi(x), eta(x))
         return got
 
-    checks = [IdentityCheck(name, 0, []) for name in _IDENTITY_NAMES]
+    checks = [Check(name, domain) for name in _IDENTITY_NAMES]
     phi_lm, lm_phi, eta_xi, xi_eta = checks
     for x, y in pairs:
         xi_x, eta_x = image(x)
         xi_y, eta_y = image(y)
         phi_lm.checked += 1
         if phi(x, y) != lm_distance(xi_x, xi_y):
-            _note(phi_lm, x, y)
+            phi_lm.note(str(x), str(y))
         lm_phi.checked += 1
         if lm_distance(x, y) != phi(eta_x, eta_y):
-            _note(lm_phi, x, y)
+            lm_phi.note(str(x), str(y))
     for x in pts:
         xi_x, eta_x = image(x)
         eta_xi.checked += 1
         if eta(xi_x) != x:
-            _note(eta_xi, x)
+            eta_xi.note(str(x))
         xi_eta.checked += 1
         if xi(eta_x) != x:
-            _note(xi_eta, x)
+            xi_eta.note(str(x))
     return checks
 
 
@@ -208,19 +195,18 @@ def verify_transform_identities(
     """Certify the four xi/eta identities on k^2.
 
     mode "exhaustive" scans all point pairs of a finite field; mode
-    "samples" checks seeded random pairs over any field presenting i.
-    A check that covered nothing is not ok.
+    "samples" checks ``samples`` seeded random pairs over any field
+    presenting i.  The checks keep the first witnesses of each identity
+    and count every case; a check that covered nothing is not ok.
     """
     _unit(k)  # fail early with NoImaginaryUnit
-    if mode == "exhaustive":
-        if not isinstance(k, PrimeField):
-            raise FieldMismatch("exhaustive identity scan needs a finite field")
+    domain = EXHAUSTIVE if mode == "exhaustive" else sample_domain(samples, seed)
+    if domain.exhaustive_over(k):
         pts = all_points(k)
         pairs = ((x, y) for x in pts for y in pts)
-        return TransformIdentityReport(
-            str(k), "exhaustive", _identity_violations(pairs, pts))
-    rng = random.Random(seed)
-    pairs = [(random_point(k, rng), random_point(k, rng)) for _ in range(samples)]
-    pts = [x for x, _ in pairs]
-    checks = _identity_violations(pairs, pts)
-    return TransformIdentityReport(str(k), f"samples({samples},seed={seed})", checks)
+    else:
+        rng = random.Random(seed)
+        pairs = [(random_point(k, rng), random_point(k, rng)) for _ in range(samples)]
+        pts = [x for x, _ in pairs]
+    return TransformIdentityReport(
+        str(k), domain.describe(), _identity_checks(domain, pairs, pts))

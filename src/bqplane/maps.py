@@ -24,7 +24,10 @@ from .errors import (
     ZeroParameter,
     ZeroScale,
 )
-from .fields import (
+from .fields import (  # EXHAUSTIVE and sample_domain are re-exported
+    EXHAUSTIVE,
+    Check,
+    DomainSpec,
     FieldElement,
     FieldTower,
     LevelConjugation,
@@ -34,6 +37,7 @@ from .fields import (
     compose_homs,
     imaginary_unit,
     random_element,
+    sample_domain,
     sqrt_in_field,
 )
 from .geometry import Point, all_points, phi, point, random_point
@@ -364,44 +368,6 @@ def enumerate_canonical_maps(k: PrimeField) -> list[AffineOrthoMap]:
 
 # -------------------------------------------------------- verdict scans
 
-@dataclass(frozen=True)
-class DomainSpec:
-    """How much of k^2 a scan covers: every point pair of a finite field,
-    or a seeded sample."""
-
-    kind: str  # "exhaustive" | "samples"
-    samples: int = 0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.samples < 0:
-            raise ValueError(f"sample count must be >= 0, got {self.samples}")
-
-    def describe(self) -> str:
-        if self.kind == "exhaustive":
-            return "exhaustive"
-        return f"samples({self.samples},seed={self.seed})"
-
-
-EXHAUSTIVE = DomainSpec("exhaustive")
-
-
-def sample_domain(samples: int, seed: int = 0) -> DomainSpec:
-    return DomainSpec("samples", samples, seed)
-
-
-@dataclass
-class PreservationReport:
-    property: str
-    domain: str
-    checked: int
-    witnesses: list
-
-    @property
-    def ok(self) -> bool:
-        return self.checked > 0 and not self.witnesses
-
-
 def _sample_unit_pair(k: FieldTower, rng: random.Random) -> tuple[Point, Point]:
     x = random_point(k, rng)
     while True:
@@ -413,36 +379,24 @@ def _sample_unit_pair(k: FieldTower, rng: random.Random) -> tuple[Point, Point]:
         return x, x + u
 
 
-def preserves_unit_distance(m, k: FieldTower, domain: DomainSpec) -> PreservationReport:
-    """Check phi(m x, m y) = 1 on pairs at squared distance exactly 1."""
-    witnesses = []
-    checked = 0
-    if domain.kind == "exhaustive":
-        if not isinstance(k, PrimeField):
-            raise FieldNotFinite("exhaustive scan needs a finite field")
+def preserves_unit_distance(m, k: FieldTower, domain: DomainSpec) -> Check:
+    """Check phi(m x, m y) = 1 on pairs at squared distance exactly 1;
+    stops at the MAX_WITNESSES-th witness (x, y, phi of the images)."""
+    if domain.exhaustive_over(k):
+        image = {x: m(x) for x in all_points(k)}.__getitem__
         offsets = unit_circle(k)
-        for x in all_points(k):
-            mx = m(x)
-            for c in offsets:
-                y = x + c
-                checked += 1
-                if phi(mx, m(y)) != 1:
-                    witnesses.append((str(x), str(y), str(phi(mx, m(y)))))
-                    if len(witnesses) >= 10:
-                        break
-            if len(witnesses) >= 10:
-                break
+        pairs = ((x, x + c) for x in all_points(k) for c in offsets)
     else:
+        image = m
         rng = random.Random(domain.seed)
-        for _ in range(domain.samples):
-            x, y = _sample_unit_pair(k, rng)
-            checked += 1
-            value = phi(m(x), m(y))
-            if value != 1:
-                witnesses.append((str(x), str(y), str(value)))
-                if len(witnesses) >= 10:
-                    break
-    return PreservationReport("unit_distance", domain.describe(), checked, witnesses)
+        pairs = (_sample_unit_pair(k, rng) for _ in range(domain.samples))
+    check = Check("unit_distance", domain)
+    for x, y in pairs:
+        check.checked += 1
+        value = phi(image(x), image(y))
+        if value != 1 and check.note(str(x), str(y), str(value)):
+            break
+    return check
 
 
 def _sample_rational_phi_pair(k: FieldTower, rng: random.Random) -> tuple[Point, Point]:
@@ -454,42 +408,31 @@ def _sample_rational_phi_pair(k: FieldTower, rng: random.Random) -> tuple[Point,
     return x, x + Point(r * u.x1, r * u.x2)
 
 
-def preserves_phi(m, k: FieldTower, domain: DomainSpec) -> PreservationReport:
-    """Check phi preservation.
+def preserves_phi(m, k: FieldTower, domain: DomainSpec) -> Check:
+    """Check phi preservation; stops at the MAX_WITNESSES-th witness.
 
     For AffineOrthoMap every pair is quantified; for maps involving a
     homomorphism only pairs whose phi lies in the prime subfield are,
     which is the strongest claim the decomposed form supports.
     """
-    full = isinstance(m, AffineOrthoMap)
-    witnesses = []
-    checked = 0
-    if domain.kind == "exhaustive":
-        if not isinstance(k, PrimeField):
-            raise FieldNotFinite("exhaustive scan needs a finite field")
+    if domain.exhaustive_over(k):
         pts = all_points(k)
-        images = {x: m(x) for x in pts}
-        for x in pts:
-            for y in pts:
-                checked += 1
-                if phi(images[x], images[y]) != phi(x, y):
-                    witnesses.append((str(x), str(y)))
-                    if len(witnesses) >= 10:
-                        return PreservationReport(
-                            "phi", domain.describe(), checked, witnesses)
+        image = {x: m(x) for x in pts}.__getitem__
+        pairs = ((x, y) for x in pts for y in pts)
     else:
+        image = m
         rng = random.Random(domain.seed)
-        for _ in range(domain.samples):
-            if full:
-                x, y = random_point(k, rng), random_point(k, rng)
-            else:
-                x, y = _sample_rational_phi_pair(k, rng)
-            checked += 1
-            if phi(m(x), m(y)) != phi(x, y):
-                witnesses.append((str(x), str(y)))
-                if len(witnesses) >= 10:
-                    break
-    return PreservationReport("phi", domain.describe(), checked, witnesses)
+        if isinstance(m, AffineOrthoMap):
+            pairs = ((random_point(k, rng), random_point(k, rng))
+                     for _ in range(domain.samples))
+        else:
+            pairs = (_sample_rational_phi_pair(k, rng) for _ in range(domain.samples))
+    check = Check("phi", domain)
+    for x, y in pairs:
+        check.checked += 1
+        if phi(image(x), image(y)) != phi(x, y) and check.note(str(x), str(y)):
+            break
+    return check
 
 
 # ------------------------------------------- Lorentz-route case matrices

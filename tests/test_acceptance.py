@@ -77,7 +77,7 @@ def test_01_transform_identities_exhaustive(gf13, acceptance):
     elapsed = time.monotonic() - start
     pairs = 169 * 169
     ok = (rep.ok
-          and all(not c.violations for c in rep.checks)
+          and all(not c.witnesses for c in rep.checks)
           and rep.checks[0].checked == pairs
           and elapsed < 10.0)
     line = acceptance(1, ok, f"xi/eta identities exact on all {pairs} "

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bqplane import chains
 from bqplane.chains import (
     Chain,
     build_lemma3_chain,
@@ -91,6 +92,26 @@ class TestRationalChains:
             build_real_chain(point(Q, 0, 0), Point(Q(Fraction(1, 3)), Q(0)),
                              "rational_only")
         assert exc.value.retriable is False
+
+    def test_each_denominator_factored_once(self, monkeypatch):
+        calls = []
+        factor = chains.factorint
+
+        def counted(n):
+            calls.append(n)
+            return factor(n)
+
+        monkeypatch.setattr(chains, "factorint", counted)
+        t = Point(Q(Fraction(7, 65)), Q(Fraction(22, 25)))
+        c = build_real_chain(point(Q, 0, 0), t, "rational_only")
+        assert calls == [65, 25]
+        assert c.points[-1] == t and verify_chain(c).ok
+        calls.clear()
+        with pytest.raises(SearchExhausted):
+            build_real_chain(point(Q, 0, 0),
+                             Point(Q(Fraction(7, 3)), Q(Fraction(22, 5))),
+                             "rational_only")
+        assert calls == [3]
 
     def test_budget_exhaustion_is_retriable(self):
         with pytest.raises(SearchExhausted) as exc:

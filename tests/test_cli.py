@@ -183,6 +183,15 @@ class TestUsageErrors:
         ("decompose", "--field", "GF(13)"),
         ("decompose", "--field", "Q[i]", "--map", "rot(1,1)"),
         ("decompose", "--field", "Q[i]", "--map", "hom(id)", "--exhaustive"),
+        ("decompose-lorentz", "--field", "GF(13)", "--map", "swap", "--exhaustive"),
+        ("verify-identities", "--field", "Q[i]", "--exhaustive"),
+        ("verify-identities", "--field", "Q"),
+        ("decompose-lorentz", "--field", "Q[sqrt 2]", "--map", "swap"),
+        ("lemma3-chain", "--field", "Q[sqrt 2]", "--point", "(1,1)"),
+        ("chain", "--field", "GF(13)", "--from", "(0,0)", "--to", "(1,2)",
+         "--mode", "rational"),
+        ("chain", "--field", "GF(13)", "--from", "(0,0)", "--to", "(1,2)",
+         "--mode", "auto"),
         ("decompose", "--field", "GF(13)", "--table", "/no/such/file"),
         ("search-preservers", "--p", "12"),
         ("enumerate-ortho", "--field", "Q"),
@@ -200,6 +209,11 @@ class TestUsageErrors:
         code, out, err = run(*argv)
         assert code == 2
         assert "error:" in err
+
+    def test_prime_field_message_names_no_keyword(self, run):
+        code, out, err = run("verify-identities", "--field", "GF(7)")
+        assert code == 2 and out == ""
+        assert "GF(7): p must be 1 mod 4" in err
 
     def test_duplicate_table_line(self, run, duplicate_table_file):
         code, out, err = run("decompose", "--field", "GF(13)",

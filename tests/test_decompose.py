@@ -13,6 +13,7 @@ from bqplane.decompose import (
 )
 from bqplane.errors import (
     BranchUndetermined,
+    FieldNotFinite,
     FrameNotOrthonormal,
     NoImaginaryPresentation,
     NoImaginaryUnit,
@@ -20,13 +21,15 @@ from bqplane.errors import (
     ProductFormViolation,
 )
 from bqplane.fields import (
+    EXHAUSTIVE,
     LevelConjugation,
     Q,
     QuadExt,
     from_coeff_vector,
+    hom_check,
     imaginary_unit,
 )
-from bqplane.geometry import Point, all_points, point
+from bqplane.geometry import Point, all_points, point, verify_transform_identities
 from bqplane.maps import (
     AffineOrthoMap,
     MapTable,
@@ -34,6 +37,8 @@ from bqplane.maps import (
     compose,
     identity_map,
     map_from_expression,
+    preserves_phi,
+    preserves_unit_distance,
     raw_image_table,
     rotation_matrix,
     sample_domain,
@@ -109,6 +114,30 @@ class TestZeroSampleDomain:
 
         with pytest.raises(ValueError, match="at least 1 sample"):
             run(counted, k, sample_domain(0, seed=1))
+        assert probed == []
+
+
+class TestExhaustiveDomainOverTower:
+    @pytest.mark.parametrize("scan", [
+        lambda f: hom_check(lambda e: f(Point(e, QI.zero)).x1, QI, EXHAUSTIVE),
+        lambda f: verify_transform_identities(QI, "exhaustive"),
+        lambda f: preserves_unit_distance(f, QI, EXHAUSTIVE),
+        lambda f: preserves_phi(f, QI, EXHAUSTIVE),
+        lambda f: extract_homomorphism(f, QI, EXHAUSTIVE),
+        lambda f: decompose(f, QI, EXHAUSTIVE),
+        lambda f: decompose_lorentz(f, QI, EXHAUSTIVE),
+    ], ids=["hom_check", "verify_transform_identities", "preserves_unit_distance",
+            "preserves_phi", "extract_homomorphism", "decompose", "decompose_lorentz"])
+    def test_refused_before_any_probe(self, scan):
+        f = _expr("translate(1, 0)", QI)
+        probed = []
+
+        def counted(x: Point) -> Point:
+            probed.append(x)
+            return f(x)
+
+        with pytest.raises(FieldNotFinite):
+            scan(counted)
         assert probed == []
 
 

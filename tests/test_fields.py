@@ -11,6 +11,7 @@ from bqplane.errors import (
     AlreadySquare,
     DivisionByZero,
     FieldMismatch,
+    FieldNotFinite,
     InvalidField,
     InvalidLevel,
     NoImaginaryPresentation,
@@ -18,6 +19,7 @@ from bqplane.errors import (
 )
 from bqplane.fields import (
     _conjugate_rep,
+    EXHAUSTIVE,
     FieldElement,
     LevelConjugation,
     PrimeField,
@@ -37,6 +39,7 @@ from bqplane.fields import (
     probe_elements,
     random_element,
     re_im,
+    sample_domain,
     sqrt_in_field,
     tower_levels,
 )
@@ -129,7 +132,6 @@ class TestTowerConstruction:
             PrimeField(5)
         with pytest.raises(InvalidField):
             PrimeField(19)
-        assert PrimeField(19, allow_3_mod_4=True).p == 19
 
     def test_adjoin_rejects_squares_and_zero(self):
         with pytest.raises(AlreadySquare):
@@ -265,45 +267,45 @@ class TestHomomorphisms:
             apply_hom(LevelConjugation(3), i)
 
     def test_hom_check_exhaustive(self, gf13):
-        rep = hom_check(LevelConjugation(), gf13, "exhaustive")
-        assert rep.ok and rep.pairs_checked == 13 * 13
-        assert rep.failures == []
+        rep = hom_check(LevelConjugation(), gf13, EXHAUSTIVE)
+        assert rep.ok and rep.checked == 13 * 13
+        assert rep.witnesses == []
 
     def test_hom_check_sampled(self):
-        rep = hom_check(LevelConjugation(2), QS2I, 150, seed=3)
-        assert rep.ok and rep.pairs_checked == 150
+        rep = hom_check(LevelConjugation(2), QS2I, sample_domain(150, seed=3))
+        assert rep.ok and rep.checked == 150
 
     def test_hom_check_of_nothing_is_not_ok(self):
-        rep = hom_check(LevelConjugation(), QS2I, 0)
-        assert rep.pairs_checked == 0 and not rep.failures
-        assert not rep.ok and not rep
+        rep = hom_check(LevelConjugation(), QS2I, sample_domain(0))
+        assert rep.checked == 0 and not rep.witnesses
+        assert not rep.ok
 
     def test_hom_check_exhaustive_needs_finite_field(self):
-        with pytest.raises(InvalidField):
-            hom_check(LevelConjugation(), QI, "exhaustive")
+        with pytest.raises(FieldNotFinite):
+            hom_check(LevelConjugation(), QI, EXHAUSTIVE)
 
     def test_hom_check_flags_fake_maps(self, gf13):
         squaring = lambda e: e * e  # multiplicative, not additive
-        rep = hom_check(squaring, gf13, "exhaustive")
+        rep = hom_check(squaring, gf13, EXHAUSTIVE)
         assert not rep.ok
-        assert any(law == "additivity" for _, _, law in rep.failures)
+        assert any(law == "additivity" for _, _, law in rep.witnesses)
 
         shifted = lambda e: e + gf13.one
-        rep = hom_check(shifted, gf13, 50, seed=0)
-        assert not rep.ok and rep.failures
+        rep = hom_check(shifted, gf13, sample_domain(50, seed=0))
+        assert not rep.ok and rep.witnesses
 
     def test_hom_check_counts_only_pairs_reached(self):
         # e + 1 fails additivity on every pair, so the cap of 10 failures
         # is reached after a handful of the 50 sampled pairs
-        rep = hom_check(lambda e: e + 1, PrimeField(13), 50, seed=0)
-        assert len(rep.failures) == 10
-        assert 5 <= rep.pairs_checked <= 10
+        rep = hom_check(lambda e: e + 1, PrimeField(13), sample_domain(50, seed=0))
+        assert len(rep.witnesses) == 10
+        assert 5 <= rep.checked <= 10
         gf13 = PrimeField(13)
         rng = random.Random(0)
         sampled = [(random_element(gf13, rng), random_element(gf13, rng))
                    for _ in range(50)]
-        reached = sampled[:rep.pairs_checked]
-        assert {(x, y) for x, y, _ in rep.failures} == set(reached)
+        reached = sampled[:rep.checked]
+        assert {(x, y) for x, y, _ in rep.witnesses} == set(reached)
 
 
 class TestProbes:

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bqplane.errors import (
-    FieldMismatch,
+    FieldNotFinite,
     NoImaginaryPresentation,
     NoImaginaryUnit,
     ZeroScale,
@@ -133,11 +133,11 @@ class TestIdentityReports:
 
     def test_zero_samples_is_not_ok(self, qi):
         rep = verify_transform_identities(qi, "samples", samples=0)
-        assert all(c.checked == 0 and not c.violations for c in rep.checks)
+        assert all(c.checked == 0 and not c.witnesses for c in rep.checks)
         assert not rep.ok and not any(c.ok for c in rep.checks)
 
     def test_exhaustive_needs_finite_field(self, qi):
-        with pytest.raises(FieldMismatch):
+        with pytest.raises(FieldNotFinite):
             verify_transform_identities(qi, "exhaustive")
 
     def test_field_without_i_fails_early(self, qs2):
@@ -177,7 +177,7 @@ def _scan_and_reference(k, mode, samples=0, seed=0):
         pairs = [(random_point(k, rng), random_point(k, rng))
                  for _ in range(samples)]
         pts = [x for x, _ in pairs]
-    got = [(c.name, c.checked, c.violations) for c in rep.checks]
+    got = [(c.name, c.checked, c.witnesses) for c in rep.checks]
     return rep, got, _reference_identity_checks(pairs, pts)
 
 

@@ -248,7 +248,7 @@ class TestPreservationScans:
                     AffineOrthoMap(rotation_matrix(gf13(0), gf13(1)), point(gf13, 0, 0)))
         rep = preserves_unit_distance(f, gf13, EXHAUSTIVE)
         assert rep.ok and rep.checked == 169 * 12
-        assert rep.property == "unit_distance" and rep.domain == "exhaustive"
+        assert rep.name == "unit_distance" and rep.domain == EXHAUSTIVE
 
     def test_corrupted_table_is_caught(self, gf13):
         raw = raw_image_table(identity_map(gf13), gf13)
@@ -256,6 +256,17 @@ class TestPreservationScans:
         bad = table_from_raw(gf13, raw)
         rep = preserves_unit_distance(bad, gf13, EXHAUSTIVE)
         assert not rep.ok and rep.witnesses
+
+    def test_scans_stop_at_the_tenth_witness(self, gf13):
+        # every point sent to (0, 0): each unit pair fails, and every pair
+        # fails phi except those of a point with itself
+        flat = table_from_raw(gf13, [0] * 169)
+        unit = preserves_unit_distance(flat, gf13, EXHAUSTIVE)
+        assert len(unit.witnesses) == 10 and unit.checked == 10
+        assert unit.witnesses[0] == ("(0, 0)", "(0, 1)", "0")
+        full = preserves_phi(flat, gf13, EXHAUSTIVE)
+        assert len(full.witnesses) == 10 and full.checked == 11
+        assert full.witnesses[0] == ("(0, 0)", "(0, 1)")
 
     def test_sampled_unit_distance_over_tower(self, qi):
         conj = SemiAffineMap(identity_map(qi), LevelConjugation(1))
