@@ -19,9 +19,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sympy import factorint
-
 from .errors import (
+    FactoringExhausted,
     FieldMismatch,
     NoImaginaryPresentation,
     PrimaryBranchUnavailable,
@@ -40,6 +39,7 @@ from .fields import (
     real_value,
 )
 from .geometry import Point, phi, point, psi
+from .ntheory import factorint, sqrt_mod
 
 
 @dataclass
@@ -189,7 +189,7 @@ def _two_squares(p: int, k: int) -> tuple[int, int]:
     """A primitive representation p^k = e^2 + f^2 for a prime p = 1 mod 4,
     via Gaussian-integer powers of the prime's representation."""
     # find p = a^2 + b^2 by the Hermite-Serret walk
-    a, b = p, _nonresidue_sqrt(p)
+    a, b = p, sqrt_mod(p - 1, p)
     while b * b > p:
         a, b = b, a % b
     a, b = b, a % b
@@ -201,15 +201,6 @@ def _two_squares(p: int, k: int) -> tuple[int, int]:
     ge, gf = abs(ge), abs(gf)
     assert ge * ge + gf * gf == p ** k and math.gcd(ge, gf) == 1
     return ge, gf
-
-
-def _nonresidue_sqrt(p: int) -> int:
-    # square root of -1 mod p (p = 1 mod 4)
-    for g in range(2, p):
-        r = pow(g, (p - 1) // 4, p)
-        if r * r % p == p - 1:
-            return r
-    raise ValueError(f"no sqrt(-1) mod {p}")
 
 
 def _axis_plan(v: Fraction, factors: dict[int, int]
@@ -284,14 +275,28 @@ def _rational_only_chain(s: Point, t: Point, budget: int) -> Chain:
     if v1 == 0 and v2 == 0:
         return Chain([s, s + point(Q, 1, 0), s], Q, reported_edge_bound=2)
     factors = []
+    unfactored = []
     for coord in (v1, v2):
-        factors.append(factorint(coord.denominator))
-        if any(p % 4 != 1 for p in factors[-1]):
+        try:
+            primes, rest = factorint(coord.denominator), []
+        except FactoringExhausted as exc:
+            primes, rest = exc.factors, exc.cofactors
+        # a divisor d > 1 of the denominator that is even or 3 mod 4
+        # certifies infeasibility, whether or not d is prime
+        if any(d % 4 != 1 for d in [*primes, *rest]):
             raise SearchExhausted(
                 f"displacement ({v1}, {v2}) is unreachable by rational unit steps: "
                 "coordinate denominators must factor into primes = 1 mod 4 "
                 "(rational unit vectors have no other denominators)",
                 retriable=False)
+        factors.append(primes)
+        unfactored += rest
+    if unfactored:
+        raise SearchExhausted(
+            f"displacement ({v1}, {v2}): the denominator part"
+            f" {', '.join(map(str, unfactored))} is not factored within the"
+            " factoring effort cap, so reachability by rational unit steps"
+            " is undecided")
     dist2 = v1 * v1 + v2 * v2
     if dist2 == 1:
         return Chain([s, t], Q, reported_edge_bound=1)
@@ -328,8 +333,10 @@ def build_real_chain(s: Point, t: Point, mode: str = "auto_extend", *,
     mode "auto_extend": walk the segment in unit steps, adjoining the
     square roots the direction and the final two-circle closure need.
     mode "rational_only": endpoints over Q, all intermediate points
-    rational; raises SearchExhausted (non-retriable) when the exact
-    feasibility test shows no rational chain exists.
+    rational; raises SearchExhausted, non-retriable when a divisor of a
+    coordinate denominator that is even or 3 mod 4 shows no rational
+    chain exists, retriable when the bounded factoring leaves part of a
+    denominator unsplit or the chain needs more than ``budget`` steps.
     """
     if s.tower != t.tower:
         raise FieldMismatch("endpoints in different fields")

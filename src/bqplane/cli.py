@@ -60,9 +60,11 @@ from .parsing import (
 
 DEFAULT_SEED = 1729
 DEFAULT_SAMPLES = 200
-# Largest p search-preservers accepts: its set-up builds unit-neighbour
-# tables that grow as p^4 before the first node is visited (about 0.8 s
-# at p = 61 on a 2-core Xeon), so the bound keeps every --p cheap to start.
+# Largest p a command that scans all of GF(p)^2 accepts: search-preservers
+# builds unit-neighbour tables that grow as p^4 before the first node is
+# visited (about 0.8 s at p = 61 on a 2-core Xeon), and the identity scan,
+# the decompositions and the orthogonal census grow with p too, so the
+# bound keeps every such command bounded and cheap to start.
 MAX_SEARCH_P = 61
 
 
@@ -83,8 +85,16 @@ class RunReport:
 # A _prep_* function also checks the field shape its command needs, so a
 # wrong field exits 2; refusals that depend on the point stay verdicts.
 
+def _check_scan_size(p: int) -> None:
+    if p > MAX_SEARCH_P:
+        raise InvalidField(
+            f"an exhaustive scan needs p <= {MAX_SEARCH_P}, got {p}")
+
+
 def _prep_verify_identities(args):
     k = parse_field(args.field)
+    if args.samples is None and isinstance(k, PrimeField):
+        _check_scan_size(k.p)
     if imaginary_unit(k) is None:
         raise NoImaginaryUnit(f"{k} has no canonical i with i*i = -1")
     return k
@@ -183,6 +193,8 @@ def _run_lemma3(args, prepared) -> RunReport:
 
 def _prep_decompose(args):
     k = parse_field(args.field)
+    if isinstance(k, PrimeField):
+        _check_scan_size(k.p)
     if args.command == "decompose-lorentz" and imaginary_unit(k) is None:
         raise NoImaginaryUnit(f"{k} has no i; the Lorentz route needs one")
     if args.map is not None:
@@ -224,6 +236,7 @@ def _prep_enumerate_ortho(args):
     k = parse_field(args.field)
     if not isinstance(k, PrimeField):
         raise InvalidField(f"orthogonal group enumeration needs GF(p), got {k}")
+    _check_scan_size(k.p)
     return k
 
 
@@ -244,8 +257,7 @@ def _run_enumerate_ortho(args, k) -> RunReport:
 
 
 def _prep_search(args):
-    if args.p > MAX_SEARCH_P:
-        raise InvalidField(f"search needs p <= {MAX_SEARCH_P}, got {args.p}")
+    _check_scan_size(args.p)
     return PrimeField(args.p)
 
 

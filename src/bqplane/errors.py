@@ -70,14 +70,27 @@ class ZeroParameter(BQError):
 class SearchExhausted(BQError):
     """Chain construction gave up.
 
-    ``retriable`` distinguishes budget exhaustion (a larger budget may
-    succeed) from targets proven unreachable by the exact feasibility
-    check, where no budget will ever help.
+    ``retriable`` distinguishes an undecided search (budget exhaustion,
+    where a larger budget may succeed, or a denominator the bounded
+    factoring could not split) from targets proven unreachable by a
+    divisor certificate, where no budget will ever help.
     """
 
     def __init__(self, message: str, *, retriable: bool = True):
         super().__init__(message)
         self.retriable = retriable
+
+
+class FactoringExhausted(BQError):
+    """Bounded factoring gave up: ``factors`` holds the primes found (as
+    {prime: exponent}) and ``cofactors`` the composite parts left
+    unsplit."""
+
+    def __init__(self, message: str, factors: dict[int, int],
+                 cofactors: list[int]):
+        super().__init__(message)
+        self.factors = factors
+        self.cofactors = cofactors
 
 
 class PrimaryBranchUnavailable(BQError):

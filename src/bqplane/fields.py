@@ -28,9 +28,6 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from sympy import isprime
-from sympy.ntheory.residue_ntheory import sqrt_mod
-
 from .errors import (
     AlreadySquare,
     DivisionByZero,
@@ -41,6 +38,7 @@ from .errors import (
     NoImaginaryPresentation,
     ZeroRadicand,
 )
+from .ntheory import isprime, sqrt_mod
 
 EXCLUDED_CHARACTERISTICS = (2, 3, 5)
 
@@ -247,15 +245,15 @@ class PrimeField(FieldTower):
         self.characteristic = p
         self.zero_rep = 0
         self.one_rep = 1 % p
-        self._element_cache: list[FieldElement] | None = None
+        self._elements: dict[int, FieldElement] = {}
 
     def __call__(self, value) -> FieldElement:
         if isinstance(value, int):
-            cache = self._element_cache
-            if cache is None:
-                cache = self._element_cache = [
-                    FieldElement(self, r) for r in range(self.p)]
-            return cache[value % self.p]
+            r = value % self.p
+            e = self._elements.get(r)
+            if e is None:
+                e = self._elements[r] = FieldElement(self, r)
+            return e
         return super().__call__(value)
 
     def _coerce(self, v):
@@ -509,9 +507,7 @@ def sqrt_in_field(x: FieldElement) -> FieldElement | None:
         return None
     if isinstance(k, PrimeField):
         r = sqrt_mod(x.rep, k.p)
-        if r is None:
-            return None
-        return k(min(r, k.p - r))
+        return None if r is None else k(r)
     if isinstance(k, QuadExt):
         base = k.base
         a = FieldElement(base, x.rep[0])

@@ -19,12 +19,34 @@ from bqplane.errors import (
 )
 from bqplane.fields import Q, QuadExt, from_coeff_vector, imaginary_unit, re_im
 from bqplane.geometry import Point, phi, point
+from bqplane.ntheory import isprime
 
 QI = QuadExt(Q, -1)
 
 feasible_coord = st.builds(
     Fraction, st.integers(-40, 40), st.sampled_from([1, 5, 13, 25]))
 small_coord = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+
+# (10^24 + 49)(3*10^24 + 17), both primes 1 mod 4: too large to split
+# within the factoring effort cap, and no divisor certifies infeasibility
+SEMIPRIME_1_1 = 3000000000000000000000164000000000000000000000833
+# (10^24 + 49)(2*10^24 + 3): the second prime is 3 mod 4, and so is the
+# product, which certifies infeasibility without being factored
+SEMIPRIME_1_3 = 2000000000000000000000101000000000000000000000147
+
+
+def _walk_two_squares(p: int, k: int) -> tuple[int, int]:
+    """The former _two_squares: sqrt(-1) mod p by a linear scan over g."""
+    root = next(r for r in (pow(g, (p - 1) // 4, p) for g in range(2, p))
+                if r * r % p == p - 1)
+    a, b = p, root
+    while b * b > p:
+        a, b = b, a % b
+    a, b = b, a % b
+    ge, gf = 1, 0
+    for _ in range(k):
+        ge, gf = ge * a - gf * b, ge * b + gf * a
+    return abs(ge), abs(gf)
 
 
 class TestVerifyChain:
@@ -112,6 +134,37 @@ class TestRationalChains:
                              Point(Q(Fraction(7, 3)), Q(Fraction(22, 5))),
                              "rational_only")
         assert calls == [3]
+
+    def test_two_squares_matches_the_linear_scan(self):
+        primes = [p for p in range(5, 10_000, 4) if isprime(p)]
+        assert len(primes) == 609
+        for p in primes:
+            for k in (1, 2, 3):
+                assert chains._two_squares(p, k) == _walk_two_squares(p, k), (p, k)
+
+    def test_unsplit_denominator_is_retriable(self):
+        with pytest.raises(SearchExhausted) as exc:
+            build_real_chain(point(Q, 0, 0),
+                             Point(Q(Fraction(7, 5 * SEMIPRIME_1_1)), Q(0)),
+                             "rational_only")
+        assert exc.value.retriable is True
+        assert f"part {SEMIPRIME_1_1} is not factored" in str(exc.value)
+
+    @pytest.mark.parametrize("den", [SEMIPRIME_1_3, 3 * SEMIPRIME_1_1,
+                                     2 * SEMIPRIME_1_1])
+    def test_divisor_certificate_without_factoring_is_permanent(self, den):
+        with pytest.raises(SearchExhausted) as exc:
+            build_real_chain(point(Q, 0, 0), Point(Q(Fraction(1, den)), Q(0)),
+                             "rational_only")
+        assert exc.value.retriable is False
+
+    def test_certificate_on_one_axis_outweighs_the_other_unsplit(self):
+        with pytest.raises(SearchExhausted) as exc:
+            build_real_chain(point(Q, 0, 0),
+                             Point(Q(Fraction(1, SEMIPRIME_1_1)),
+                                   Q(Fraction(1, 3))),
+                             "rational_only")
+        assert exc.value.retriable is False
 
     def test_budget_exhaustion_is_retriable(self):
         with pytest.raises(SearchExhausted) as exc:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -60,6 +61,14 @@ class TestPassingCommands:
         assert recs[-1]["ok"] is True
         checks = [r for r in recs if r["record"] == "identity_check"]
         assert len(checks) == 4 and all(c["checked"] == 40 for c in checks)
+
+    def test_large_prime_field_sampled(self, run):
+        start = time.monotonic()
+        code, out, _ = run("verify-identities", "--field", "GF(100000037)",
+                           "--samples", "5")
+        assert time.monotonic() - start < 5
+        assert code == 0
+        assert "phi_matches_lm_after_xi: 5 checked, ok" in out
 
     def test_rational_chain(self, run):
         code, out, _ = run("chain", "--from", "(0,0)", "--to", "(3/5,4/5)",
@@ -158,6 +167,29 @@ class TestVerdictFailures:
         assert code == 1
         assert "FAILURE SearchExhausted" in out
 
+    def test_unsplit_denominator_is_an_undecided_refusal(self, run):
+        # a 49-digit product of two primes = 1 mod 4: the bounded factoring
+        # gives up and names the part it could not split
+        n = "3000000000000000000000164000000000000000000000833"
+        start = time.monotonic()
+        code, out, _ = run("chain", "--mode", "rational", "--from", "(0, 0)",
+                           "--to", f"(1/{n}, 0)")
+        assert time.monotonic() - start < 5
+        assert code == 1
+        assert f"FAILURE SearchExhausted: displacement (1/{n}, 0): the" \
+               f" denominator part {n} is not factored" in out
+        assert "undecided" in out
+
+    def test_denominator_3_mod_4_is_refused_unfactored(self, run):
+        # (10^24 + 49)(2*10^24 + 3) is 3 mod 4, a certificate on its own
+        n = "2000000000000000000000101000000000000000000000147"
+        start = time.monotonic()
+        code, out, _ = run("chain", "--mode", "rational", "--from", "(0, 0)",
+                           "--to", f"(1/{n}, 0)")
+        assert time.monotonic() - start < 5
+        assert code == 1
+        assert "is unreachable by rational unit steps" in out
+
     def test_corrupt_table(self, run, corrupt_table_file):
         code, out, _ = run("decompose", "--field", "GF(13)",
                            "--table", corrupt_table_file, "--format", "json")
@@ -204,6 +236,10 @@ class TestUsageErrors:
         ("witness-nonisometry", "--samples", "many"),
         ("search-preservers", "--p", "13", "--budget", "-1"),
         ("chain", "--from", "(0,0)", "--to", "(3/5,4/5)", "--budget", "-1"),
+        ("verify-identities", "--field", "GF(100000037)"),
+        ("decompose", "--field", "GF(100000037)", "--map", "rot(0,1)"),
+        ("decompose-lorentz", "--field", "GF(100000037)", "--map", "rot(0,1)"),
+        ("enumerate-ortho", "--field", "GF(73)"),
     ])
     def test_exit_code_two(self, run, argv):
         code, out, err = run(*argv)
