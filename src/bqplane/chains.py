@@ -36,6 +36,7 @@ from .fields import (
     is_real_tower,
     rational_value,
     re_im,
+    real_sign,
     real_value,
 )
 from .geometry import Point, phi, point, psi
@@ -61,23 +62,16 @@ class Chain:
         return len(self.points)
 
 
-@dataclass(frozen=True)
-class EdgeCertificate:
+@dataclass
+class EdgeRecord:
     """Exact per-edge record: phi must be 1; psi_value is the imaginary
     pairing when the field presents one."""
 
-    phi_value: FieldElement
-    psi_value: FieldElement | None
-    psi_nonzero: bool | None
-
-
-@dataclass
-class EdgeRecord:
     index: int
     phi_ok: bool
     psi_ok: bool | None
-    phi_value: str
-    psi_value: str | None
+    phi_value: FieldElement
+    psi_value: FieldElement | None
 
 
 @dataclass
@@ -106,13 +100,9 @@ def verify_chain(c: Chain, *, require_psi: bool = False) -> ChainReport:
     for idx in range(len(c.points) - 1):
         x, y = c.points[idx], c.points[idx + 1]
         pv = phi(x, y)
-        psi_ok = None
-        psi_text = None
-        if has_i:
-            sv = psi(x, y)
-            psi_ok = not sv.is_zero
-            psi_text = str(sv)
-        records.append(EdgeRecord(idx, pv == 1, psi_ok, str(pv), psi_text))
+        sv = psi(x, y) if has_i else None
+        records.append(EdgeRecord(idx, pv == 1, None if sv is None else not sv.is_zero,
+                                  pv, sv))
     return ChainReport(records, require_psi)
 
 
@@ -148,6 +138,10 @@ def _auto_extend_chain(s: Point, t: Point) -> Chain:
         return Chain([s, t], k, reported_edge_bound=1)
     length = math.sqrt(real_value(dist2))
     steps_along = max(0, math.ceil(length - 1e-12) - 2)
+    # the float guess can leave the remainder just above 2 near an integer
+    # length; the exact test keeps the closing height real
+    while real_sign(dist2 - (steps_along + 2) ** 2) > 0:
+        steps_along += 1
     if steps_along == 0:
         # close S -> M -> T directly; the circle-intersection height only
         # needs sqrt((4 - D) / (4 D)), no sqrt(D)
@@ -351,9 +345,10 @@ def build_real_chain(s: Point, t: Point, mode: str = "auto_extend", *,
 # ------------------------------------------------------- connector chain
 
 def build_lemma3_chain(x: Point, target: Point | None = None
-                       ) -> tuple[Chain, list[EdgeCertificate]]:
+                       ) -> tuple[Chain, list[EdgeRecord]]:
     """Chain from a point with nonzero imaginary part to (i, i), with the
-    imaginary pairing certified nonzero on every edge.
+    imaginary pairing certified nonzero on every edge: the certificates
+    are the edge records of ``verify_chain(chain, require_psi=True)``.
 
     The first coordinate must have a nonzero imaginary part; when only
     the second does, the construction runs on swapped coordinates and
@@ -407,9 +402,4 @@ def build_lemma3_chain(x: Point, target: Point | None = None
         pts = [Point(p.x2, p.x1) for p in pts]
     chain = Chain(pts, top,
                   reported_edge_bound=(real_chain.reported_edge_bound or 0) + 4)
-    certs = []
-    for idx in range(len(pts) - 1):
-        pv = phi(pts[idx], pts[idx + 1])
-        sv = psi(pts[idx], pts[idx + 1])
-        certs.append(EdgeCertificate(pv, sv, not sv.is_zero))
-    return chain, certs
+    return chain, verify_chain(chain, require_psi=True).edges

@@ -19,7 +19,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .chains import build_lemma3_chain, build_real_chain, verify_chain
+from .chains import ChainReport, build_lemma3_chain, build_real_chain, verify_chain
 from .errors import (
     BQError,
     FieldMismatch,
@@ -149,7 +149,7 @@ def _run_chain(args, prepared) -> RunReport:
             f" in {chain.field}")
     bad = [e for e in verdict.edges if not e.phi_ok]
     rep.add({"record": "chain_verify", "ok": verdict.ok,
-             "edges": [{"index": e.index, "phi": e.phi_value,
+             "edges": [{"index": e.index, "phi": str(e.phi_value),
                         "phi_ok": e.phi_ok} for e in verdict.edges]},
             "  every edge phi = 1" if verdict.ok
             else f"  {len(bad)} edges with phi != 1")
@@ -168,7 +168,7 @@ def _run_lemma3(args, prepared) -> RunReport:
     k, x = prepared
     rep = RunReport("lemma3-chain")
     chain, certs = build_lemma3_chain(x)
-    verdict = verify_chain(chain, require_psi=True)
+    verdict = ChainReport(certs, require_psi=True)
     rep.add({"record": "run", "command": rep.command, "field": str(k),
              "point": format_point(x)},
             f"lemma3-chain from {format_point(x)} over {k}")
@@ -182,8 +182,8 @@ def _run_lemma3(args, prepared) -> RunReport:
             "  psi per edge: "
             + ", ".join(format_element(c.psi_value) for c in certs))
     rep.add({"record": "chain_verify", "ok": verdict.ok,
-             "edges": [{"index": e.index, "phi": e.phi_value,
-                        "phi_ok": e.phi_ok, "psi": e.psi_value,
+             "edges": [{"index": e.index, "phi": str(e.phi_value),
+                        "phi_ok": e.phi_ok, "psi": str(e.psi_value),
                         "psi_ok": e.psi_ok} for e in verdict.edges]},
             "  every edge phi = 1 with psi != 0" if verdict.ok
             else "  chain verification failed")

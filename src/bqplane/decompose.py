@@ -19,10 +19,16 @@ the decomposition.  A find that fails to decompose would falsify the
 canonical-form claim at that prime; it is reported as an anomaly with a
 full witness table, never discarded.
 
-Finite fields are always verified exhaustively.  Over infinite towers
-"verified" means: on the seeded probe set described by the DomainSpec
-(basis monomials, their pairwise sums and products, then random
-elements), which is this library's documented evidence standard.
+Both routes compute their normal form the same way over every field:
+the frame route through ``normalizer_from_images``, the Lorentz route
+through ``xi``/``eta``/``lambda_map`` and the case matrices.  The field
+only picks how the result is verified.  Finite fields are verified
+exhaustively by scans of raw index tables (idx = x1*p + x2) in machine
+integers: the homomorphism law table, the coordinatewise scan, and the
+comparison of the rebuilt map with the input on every point.  Over
+infinite towers "verified" means: on the seeded probe set described by
+the DomainSpec (basis monomials, their pairwise sums and products, then
+random elements), which is this library's documented evidence standard.
 """
 
 from __future__ import annotations
@@ -166,6 +172,23 @@ def _check_prime_hom_table(table: list[int], k: PrimeField) -> int:
     return p * p
 
 
+def _prime_hom_scan(raw: list[int], k: PrimeField) -> int:
+    """Exhaustive reading of a normalized GF(p) map from its raw index
+    table (idx = x1*p + x2): the law table of gamma(x) = g((x, 0)).x1,
+    then the coordinatewise scan in row-major order.  The lawful gamma is
+    the identity, so coordinatewise means every point is fixed.  Returns
+    the law pairs checked."""
+    p = k.p
+    law_pairs = _check_prime_hom_table([raw[x * p] // p for x in range(p)], k)
+    for idx, img in enumerate(raw):
+        if img != idx:
+            (x1, x2), (ia, ib) = divmod(idx, p), divmod(img, p)
+            raise ProductFormViolation(
+                f"normalized map sends ({x1}, {x2}) to ({ia}, {ib}), "
+                "not coordinatewise", witness=point(k, x1, x2))
+    return law_pairs
+
+
 def _check_domain(domain: DomainSpec, k: FieldTower) -> None:
     """An exhaustive domain needs a finite field (FieldNotFinite
     otherwise) and a sampled one at least one probe; a decomposition
@@ -242,23 +265,13 @@ def extract_homomorphism(g, k: FieldTower, domain: DomainSpec = EXHAUSTIVE
     """
     _check_domain(domain, k)
     ev = _oracle(g)
+    if isinstance(k, PrimeField):
+        law_pairs = _prime_hom_scan(raw_image_table(ev, k), k)
+        return HomExtraction(LevelConjugation(), law_pairs, k.p * k.p, True)
     zero = k.zero
 
     def gamma_eval(x: FieldElement) -> FieldElement:
         return ev(Point(x, zero)).x1
-
-    if isinstance(k, PrimeField):
-        p = k.p
-        table = [gamma_eval(k(x)).rep for x in range(p)]
-        law_pairs = _check_prime_hom_table(table, k)
-        for pt in all_points(k):
-            img = ev(pt)
-            want = Point(k(table[pt.x1.rep]), k(table[pt.x2.rep]))
-            if img != want:
-                raise ProductFormViolation(
-                    f"g(({pt.x1}, {pt.x2})) = ({img.x1}, {img.x2}) "
-                    "is not coordinatewise", witness=pt)
-        return HomExtraction(LevelConjugation(), law_pairs, p * p, True)
 
     hom, law_pairs = _tower_hom_from_eval(gamma_eval, k, domain)
     rng = random.Random(domain.seed + 1)
@@ -305,13 +318,14 @@ def decompose(f, k: FieldTower, domain: DomainSpec = EXHAUSTIVE
     of the requested domain."""
     _check_domain(domain, k)
     ev = _oracle(f)
+    normalizer = normalizer_from_images(
+        ev(point(k, 0, 0)), ev(point(k, 1, 0)), ev(point(k, 0, 1)))
     if isinstance(k, PrimeField):
-        raw = raw_image_table(ev, k)
-        return _decompose_prime_raw(raw, k)
-    f0 = ev(point(k, 0, 0))
-    fx = ev(point(k, 1, 0))
-    fy = ev(point(k, 0, 1))
-    normalizer = normalizer_from_images(f0, fx, fy)
+        # on raw index tables, J composed with f is a lookup
+        j = raw_image_table(normalizer, k)
+        _prime_hom_scan([j[img] for img in raw_image_table(ev, k)], k)
+        return DecompositionResult(normalizer, LevelConjugation(),
+                                   "not_applicable", EXHAUSTIVE, k)
 
     def g(x: Point) -> Point:
         return normalizer(ev(x))
@@ -321,44 +335,6 @@ def decompose(f, k: FieldTower, domain: DomainSpec = EXHAUSTIVE
     if isinstance(k, QuadExt) and k.d == -1:
         branch = detect_branch(g, k)
     return DecompositionResult(normalizer, ext.hom, branch, domain, k)
-
-
-def _decompose_prime_raw(raw: list[int], k: PrimeField) -> DecompositionResult:
-    """Exhaustive frame-route decomposition on a raw index table; all of
-    the arithmetic stays in machine integers."""
-    p = k.p
-    a0, b0 = divmod(raw[0], p)
-    ax, bx = divmod(raw[p], p)   # image of (1, 0)
-    ay, by = divmod(raw[1], p)   # image of (0, 1)
-
-    def d2(xa, xb, ya, yb):
-        return ((xa - ya) ** 2 + (xb - yb) ** 2) % p
-
-    frame = (d2(a0, b0, ax, bx), d2(a0, b0, ay, by), d2(ax, bx, ay, by))
-    if frame != (1, 1, 2 % p):
-        raise FrameNotOrthonormal(
-            f"frame image distances {frame} differ from (1, 1, 2)")
-    u1, u2 = (ax - a0) % p, (bx - b0) % p
-    v1, v2 = (ay - a0) % p, (by - b0) % p
-    g = [0] * (p * p)
-    for idx, img in enumerate(raw):
-        fa, fb = divmod(img, p)
-        da, db = fa - a0, fb - b0
-        g[idx] = ((u1 * da + u2 * db) % p) * p + (v1 * da + v2 * db) % p
-    gamma = [g[x * p] // p for x in range(p)]
-    _check_prime_hom_table(gamma, k)
-    for idx in range(p * p):
-        x1, x2 = divmod(idx, p)
-        if g[idx] != gamma[x1] * p + gamma[x2]:
-            ia, ib = divmod(g[idx], p)
-            raise ProductFormViolation(
-                f"normalized map sends ({x1}, {x2}) to ({ia}, {ib}), "
-                "not coordinatewise", witness=point(k, x1, x2))
-    q = OrthoMatrix2(k(u1), k(u2), k(v1), k(v2))
-    shift = q.apply(point(k, a0, b0))
-    normalizer = AffineOrthoMap(q, Point(-shift.x1, -shift.x2))
-    return DecompositionResult(normalizer, LevelConjugation(), "not_applicable",
-                               EXHAUSTIVE, k)
 
 
 # ---------------------------------------------------- Lorentz pipeline
@@ -381,9 +357,6 @@ def decompose_lorentz(f, k: FieldTower, domain: DomainSpec = EXHAUSTIVE
     if i0 is None:
         raise NoImaginaryUnit(f"{k} has no i; the Lorentz route needs one")
     ev = _oracle(f)
-    if isinstance(k, PrimeField):
-        raw = raw_image_table(ev, k)
-        return _lorentz_prime_raw(raw, k)
     t0 = ev(point(k, 0, 0))
 
     def big_f(x: Point) -> Point:
@@ -414,17 +387,25 @@ def decompose_lorentz(f, k: FieldTower, domain: DomainSpec = EXHAUSTIVE
         img = big_g(Point(x, zero))
         return img.x1 if case == 1 else img.x2
 
-    sigma, _ = _tower_hom_from_eval(sigma_eval, k, domain)
+    prime = isinstance(k, PrimeField)
+    # over GF(p) the identity is the only candidate; its law table decides
+    sigma = (LevelConjugation() if prime
+             else _tower_hom_from_eval(sigma_eval, k, domain)[0])
     case_matrix = (lorentz_case1_matrix if case == 1
                    else lorentz_case2_matrix)(a, sigma, k)
     outer = AffineOrthoMap(case_matrix, t0)
-    recon = SemiAffineMap(outer, sigma)
-    # GF(p) returned through the raw table above, and an exhaustive domain
-    # over a tower was refused on entry, so this is sampled.
-    rng = random.Random(domain.seed + 2)
-    for _ in range(domain.samples):
-        x = random_point(k, rng)
-        if recon(x) != ev(x):
+    if prime:
+        _check_prime_hom_table([sigma_eval(k(x)).rep for x in range(k.p)], k)
+        domain = EXHAUSTIVE
+        pairs = zip(all_points(k), raw_image_table(outer, k),
+                    raw_image_table(ev, k))
+    else:
+        recon = SemiAffineMap(outer, sigma)
+        rng = random.Random(domain.seed + 2)
+        pairs = ((x, recon(x), ev(x)) for x in
+                 (random_point(k, rng) for _ in range(domain.samples)))
+    for x, want, got in pairs:
+        if want != got:
             raise ProductFormViolation(
                 f"case-{case} reconstruction disagrees at ({x.x1}, {x.x2})",
                 witness=x)
@@ -434,66 +415,6 @@ def decompose_lorentz(f, k: FieldTower, domain: DomainSpec = EXHAUSTIVE
     return DecompositionResult(invert(outer), sigma, branch, domain, k,
                                route="lorentz", lorentz_case=case,
                                lorentz_scale=a)
-
-
-def _lorentz_prime_raw(raw: list[int], k: PrimeField) -> DecompositionResult:
-    """Exhaustive Lorentz-route decomposition on a raw index table."""
-    p = k.p
-    i_int = imaginary_unit(k).rep
-    inv2 = pow(2, p - 2, p)
-    t0a, t0b = divmod(raw[0], p)
-
-    def f_at(x1: int, x2: int) -> tuple[int, int]:
-        # eta, then the origin-normalized map, then xi
-        e1 = (x1 + x2) * inv2 % p
-        e2 = (x2 - x1) * i_int * inv2 % p
-        fa, fb = divmod(raw[e1 * p + e2], p)
-        fa, fb = fa - t0a, fb - t0b
-        return (fa + i_int * fb) % p, (fa - i_int * fb) % p
-
-    a, b = f_at(1, 1)
-    if a == 0 or a * b % p != 1:
-        raise LorentzNormalizationFailed(
-            f"normalized image of (1,1) gives a*b = {a * b % p}, not 1")
-    ainv = pow(a, p - 2, p)
-
-    def g_at(x1: int, x2: int) -> tuple[int, int]:
-        w1, w2 = f_at(x1, x2)
-        return w1 * ainv % p, w2 * a % p
-
-    probe = g_at(2, 0)
-    if probe == (2, 0):
-        case = 1
-    elif probe == (0, 2):
-        case = 2
-    else:
-        raise CaseUndetermined(
-            f"rescaled map sends (2, 0) to {probe}, matching neither "
-            "product form")
-    coord = 0 if case == 1 else 1
-    sigma = [g_at(x, 0)[coord] for x in range(p)]
-    _check_prime_hom_table(sigma, k)
-    big = (a + ainv) * inv2 % p
-    small = (a - ainv) * inv2 % p
-    if case == 1:
-        m11, m12 = big, small * i_int % p
-        m21, m22 = -small * i_int % p, big
-    else:
-        m11, m12 = big, -small * i_int % p
-        m21, m22 = -small * i_int % p, -big % p
-    for idx in range(p * p):
-        x1, x2 = divmod(idx, p)
-        want = ((m11 * x1 + m12 * x2 + t0a) % p) * p \
-            + (m21 * x1 + m22 * x2 + t0b) % p
-        if want != raw[idx]:
-            raise ProductFormViolation(
-                f"case-{case} reconstruction disagrees at ({x1}, {x2})",
-                witness=point(k, x1, x2))
-    matrix = OrthoMatrix2(k(m11), k(m12), k(m21), k(m22))
-    outer = AffineOrthoMap(matrix, point(k, t0a, t0b))
-    return DecompositionResult(invert(outer), LevelConjugation(), "not_applicable",
-                               EXHAUSTIVE, k, route="lorentz",
-                               lorentz_case=case, lorentz_scale=k(a))
 
 
 # ------------------------------------------------------ preserver search
@@ -630,7 +551,7 @@ def search_unit_preservers(p: int, budget: int | None = None
         table = table_from_raw(k, raw)
         found.append(table)
         try:
-            _decompose_prime_raw(raw, k)
+            decompose(table, k)
         except BQError as exc:
             anomalies.append(Anomaly(table, f"{type(exc).__name__}: {exc}"))
     return SearchCensus(p, expected, found, anomalies, complete, nodes)

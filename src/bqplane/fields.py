@@ -593,6 +593,24 @@ def real_value(x: FieldElement) -> float:
     raise FieldMismatch(f"{k} has no real embedding")
 
 
+def real_sign(x: FieldElement) -> int:
+    """Exact sign (-1, 0 or 1) of x under the real embedding of
+    ``real_value``: a + b*sqrt(d) with signs s = sign(a) != sign(b) has
+    the sign of s * (a^2 - b^2 d), one level down."""
+    k = x.tower
+    if isinstance(k, Rationals):
+        return (x.rep > 0) - (x.rep < 0)
+    if not (isinstance(k, QuadExt) and real_sign(k.d) > 0):
+        raise FieldMismatch(f"{k} has no real embedding")
+    a, b = FieldElement(k.base, x.rep[0]), FieldElement(k.base, x.rep[1])
+    sa, sb = real_sign(a), real_sign(b)
+    if sa == sb or sb == 0:
+        return sa
+    if sa == 0:
+        return sb
+    return sa * real_sign(a * a - b * b * k.d)
+
+
 def ensure_sqrt(k: FieldTower, x: FieldElement, *, positive: bool = False):
     """A square root of x, adjoining one if needed.
 
@@ -626,6 +644,9 @@ class DomainSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if self.kind not in ("exhaustive", "samples"):
+            raise ValueError(
+                f"domain kind must be 'exhaustive' or 'samples', got {self.kind!r}")
         if self.samples < 0:
             raise ValueError(f"sample count must be >= 0, got {self.samples}")
 

@@ -23,7 +23,6 @@ from .fields import (
     imaginary_unit,
     random_element,
     re_im,
-    sample_domain,
 )
 
 
@@ -199,8 +198,9 @@ def verify_transform_identities(
     presenting i.  The checks keep the first witnesses of each identity
     and count every case; a check that covered nothing is not ok.
     """
+    # DomainSpec refuses a mode other than these two with ValueError
+    domain = EXHAUSTIVE if mode == "exhaustive" else DomainSpec(mode, samples, seed)
     _unit(k)  # fail early with NoImaginaryUnit
-    domain = EXHAUSTIVE if mode == "exhaustive" else sample_domain(samples, seed)
     if domain.exhaustive_over(k):
         pts = all_points(k)
         pairs = ((x, y) for x in pts for y in pts)

@@ -17,7 +17,15 @@ from bqplane.errors import (
     PrimaryBranchUnavailable,
     SearchExhausted,
 )
-from bqplane.fields import Q, QuadExt, from_coeff_vector, imaginary_unit, re_im
+from bqplane.fields import (
+    Q,
+    QuadExt,
+    from_coeff_vector,
+    imaginary_unit,
+    re_im,
+    real_sign,
+    tower_levels,
+)
 from bqplane.geometry import Point, phi, point
 from bqplane.ntheory import isprime
 
@@ -61,7 +69,7 @@ class TestVerifyChain:
         c = Chain([point(Q, 0, 0), point(Q, 2, 0)], Q)
         rep = verify_chain(c)
         assert not rep.ok
-        assert rep.edges[0].phi_value == "4"
+        assert rep.edges[0].phi_value == Q(4)
 
     def test_psi_requirement_needs_i(self):
         c = Chain([point(Q, 0, 0), point(Q, 1, 0)], Q)
@@ -223,6 +231,18 @@ class TestAutoExtendChains:
         assert c.points[0] == Point(k(0), k(0))
         assert c.points[-1] == Point(k(1), k(2))
 
+    @pytest.mark.parametrize("target", [
+        (3, Fraction(1, 10 ** 7)), (4, Fraction(1, 10 ** 9)),
+        (2, Fraction(1, 10 ** 12))])
+    def test_near_integer_lengths_stay_real(self, target):
+        # the float length rounds to an integer; the step count comes
+        # from an exact comparison, so every adjoined radicand is positive
+        c = build_real_chain(point(Q, 0, 0), point(Q, *target))
+        assert verify_chain(c).ok
+        assert c.points[-1] == Point(c.field(target[0]), c.field(target[1]))
+        levels = tower_levels(c.field)
+        assert levels and all(real_sign(level.d) == 1 for level in levels)
+
     @given(small_coord, small_coord)
     def test_arbitrary_rational_targets(self, v1, v2):
         s = point(Q, 0, 0)
@@ -245,7 +265,7 @@ class TestConnectorChain:
         assert certs[0].psi_value == base(4)   # (Im x1)^2
         assert certs[1].psi_value == base(2)   # Im x1
         assert all(c.psi_value == base.one for c in certs[2:])
-        assert all(c.phi_value == k.one and c.psi_nonzero for c in certs)
+        assert all(c.phi_value == k.one and c.psi_ok for c in certs)
 
     def test_start_point_restates_the_input(self, qi):
         # the chain's field interposes real radicals below i, so compare

@@ -1,0 +1,249 @@
+"""Differential test of the GF(p) decomposition routes against the
+machine-integer pipelines they replaced.
+
+Over GF(p) both routes used to compute their normal form in machine
+integers, apart from the code they share with towers.  They now run the
+same normal-form code as over towers and keep machine integers only for
+the exhaustive scans.  The old pipelines are kept here, test-local, as
+oracles: on canonical maps the records must be equal, and on every table
+one image away from a canonical map both must refuse with the same
+exception type and message.
+"""
+
+import random
+
+import pytest
+
+from bqplane.decompose import (
+    DecompositionResult,
+    _check_prime_hom_table,
+    decompose,
+    decompose_lorentz,
+    extract_homomorphism,
+)
+from bqplane.errors import (
+    BQError,
+    CaseUndetermined,
+    FrameNotOrthonormal,
+    LorentzNormalizationFailed,
+    ProductFormViolation,
+)
+from bqplane.fields import (
+    EXHAUSTIVE,
+    LevelConjugation,
+    PrimeField,
+    imaginary_unit,
+    sample_domain,
+)
+from bqplane.geometry import Point, all_points, point
+from bqplane.maps import (
+    AffineOrthoMap,
+    OrthoMatrix2,
+    enumerate_orthogonal_group,
+    invert,
+    map_from_expression,
+    raw_image_table,
+    table_from_raw,
+)
+from bqplane.parsing import parse_map
+
+
+# ------------------------------------------------------------- oracles
+
+def _decompose_prime_raw(raw, k):
+    """Exhaustive frame-route decomposition on a raw index table; all of
+    the arithmetic stays in machine integers."""
+    p = k.p
+    a0, b0 = divmod(raw[0], p)
+    ax, bx = divmod(raw[p], p)   # image of (1, 0)
+    ay, by = divmod(raw[1], p)   # image of (0, 1)
+
+    def d2(xa, xb, ya, yb):
+        return ((xa - ya) ** 2 + (xb - yb) ** 2) % p
+
+    frame = (d2(a0, b0, ax, bx), d2(a0, b0, ay, by), d2(ax, bx, ay, by))
+    if frame != (1, 1, 2 % p):
+        raise FrameNotOrthonormal(
+            f"frame image distances {frame} differ from (1, 1, 2)")
+    u1, u2 = (ax - a0) % p, (bx - b0) % p
+    v1, v2 = (ay - a0) % p, (by - b0) % p
+    g = [0] * (p * p)
+    for idx, img in enumerate(raw):
+        fa, fb = divmod(img, p)
+        da, db = fa - a0, fb - b0
+        g[idx] = ((u1 * da + u2 * db) % p) * p + (v1 * da + v2 * db) % p
+    gamma = [g[x * p] // p for x in range(p)]
+    _check_prime_hom_table(gamma, k)
+    for idx in range(p * p):
+        x1, x2 = divmod(idx, p)
+        if g[idx] != gamma[x1] * p + gamma[x2]:
+            ia, ib = divmod(g[idx], p)
+            raise ProductFormViolation(
+                f"normalized map sends ({x1}, {x2}) to ({ia}, {ib}), "
+                "not coordinatewise", witness=point(k, x1, x2))
+    q = OrthoMatrix2(k(u1), k(u2), k(v1), k(v2))
+    shift = q.apply(point(k, a0, b0))
+    normalizer = AffineOrthoMap(q, Point(-shift.x1, -shift.x2))
+    return DecompositionResult(normalizer, LevelConjugation(), "not_applicable",
+                               EXHAUSTIVE, k)
+
+
+def _lorentz_prime_raw(raw, k):
+    """Exhaustive Lorentz-route decomposition on a raw index table."""
+    p = k.p
+    i_int = imaginary_unit(k).rep
+    inv2 = pow(2, p - 2, p)
+    t0a, t0b = divmod(raw[0], p)
+
+    def f_at(x1, x2):
+        # eta, then the origin-normalized map, then xi
+        e1 = (x1 + x2) * inv2 % p
+        e2 = (x2 - x1) * i_int * inv2 % p
+        fa, fb = divmod(raw[e1 * p + e2], p)
+        fa, fb = fa - t0a, fb - t0b
+        return (fa + i_int * fb) % p, (fa - i_int * fb) % p
+
+    a, b = f_at(1, 1)
+    if a == 0 or a * b % p != 1:
+        raise LorentzNormalizationFailed(
+            f"normalized image of (1,1) gives a*b = {a * b % p}, not 1")
+    ainv = pow(a, p - 2, p)
+
+    def g_at(x1, x2):
+        w1, w2 = f_at(x1, x2)
+        return w1 * ainv % p, w2 * a % p
+
+    probe = g_at(2, 0)
+    if probe == (2, 0):
+        case = 1
+    elif probe == (0, 2):
+        case = 2
+    else:
+        raise CaseUndetermined(
+            f"rescaled map sends (2, 0) to {probe}, matching neither "
+            "product form")
+    coord = 0 if case == 1 else 1
+    sigma = [g_at(x, 0)[coord] for x in range(p)]
+    _check_prime_hom_table(sigma, k)
+    big = (a + ainv) * inv2 % p
+    small = (a - ainv) * inv2 % p
+    if case == 1:
+        m11, m12 = big, small * i_int % p
+        m21, m22 = -small * i_int % p, big
+    else:
+        m11, m12 = big, -small * i_int % p
+        m21, m22 = -small * i_int % p, -big % p
+    for idx in range(p * p):
+        x1, x2 = divmod(idx, p)
+        want = ((m11 * x1 + m12 * x2 + t0a) % p) * p \
+            + (m21 * x1 + m22 * x2 + t0b) % p
+        if want != raw[idx]:
+            raise ProductFormViolation(
+                f"case-{case} reconstruction disagrees at ({x1}, {x2})",
+                witness=point(k, x1, x2))
+    matrix = OrthoMatrix2(k(m11), k(m12), k(m21), k(m22))
+    outer = AffineOrthoMap(matrix, point(k, t0a, t0b))
+    return DecompositionResult(invert(outer), LevelConjugation(), "not_applicable",
+                               EXHAUSTIVE, k, route="lorentz",
+                               lorentz_case=case, lorentz_scale=k(a))
+
+
+ROUTES = [(decompose, _decompose_prime_raw),
+          (decompose_lorentz, _lorentz_prime_raw)]
+
+
+# -------------------------------------------------------------- helpers
+
+def _canonical_expressions(k, count, seed):
+    """Seeded canonical maps as expression text: a translation after a
+    rotation or a reflection by a unit vector."""
+    rng = random.Random(seed)
+    mats = enumerate_orthogonal_group(k)
+    out = []
+    for _ in range(count):
+        q = rng.choice(mats)
+        kind = "rot" if q.q12 == -q.q21 else "refl"
+        tx, ty = rng.randrange(k.p), rng.randrange(k.p)
+        out.append(f"translate({tx}, {ty}) . {kind}({q.q11}, {q.q21})")
+    return out
+
+
+def _raw_oracle(raw, k):
+    pts = all_points(k)
+    return lambda x: pts[raw[x.x1.rep * k.p + x.x2.rep]]
+
+
+def _outcome(route, f, k):
+    try:
+        return route(f, k).to_record()
+    except BQError as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+
+
+# ---------------------------------------------------------------- tests
+
+@pytest.mark.parametrize("p, count", [(13, 40), (29, 25)])
+def test_records_equal_on_canonical_maps(p, count):
+    k = PrimeField(p)
+    for text in _canonical_expressions(k, count, seed=p):
+        f = map_from_expression(parse_map(text, k), k)
+        raw = raw_image_table(f, k)
+        table = table_from_raw(k, raw)
+        for route, oracle in ROUTES:
+            want = oracle(raw, k).to_record()
+            assert route(f, k).to_record() == want, (text, route.__name__)
+            assert route(table, k).to_record() == want, (text, route.__name__)
+            # GF(p) is verified exhaustively whatever domain is asked for
+            assert route(f, k, sample_domain(5)).to_record() == want
+
+
+def test_every_single_moved_image_refused_as_by_oracle():
+    k = PrimeField(13)
+    n = k.p * k.p
+    text = _canonical_expressions(k, 1, seed=7)[0]
+    base = raw_image_table(map_from_expression(parse_map(text, k), k), k)
+    kinds = set()
+    for idx in range(n):
+        for img in range(n):
+            if img == base[idx]:
+                continue
+            raw = base[:]
+            raw[idx] = img
+            f = _raw_oracle(raw, k)
+            for route, oracle in ROUTES:
+                want = _outcome(oracle, raw, k)
+                assert isinstance(want, tuple), (idx, img, route.__name__)
+                assert _outcome(route, f, k) == want, (idx, img, route.__name__)
+                kinds.add(want[0])
+    # the perturbations reach every refusal of both routes
+    assert {c.__name__ for c in kinds} == {
+        "FrameNotOrthonormal", "NotAHomomorphism", "ProductFormViolation",
+        "LorentzNormalizationFailed", "CaseUndetermined"}
+
+
+def test_two_moved_images_report_the_first_in_row_major_order():
+    # two wrong images give two mismatches once the normal form passes;
+    # both routes must report the one the oracle scans first
+    k = PrimeField(13)
+    n = k.p * k.p
+    rng = random.Random(5)
+    for text in _canonical_expressions(k, 6, seed=3):
+        base = raw_image_table(map_from_expression(parse_map(text, k), k), k)
+        for _ in range(40):
+            raw = base[:]
+            for idx in rng.sample(range(n), 2):
+                raw[idx] = rng.choice([v for v in range(n) if v != base[idx]])
+            f = _raw_oracle(raw, k)
+            for route, oracle in ROUTES:
+                assert _outcome(route, f, k) == _outcome(oracle, raw, k), \
+                    (text, raw, route.__name__)
+
+
+def test_extract_homomorphism_uses_the_frame_scan_wording(gf13):
+    raw = list(range(169))
+    raw[5], raw[6] = raw[6], raw[5]
+    with pytest.raises(ProductFormViolation,
+                       match=r"normalized map sends \(0, 5\) to \(0, 6\), "
+                             "not coordinatewise") as info:
+        extract_homomorphism(_raw_oracle(raw, gf13), gf13)
+    assert info.value.witness == point(gf13, 0, 5)

@@ -20,6 +20,7 @@ from bqplane.errors import (
 from bqplane.fields import (
     _conjugate_rep,
     EXHAUSTIVE,
+    DomainSpec,
     FieldElement,
     LevelConjugation,
     PrimeField,
@@ -39,6 +40,8 @@ from bqplane.fields import (
     probe_elements,
     random_element,
     re_im,
+    real_sign,
+    real_value,
     sample_domain,
     sqrt_in_field,
     tower_levels,
@@ -300,6 +303,11 @@ class TestHomomorphisms:
         rep = hom_check(shifted, gf13, sample_domain(50, seed=0))
         assert not rep.ok and rep.witnesses
 
+    @pytest.mark.parametrize("kind", ["exhastive", "exhaustve", "sample", ""])
+    def test_misspelled_domain_kind_refused(self, kind):
+        with pytest.raises(ValueError, match="domain kind"):
+            DomainSpec(kind)
+
     def test_hom_check_counts_only_pairs_reached(self):
         # e + 1 fails additivity on every pair, so the cap of 10 failures
         # is reached after a handful of the 50 sampled pairs
@@ -552,3 +560,37 @@ class TestSparseKernel:
         assert a2 == a and hash(a2) == hash(a)
         assert a2 * b == a * b2 and hash(a2 * b) == hash(a * b2)
         _assert_same(a2 * b2, a * b)
+
+
+class TestRealSign:
+    def test_exact_near_zero(self):
+        r = QS2.radical
+        # continued-fraction convergents of sqrt 2: 577/408 from above,
+        # 239/169 from below
+        assert real_sign(QS2(577) - 408 * r) == 1
+        assert real_sign(408 * r - 577) == -1
+        assert real_sign(QS2(239) - 169 * r) == -1
+        assert real_sign(169 * r - 239) == 1
+        assert real_sign(r * r - 2) == 0 and real_sign(QS2.zero) == 0
+        assert real_sign(Q(Fraction(-1, 10 ** 30))) == -1
+
+    def test_nested_radicand(self):
+        # sqrt(3 + sqrt 2) - 1 - sqrt 2 / 2 is about 0.39
+        k = QuadExt(QS2, QS2(3) + QS2.radical)
+        x = k.radical - 1 - k(QS2.radical) / 2
+        assert real_sign(x) == 1 and real_sign(-x) == -1
+
+    @given(st.lists(st.integers(-30, 30), min_size=4, max_size=4))
+    def test_matches_float_away_from_zero(self, coeffs):
+        k = QuadExt(QuadExt(Q, 2), 3)
+        x = from_coeff_vector(k, [Fraction(c) for c in coeffs])
+        value = real_value(x)
+        assert (real_sign(x) == 0) == x.is_zero
+        if abs(value) > 1e-6:
+            assert real_sign(x) == (1 if value > 0 else -1)
+
+    def test_needs_a_real_embedding(self):
+        with pytest.raises(FieldMismatch):
+            real_sign(QI.one)
+        with pytest.raises(FieldMismatch):
+            real_sign(PrimeField(13).one)

@@ -140,6 +140,11 @@ class TestIdentityReports:
         with pytest.raises(FieldNotFinite):
             verify_transform_identities(qi, "exhaustive")
 
+    @pytest.mark.parametrize("mode", ["exhastive", "sample", "Exhaustive"])
+    def test_misspelled_mode_refused(self, gf13, mode):
+        with pytest.raises(ValueError, match=f"got '{mode}'"):
+            verify_transform_identities(gf13, mode)
+
     def test_field_without_i_fails_early(self, qs2):
         with pytest.raises(NoImaginaryUnit):
             verify_transform_identities(qs2, "samples")
