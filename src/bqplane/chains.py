@@ -9,8 +9,9 @@ exact constructive decomposition into Pythagorean unit steps
 imaginary part to (i, i) while certifying a nonzero imaginary pairing on
 every edge; it is the chain the unit-distance rigidity argument rides on.
 
-Float approximations are used only to pick step counts; every emitted
-edge is certified exactly by ``verify_chain``.
+Step counts and square-root branches are chosen by the exact real order
+(``real_sign``), and every emitted edge is certified exactly by
+``verify_chain``.
 """
 
 from __future__ import annotations
@@ -32,12 +33,10 @@ from .fields import (
     Q,
     QuadExt,
     ensure_sqrt,
-    imaginary_unit,
     is_real_tower,
     rational_value,
     re_im,
     real_sign,
-    real_value,
 )
 from .geometry import Point, phi, point, psi
 from .ntheory import factorint, sqrt_mod
@@ -136,30 +135,27 @@ def _auto_extend_chain(s: Point, t: Point) -> Chain:
         return Chain([s, s + step, s], k, reported_edge_bound=2)
     if dist2 == 1:
         return Chain([s, t], k, reported_edge_bound=1)
-    length = math.sqrt(real_value(dist2))
-    steps_along = max(0, math.ceil(length - 1e-12) - 2)
-    # the float guess can leave the remainder just above 2 near an integer
-    # length; the exact test keeps the closing height real
+    # the fewest unit steps along the segment that leave at most 2 for
+    # the closing two-circle step, so the closing height stays real
+    steps_along = 0
     while real_sign(dist2 - (steps_along + 2) ** 2) > 0:
         steps_along += 1
     if steps_along == 0:
         # close S -> M -> T directly; the circle-intersection height only
         # needs sqrt((4 - D) / (4 D)), no sqrt(D)
-        k2, h = ensure_sqrt(
-            k, (4 - dist2) / (4 * dist2), positive=True)
+        k2, h = ensure_sqrt(k, (4 - dist2) / (4 * dist2))
         s2, t2 = _lift_point(s, k2), _lift_point(t, k2)
         diff = t2 - s2
         half = k2(Fraction(1, 2))
         mid = Point(s2.x1 + half * diff.x1, s2.x2 + half * diff.x2)
         m = Point(mid.x1 - h * diff.x2, mid.x2 + h * diff.x1)
         return Chain([s2, m, t2], k2, reported_edge_bound=2)
-    k1, root = ensure_sqrt(k, dist2, positive=True)
+    k1, root = ensure_sqrt(k, dist2)
     s1, t1 = _lift_point(s, k1), _lift_point(t, k1)
     diff = t1 - s1
     u = Point(diff.x1 / root, diff.x2 / root)
     remainder = root - steps_along  # in (1, 2] by choice of steps_along
-    k2, h = ensure_sqrt(
-        k1, k1.one - remainder * remainder / 4, positive=True)
+    k2, h = ensure_sqrt(k1, k1.one - remainder * remainder / 4)
     u2 = _lift_point(u, k2)
     s2 = _lift_point(s1, k2)
     t2 = _lift_point(t1, k2)
@@ -344,8 +340,7 @@ def build_real_chain(s: Point, t: Point, mode: str = "auto_extend", *,
 
 # ------------------------------------------------------- connector chain
 
-def build_lemma3_chain(x: Point, target: Point | None = None
-                       ) -> tuple[Chain, list[EdgeRecord]]:
+def build_lemma3_chain(x: Point) -> tuple[Chain, list[EdgeRecord]]:
     """Chain from a point with nonzero imaginary part to (i, i), with the
     imaginary pairing certified nonzero on every edge: the certificates
     are the edge records of ``verify_chain(chain, require_psi=True)``.
@@ -368,17 +363,11 @@ def build_lemma3_chain(x: Point, target: Point | None = None
         a1, b1, a2, b2 = a2, b2, a1, b1
         swapped = True
     base = k.base
-    if target is not None:
-        i0 = imaginary_unit(k)
-        if target != Point(i0, i0):
-            raise ValueError("only the (i, i) target is supported")
-
-    f1, s1 = ensure_sqrt(base, base.one + b2 * b2, positive=True)
+    f1, s1 = ensure_sqrt(base, base.one + b2 * b2)
     a1, b1, a2, b2 = (f1(e) for e in (a1, b1, a2, b2))
-    f2, s2 = ensure_sqrt(
-        f1, f1.one + (b1 - 1) * (b1 - 1), positive=True)
+    f2, s2 = ensure_sqrt(f1, f1.one + (b1 - 1) * (b1 - 1))
     a1, b1, a2, b2, s1 = (f2(e) for e in (a1, b1, a2, b2, s1))
-    f3, s3 = ensure_sqrt(f2, f2(2), positive=True)
+    f3, s3 = ensure_sqrt(f2, f2(2))
     a1, b1, a2, b2, s1, s2 = (f3(e) for e in (a1, b1, a2, b2, s1, s2))
 
     start = Point(a1 + s1, a2 + s2)
@@ -388,7 +377,7 @@ def build_lemma3_chain(x: Point, target: Point | None = None
     a1, b1, a2, b2, s1 = (f4(e) for e in (a1, b1, a2, b2, s1))
 
     top = QuadExt(f4, -1)
-    i = imaginary_unit(top)
+    i = top.radical
 
     def cx(re_part: FieldElement, im_part: FieldElement) -> FieldElement:
         return top(re_part) + top(im_part) * i

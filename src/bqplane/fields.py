@@ -5,7 +5,8 @@ with p prime, p = 1 mod 4 and p != 5, and towers of quadratic
 extensions built over Q by repeatedly adjoining a square root of a
 non-square.  Elements carry canonical representations with decidable
 equality, so every geometric identity downstream is checked exactly;
-no floating point enters any verdict.
+no floating point is used anywhere.  The real order of a real tower is
+the exact ``real_sign``.
 
 Field homomorphisms of a tower are generated by "level conjugations",
 the maps that negate the coefficient of one adjoined radical.  They
@@ -246,6 +247,7 @@ class PrimeField(FieldTower):
         self.zero_rep = 0
         self.one_rep = 1 % p
         self._elements: dict[int, FieldElement] = {}
+        self._i = FieldElement(self, sqrt_mod(p - 1, p))  # the smaller root of -1
 
     def __call__(self, value) -> FieldElement:
         if isinstance(value, int):
@@ -538,12 +540,13 @@ def sqrt_in_field(x: FieldElement) -> FieldElement | None:
 def imaginary_unit(k: FieldTower) -> FieldElement | None:
     """The canonical i with i*i = -1, when the field presents one.
 
-    Present for every GF(p) (smaller residue; p = 1 mod 4) and for towers
-    whose top adjunction is sqrt(-1).  Towers are conventionally built
-    with the imaginary adjunction last, so only the top level is probed.
+    Present for every GF(p) (smaller residue, found once when the field
+    is built; p = 1 mod 4) and for towers whose top adjunction is
+    sqrt(-1).  Towers are conventionally built with the imaginary
+    adjunction last, so only the top level is probed.
     """
     if isinstance(k, PrimeField):
-        return sqrt_in_field(k(-1))
+        return k._i
     if isinstance(k, QuadExt) and k.d == -1:
         return k.radical
     return None
@@ -572,31 +575,15 @@ def is_real_tower(k: FieldTower) -> bool:
     if isinstance(k, Rationals):
         return True
     if isinstance(k, QuadExt):
-        return is_real_tower(k.base) and real_value(k.d) > 0
+        return is_real_tower(k.base) and real_sign(k.d) > 0
     return False
 
 
-def real_value(x: FieldElement) -> float:
-    """Float image of x under the real embedding sending each radical to
-    the positive square root.  Only meaningful on real towers; used for
-    branching heuristics, never for verdicts."""
-    k = x.tower
-    if isinstance(k, Rationals):
-        return float(x.rep)
-    if isinstance(k, QuadExt):
-        rd = real_value(k.d)
-        if rd < 0:
-            raise FieldMismatch(f"{k} has no real embedding")
-        a = real_value(FieldElement(k.base, x.rep[0]))
-        b = real_value(FieldElement(k.base, x.rep[1]))
-        return a + b * math.sqrt(rd)
-    raise FieldMismatch(f"{k} has no real embedding")
-
-
 def real_sign(x: FieldElement) -> int:
-    """Exact sign (-1, 0 or 1) of x under the real embedding of
-    ``real_value``: a + b*sqrt(d) with signs s = sign(a) != sign(b) has
-    the sign of s * (a^2 - b^2 d), one level down."""
+    """Exact sign (-1, 0 or 1) of x under the real embedding that sends
+    each radical to the positive square root of its radicand: a + b*sqrt(d)
+    with signs s = sign(a) != sign(b) has the sign of s * (a^2 - b^2 d),
+    one level down."""
     k = x.tower
     if isinstance(k, Rationals):
         return (x.rep > 0) - (x.rep < 0)
@@ -611,20 +598,18 @@ def real_sign(x: FieldElement) -> int:
     return sa * real_sign(a * a - b * b * k.d)
 
 
-def ensure_sqrt(k: FieldTower, x: FieldElement, *, positive: bool = False):
-    """A square root of x, adjoining one if needed.
+def ensure_sqrt(k: FieldTower, x: FieldElement):
+    """The nonnegative square root of x >= 0 in the real tower k, adjoining
+    one if needed.
 
     Returns (field, root): ``field`` is k or the one-step extension
     k(sqrt x), which embeds elements of k when called on them, and
-    ``root`` is the chosen square root in ``field``.  With positive=True
-    (real towers only) the root with positive real value is chosen.
+    ``root`` has ``real_sign`` 0 or 1 in ``field``.
     """
     x = k(x)
     r = sqrt_in_field(x)
     if r is not None:
-        if positive and not r.is_zero and real_value(r) < 0:
-            r = -r
-        return k, r
+        return k, -r if real_sign(r) < 0 else r
     ext = QuadExt(k, x)
     return ext, ext.radical
 
@@ -804,15 +789,20 @@ def hom_check(h, k: FieldTower, domain: DomainSpec) -> Check:
 
 # ------------------------------------------------------ random elements
 
-def random_element(k: FieldTower, rng: random.Random, *, size: int = 9) -> FieldElement:
-    """A seeded random element with numerators/denominators up to size."""
+RANDOM_SIZE = 9
+
+
+def random_element(k: FieldTower, rng: random.Random) -> FieldElement:
+    """A seeded random element with numerators/denominators up to
+    RANDOM_SIZE."""
     if isinstance(k, PrimeField):
         return k(rng.randrange(k.p))
     if isinstance(k, Rationals):
-        return k(Fraction(rng.randint(-size, size), rng.randint(1, size)))
+        return k(Fraction(rng.randint(-RANDOM_SIZE, RANDOM_SIZE),
+                          rng.randint(1, RANDOM_SIZE)))
     if isinstance(k, QuadExt):
-        a = random_element(k.base, rng, size=size)
-        b = random_element(k.base, rng, size=size)
+        a = random_element(k.base, rng)
+        b = random_element(k.base, rng)
         return FieldElement(k, (a.rep, b.rep))
     raise TypeError(f"unsupported field {k}")
 

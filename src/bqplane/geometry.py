@@ -109,10 +109,6 @@ def lambda_map(z: FieldElement, x: Point) -> Point:
     return Point(x.x1 / z, z * x.x2)
 
 
-def swap_map(x: Point) -> Point:
-    return Point(x.x2, x.x1)
-
-
 # --------------------------------------------------------- enumerations
 
 def all_points(k: PrimeField) -> list[Point]:
@@ -124,9 +120,8 @@ def all_points(k: PrimeField) -> list[Point]:
     return cache
 
 
-def random_point(k: FieldTower, rng: random.Random, *, size: int = 9) -> Point:
-    return Point(random_element(k, rng, size=size),
-                 random_element(k, rng, size=size))
+def random_point(k: FieldTower, rng: random.Random) -> Point:
+    return Point(random_element(k, rng), random_element(k, rng))
 
 
 # ------------------------------------------------- transform identities

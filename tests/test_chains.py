@@ -235,13 +235,24 @@ class TestAutoExtendChains:
         (3, Fraction(1, 10 ** 7)), (4, Fraction(1, 10 ** 9)),
         (2, Fraction(1, 10 ** 12))])
     def test_near_integer_lengths_stay_real(self, target):
-        # the float length rounds to an integer; the step count comes
-        # from an exact comparison, so every adjoined radicand is positive
+        # the length is just above an integer; the step count comes from
+        # an exact comparison, so every adjoined radicand is positive
         c = build_real_chain(point(Q, 0, 0), point(Q, *target))
         assert verify_chain(c).ok
         assert c.points[-1] == Point(c.field(target[0]), c.field(target[1]))
         levels = tower_levels(c.field)
         assert levels and all(real_sign(level.d) == 1 for level in levels)
+
+    def test_cancelling_length_stays_real(self, qs2):
+        # 1362725501650887306822 - 963592443113182178088 sqrt 2 is
+        # 5 + 3.7e-22, and a float evaluation makes it negative; the root
+        # of the squared distance is taken with its exact sign, so the
+        # closing radicand stays positive
+        x = qs2(1362725501650887306822) - 963592443113182178088 * qs2.radical
+        c = build_real_chain(point(qs2, 0, 0), Point(x, qs2.zero))
+        assert verify_chain(c).ok and len(c.points) == 7
+        assert c.points[-1] == Point(c.field(x), c.field.zero)
+        assert all(real_sign(level.d) == 1 for level in tower_levels(c.field))
 
     @given(small_coord, small_coord)
     def test_arbitrary_rational_targets(self, v1, v2):
@@ -293,14 +304,6 @@ class TestConnectorChain:
     def test_needs_i_presentation(self):
         with pytest.raises(NoImaginaryPresentation):
             build_lemma3_chain(point(Q, 1, 2))
-
-    def test_explicit_target_validation(self, qi):
-        x = Point(from_coeff_vector(qi, [0, 1]), qi.zero)
-        i = from_coeff_vector(qi, [0, 1])
-        chain, _ = build_lemma3_chain(x, target=Point(i, i))
-        assert verify_chain(chain, require_psi=True).ok
-        with pytest.raises(ValueError):
-            build_lemma3_chain(x, target=Point(i, qi.zero))
 
     def test_edge_bound_is_honest(self, qi):
         x = Point(from_coeff_vector(qi, [1, 2]), from_coeff_vector(qi, [3, 1]))

@@ -84,6 +84,15 @@ class TestPassingCommands:
         chain = next(r for r in _json_records(out) if r["record"] == "chain")
         assert "sqrt" in chain["field"]
 
+    def test_auto_chain_over_cancelling_radicand(self, run):
+        # 2305195203 - 1630019160 sqrt 2 = 3 (577 - 408 sqrt 2)^3 > 0
+        field = "Q[sqrt 2][sqrt 2305195203 - 1630019160*r1]"
+        code, out, _ = run("chain", "--field", field, "--from", "(0,0)",
+                           "--to", "(3,0)", "--format", "json")
+        assert code == 0
+        chain = next(r for r in _json_records(out) if r["record"] == "chain")
+        assert chain["field"] == field
+
     def test_lemma3_chain(self, run):
         code, out, _ = run("lemma3-chain", "--point", "(1 + 2*i, 3 + i)",
                            "--field", "Q[i]", "--format", "json")
@@ -240,6 +249,9 @@ class TestUsageErrors:
         ("decompose", "--field", "GF(100000037)", "--map", "rot(0,1)"),
         ("decompose-lorentz", "--field", "GF(100000037)", "--map", "rot(0,1)"),
         ("enumerate-ortho", "--field", "GF(73)"),
+        # radicand -1023286908188737 + 723573111879672 sqrt 2 < 0
+        ("chain", "--field", "Q[sqrt 2][sqrt -1023286908188737 + 723573111879672*r1]",
+         "--from", "(0,0)", "--to", "(3,0)"),
     ])
     def test_exit_code_two(self, run, argv):
         code, out, err = run(*argv)

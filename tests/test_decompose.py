@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from bqplane import fields
 from bqplane.decompose import (
     decompose,
     decompose_lorentz,
@@ -23,6 +24,7 @@ from bqplane.errors import (
 from bqplane.fields import (
     EXHAUSTIVE,
     LevelConjugation,
+    PrimeField,
     Q,
     QuadExt,
     from_coeff_vector,
@@ -238,6 +240,18 @@ class TestLorentzRoute:
     def test_needs_imaginary_unit(self, qs2):
         with pytest.raises(NoImaginaryUnit):
             decompose_lorentz(identity_map(qs2), qs2, sample_domain(10))
+
+    def test_imaginary_unit_found_once_per_field(self, monkeypatch):
+        # xi and eta read i at every point; a prime field finds it once
+        calls = []
+        sqrt_mod = fields.sqrt_mod
+        monkeypatch.setattr(fields, "sqrt_mod",
+                            lambda a, p: calls.append(p) or sqrt_mod(a, p))
+        k = PrimeField(13)
+        f = _expr("translate(2, 3) . refl(2, 6)", k)
+        res = decompose_lorentz(table_from_raw(k, raw_image_table(f, k)), k)
+        assert res.lorentz_case == 2
+        assert calls == [13]
 
     def test_record_carries_case_fields(self, gf13):
         rec = decompose_lorentz(_expr("rot(2, 6)", gf13), gf13).to_record()

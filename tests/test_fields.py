@@ -1,3 +1,4 @@
+import math
 import operator
 import random
 from dataclasses import dataclass
@@ -41,7 +42,6 @@ from bqplane.fields import (
     random_element,
     re_im,
     real_sign,
-    real_value,
     sample_domain,
     sqrt_in_field,
     tower_levels,
@@ -205,8 +205,21 @@ class TestSquareRoots:
         assert root * root == field(Q(5))
 
     def test_ensure_sqrt_positive_branch(self):
-        field, root = ensure_sqrt(QS2, QS2(2), positive=True)
+        field, root = ensure_sqrt(QS2, QS2(2))
         assert field == QS2 and coeff_vector(root) == [0, 1]
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_ensure_sqrt_positive_under_cancellation(self, n):
+        # (a - b sqrt 2)^n = A - B sqrt 2 for these convergents is tiny while
+        # A and B grow like (2a)^n, so a float evaluation can lose its sign;
+        # 239 - 169 sqrt 2 < 0, so its odd powers have a negative
+        # canonical root
+        r = QS2.radical
+        for t in (QS2(577) - 408 * r, QS2(239) - 169 * r):
+            for x in (t ** n, -t ** n):
+                field, root = ensure_sqrt(QS2, x * x)
+                assert field == QS2 and root * root == x * x
+                assert real_sign(root) == 1
 
 
 class TestImaginaryPresentation:
@@ -560,6 +573,17 @@ class TestSparseKernel:
         assert a2 == a and hash(a2) == hash(a)
         assert a2 * b == a * b2 and hash(a2 * b) == hash(a * b2)
         _assert_same(a2 * b2, a * b)
+
+
+def real_value(x: FieldElement) -> float:
+    """Float image of x on a real tower, an independent oracle for
+    ``real_sign`` away from zero."""
+    k = x.tower
+    if isinstance(k, QuadExt):
+        a = real_value(FieldElement(k.base, x.rep[0]))
+        b = real_value(FieldElement(k.base, x.rep[1]))
+        return a + b * math.sqrt(real_value(k.d))
+    return float(x.rep)
 
 
 class TestRealSign:

@@ -23,10 +23,10 @@ from bqplane.geometry import (
     point,
     psi,
     random_point,
-    swap_map,
     verify_transform_identities,
     xi,
 )
+from bqplane.maps import swap_affine
 
 QI = QuadExt(Q, -1)
 
@@ -89,7 +89,8 @@ class TestCoordinateChange:
     def test_lambda_and_swap_preserve_product_form(self, x, y):
         z = QI(3) / QI(7)
         assert lm_distance(lambda_map(z, x), lambda_map(z, y)) == lm_distance(x, y)
-        assert lm_distance(swap_map(x), swap_map(y)) == lm_distance(x, y)
+        swap = swap_affine(QI)
+        assert lm_distance(swap(x), swap(y)) == lm_distance(x, y)
 
     def test_lambda_rejects_zero_scale(self, qi):
         with pytest.raises(ZeroScale):
@@ -97,7 +98,8 @@ class TestCoordinateChange:
 
     def test_swap_involutive(self, qi):
         x = point(qi, 2, 5)
-        assert swap_map(swap_map(x)) == x
+        swap = swap_affine(qi)
+        assert swap(x) == point(qi, 5, 2) and swap(swap(x)) == x
 
 
 class TestPointEnumeration:
