@@ -125,11 +125,17 @@ def _lift_point(p: Point, field: FieldTower) -> Point:
     return Point(field(p.x1), field(p.x2))
 
 
-def _auto_extend_chain(s: Point, t: Point) -> Chain:
+STEP_BUDGET = 10_000
+
+
+def _auto_extend_chain(s: Point, t: Point, budget: int = STEP_BUDGET) -> Chain:
     k = s.tower
     if not is_real_tower(k):
         raise FieldMismatch(f"{k} is not a real tower")
     dist2 = phi(s, t)
+    # the walk below reports max(2, ceil(sqrt(dist2))) edges
+    if real_sign(dist2 - budget ** 2) > 0:
+        raise SearchExhausted(f"the straight walk needs more than the budget of {budget} steps")
     if dist2.is_zero:
         step = point(k, 1, 0)
         return Chain([s, s + step, s], k, reported_edge_bound=2)
@@ -317,7 +323,7 @@ def _try_two_step(s: Point, t: Point, v1: Fraction, v2: Fraction,
 
 
 def build_real_chain(s: Point, t: Point, mode: str = "auto_extend", *,
-                     budget: int = 10_000) -> Chain:
+                     budget: int = STEP_BUDGET) -> Chain:
     """Connect s to t by exact unit steps.
 
     mode "auto_extend": walk the segment in unit steps, adjoining the
@@ -326,13 +332,14 @@ def build_real_chain(s: Point, t: Point, mode: str = "auto_extend", *,
     rational; raises SearchExhausted, non-retriable when a divisor of a
     coordinate denominator that is even or 3 mod 4 shows no rational
     chain exists, retriable when the bounded factoring leaves part of a
-    denominator unsplit or the chain needs more than ``budget`` steps.
+    denominator unsplit.  In both modes a chain that needs more than
+    ``budget`` steps raises a retriable SearchExhausted.
     """
     if s.tower != t.tower:
         raise FieldMismatch("endpoints in different fields")
     s, t = _strip_imaginary(s, t)
     if mode == "auto_extend":
-        return _auto_extend_chain(s, t)
+        return _auto_extend_chain(s, t, budget)
     if mode == "rational_only":
         return _rational_only_chain(s, t, budget)
     raise ValueError(f"unknown chain mode {mode!r}")
@@ -348,7 +355,8 @@ def build_lemma3_chain(x: Point) -> tuple[Chain, list[EdgeRecord]]:
     The first coordinate must have a nonzero imaginary part; when only
     the second does, the construction runs on swapped coordinates and
     swaps back (the target is symmetric).  Fully real points have no
-    such chain and raise PrimaryBranchUnavailable.
+    such chain and raise PrimaryBranchUnavailable; a real walk of more
+    than STEP_BUDGET steps raises SearchExhausted.
     """
     k = x.tower
     if not (isinstance(k, QuadExt) and k.d == -1):

@@ -14,6 +14,7 @@ The text format carries the same information as a human summary.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -329,6 +330,7 @@ def _int_at_least(low: int):
     return parse
 
 
+@functools.cache  # parsing leaves the parser as built
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=DEFAULT_SEED,
@@ -356,7 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--field", default="Q")
     sp.add_argument("--mode", choices=("rational", "auto"), default="auto")
     sp.add_argument("--budget", type=_int_at_least(0), default=10_000,
-                    help="step budget for rational mode")
+                    help="most unit steps the chain may take")
     sp.set_defaults(prepare=_prep_chain, run=_run_chain)
 
     sp = sub.add_parser("lemma3-chain", parents=[common],

@@ -4,9 +4,10 @@ Three kinds of field are supported: the rationals Q, prime fields GF(p)
 with p prime, p = 1 mod 4 and p != 5, and towers of quadratic
 extensions built over Q by repeatedly adjoining a square root of a
 non-square.  Elements carry canonical representations with decidable
-equality, so every geometric identity downstream is checked exactly;
-no floating point is used anywhere.  The real order of a real tower is
-the exact ``real_sign``.
+equality (an element of a depth-k tower is 2^k integer numerators over
+one positive denominator), so every geometric identity downstream is
+checked exactly; no floating point is used anywhere.  The real order of
+a real tower is the exact ``real_sign``.
 
 Field homomorphisms of a tower are generated by "level conjugations",
 the maps that negate the coefficient of one adjoined radical.  They
@@ -48,9 +49,9 @@ class FieldElement:
     """An element of a FieldTower, wrapping a canonical representation.
 
     Representations: Fraction over Q, a residue int over GF(p), and a
-    pair ``(a, b)`` of base representations meaning a + b*r over a
-    quadratic extension with radical r.  Canonical representations make
-    ``==`` and ``hash`` structural.
+    TowerRep (integer numerators over one denominator) over a tower of
+    quadratic extensions.  Canonical representations make ``==`` and
+    ``hash`` structural.
     """
 
     __slots__ = ("tower", "rep")
@@ -204,8 +205,6 @@ class Rationals(FieldTower):
     def _mul(self, a, b):
         return a * b
 
-    _scale = _mul
-
     def _inv(self, a):
         if not a:
             raise DivisionByZero("division by zero in Q")
@@ -300,8 +299,66 @@ class PrimeField(FieldTower):
         return hash(("bqplane.GF", self.p))
 
 
+class TowerRep:
+    """Canonical representation of an element of a tower of depth k >= 1.
+
+    ``nums`` holds 2^k integer numerators in ``coeff_vector`` order over
+    the one positive denominator ``den``, reduced by their joint gcd, so
+    equal elements have equal reps.  ``rep[0]`` and ``rep[1]`` are the
+    canonical base representations of a and b in x = a + b*r.
+    """
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self, nums: tuple, den: int):
+        self.nums = nums
+        self.den = den
+
+    def __getitem__(self, i: int):
+        return _halves(self)[i]
+
+    def __eq__(self, other):
+        return isinstance(other, TowerRep) and self.den == other.den and self.nums == other.nums
+
+    def __hash__(self):
+        return hash((self.nums, self.den))
+
+
+def _reduced(nums, den: int):
+    """The canonical rep of nums / den, den > 0 (a Fraction for one numerator)."""
+    if len(nums) == 1:
+        return Fraction(nums[0], den)
+    g = math.gcd(den, *nums)
+    if g == 1:
+        return TowerRep(tuple(nums), den)
+    return TowerRep(tuple(n // g for n in nums), den // g)
+
+
+def _parts(rep) -> tuple[tuple, int]:
+    """Numerators and denominator of a characteristic-0 rep."""
+    if isinstance(rep, Fraction):
+        return (rep.numerator,), rep.denominator
+    return rep.nums, rep.den
+
+
+def _halves(rep: TowerRep):
+    """The canonical base reps of a and b in the element a + b*r."""
+    h = len(rep.nums) >> 1
+    return _reduced(rep.nums[:h], rep.den), _reduced(rep.nums[h:], rep.den)
+
+
+def _combine(h: int, *terms) -> list[int]:
+    """Sum of c*u over the (c, u) terms, u of length h or None for zero."""
+    out = None
+    for c, u in terms:
+        if u is not None:
+            u = u if c == 1 else [c * q for q in u]
+            out = u if out is None else [p + q for p, q in zip(out, u)]
+    return [0] * h if out is None else out
+
+
 class QuadExt(FieldTower):
-    """Quadratic extension base(sqrt(d)) with pair representations (a, b).
+    """Quadratic extension base(sqrt(d)) with TowerRep representations.
 
     The radicand d must be a nonzero non-square of the base; the base
     must have characteristic 0 (extensions of GF(p) are out of scope).
@@ -322,83 +379,84 @@ class QuadExt(FieldTower):
         self.d = d
         self.depth = base.depth + 1
         self.level = self.depth
-        self.zero_rep = (base.zero_rep, base.zero_rep)
-        self.one_rep = (base.one_rep, base.zero_rep)
-        # A rational radicand such as -1 or 5/4 is also kept as a Fraction:
-        # products with it scale the 2^k leaves instead of making a full
-        # tower product.
-        coeffs = coeff_vector(d)
-        self._rational_d = None if any(coeffs[1:]) else coeffs[0]
+        self._pad = (0,) * ((1 << self.depth) - 1)
+        self.zero_rep = TowerRep((0,) + self._pad, 1)
+        self.one_rep = TowerRep((1,) + self._pad, 1)
+        # _imul(x, y) is x*y times _prod_scale for numerator vectors.  With
+        # d = dn/dd its low half is _lo_scale*x0*y0 + dn*x1*y1, and a rational
+        # radicand (dn one int) scales the vector instead of multiplying it.
+        dn, dd = _parts(d.rep)
+        nested = any(dn[1:])
+        inner = base._prod_scale if isinstance(base, QuadExt) else 1
+        self._d_nums = dn if nested else dn[0]
+        self._lo_scale = dd * inner if nested else dd
+        self._prod_scale = self._lo_scale * inner
         self._hash = hash(("bqplane.QuadExt", hash(base), d.rep))
 
     def _coerce(self, v):
-        return (self.base._coerce(v), self.base.zero_rep)
+        v = Q._coerce(v)
+        return TowerRep((v.numerator,) + self._pad, v.denominator)
 
-    def _add(self, a, b):
-        base = self.base
-        return (base._add(a[0], b[0]), base._add(a[1], b[1]))
+    def _add(self, a, b, sign: int = 1):
+        ad, bd = a.den, b.den
+        if ad == bd:
+            return _reduced([p + sign * q for p, q in zip(a.nums, b.nums)], ad)
+        g = math.gcd(ad, bd)
+        fa, fb = bd // g, sign * ad // g
+        return _reduced([p * fa + q * fb for p, q in zip(a.nums, b.nums)], ad * fa)
 
     def _sub(self, a, b):
-        base = self.base
-        return (base._sub(a[0], b[0]), base._sub(a[1], b[1]))
+        return self._add(a, b, -1)
 
     def _neg(self, a):
+        return TowerRep(tuple(-p for p in a.nums), a.den)
+
+    def _imul(self, x, y) -> list[int]:
+        # (x0 + x1 r)(y0 + y1 r) = (x0 y0 + d x1 y1) + (x0 y1 + x1 y0) r,
+        # leaving out every product with a zero half.
+        c, dn = self._lo_scale, self._d_nums
+        h = len(x) >> 1
+        if h == 1:
+            x0, x1 = x
+            y0, y1 = y
+            return [c * x0 * y0 + dn * x1 * y1, c * (x0 * y1 + x1 * y0)]
         base = self.base
-        return (base._neg(a[0]), base._neg(a[1]))
-
-    def _scale(self, a, q: Fraction):
-        base = self.base
-        return (base._scale(a[0], q), base._scale(a[1], q))
-
-    def _times_d(self, x):
-        """d * x for a base representation x."""
-        if self._rational_d is not None:
-            return self.base._scale(x, self._rational_d)
-        return self.base._mul(x, self.d.rep)
-
-    def _plus(self, x, y):
-        """Sum of two base representations, with None standing for zero."""
-        if x is None:
-            return self.base.zero_rep if y is None else y
-        return x if y is None else self.base._add(x, y)
+        x0, x1, y0, y1 = x[:h], x[h:], y[:h], y[h:]
+        nx0, nx1, ny0, ny1 = any(x0), any(x1), any(y0), any(y1)
+        p11 = base._imul(x1, y1) if nx1 and ny1 else None
+        if p11 is not None and not isinstance(dn, int):
+            p11, dn = base._imul(dn, p11), 1
+        lo = _combine(h, (c, base._imul(x0, y0) if nx0 and ny0 else None), (dn, p11))
+        return lo + _combine(h, (c, base._imul(x0, y1) if nx0 and ny1 else None),
+                             (c, base._imul(x1, y0) if nx1 and ny0 else None))
 
     def _mul(self, a, b):
-        # (a0 + a1 r)(b0 + b1 r) = (a0 b0 + d a1 b1) + (a0 b1 + a1 b0) r,
-        # leaving out every product with a zero factor.
-        base = self.base
-        is_zero = base._is_zero
-        a0, a1 = a
-        b0, b1 = b
-        a0z, a1z, b0z, b1z = is_zero(a0), is_zero(a1), is_zero(b0), is_zero(b1)
-        lo = self._plus(
-            None if a0z or b0z else base._mul(a0, b0),
-            None if a1z or b1z else self._times_d(base._mul(a1, b1)))
-        hi = self._plus(
-            None if a0z or b1z else base._mul(a0, b1),
-            None if a1z or b0z else base._mul(a1, b0))
-        return (lo, hi)
+        return _reduced(self._imul(a.nums, b.nums), a.den * b.den * self._prod_scale)
 
     def _inv(self, a):
-        base = self.base
-        a0, a1 = a
-        if base._is_zero(a1):
-            if base._is_zero(a0):
-                raise DivisionByZero(f"division by zero in {self}")
-            return (base._inv(a0), a1)
-        # norm (a0 + a1 r)(a0 - a1 r) = a0^2 - d a1^2 vanishes only at zero
+        # 1/x = conj(x) / (x conj(x)) with conj negating the top radical;
+        # the norm x conj(x) lies in the base and vanishes only at zero
         # because d is a non-square.
-        norm = base._sub(base._mul(a0, a0), self._times_d(base._mul(a1, a1)))
-        ninv = base._inv(norm)
-        return (base._mul(a0, ninv), base._neg(base._mul(a1, ninv)))
+        x, h = a.nums, len(a.nums) >> 1
+        if any(x[h:]):
+            conj = x[:h] + tuple(-n for n in x[h:])
+            norm = self._imul(x, conj)[:h]
+        elif any(x):
+            conj, norm = None, x[:h]
+        else:
+            raise DivisionByZero(f"division by zero in {self}")
+        w, e = _parts(self.base._inv(_reduced(norm, 1)))
+        nums = w + (0,) * h if conj is None else self._imul(conj, w + (0,) * h)
+        return _reduced([a.den * n for n in nums], e)
 
     def _is_zero(self, a):
-        base = self.base
-        return base._is_zero(a[0]) and base._is_zero(a[1])
+        return not any(a.nums)
 
     @property
     def radical(self) -> FieldElement:
         """The adjoined square root of d as an element of this tower."""
-        return FieldElement(self, (self.base.zero_rep, self.base.one_rep))
+        h = 1 << (self.depth - 1)
+        return FieldElement(self, TowerRep(self._pad[:h] + (1,) + self._pad[h:], 1))
 
     def describe(self):
         if self.d == -1:
@@ -436,28 +494,18 @@ def tower_levels(k: FieldTower) -> list[QuadExt]:
 
 def embed(x: FieldElement, target: FieldTower) -> FieldElement:
     """Lift x into target, which must extend x's tower by adjunctions."""
-    wrappers: list[QuadExt] = []
+    if target == x.tower:
+        return x
     t = target
     while t != x.tower:
         if not isinstance(t, QuadExt):
             raise FieldMismatch(f"{target} does not extend {x.tower}")
-        wrappers.append(t)
         t = t.base
-    rep = x.rep
-    for layer in reversed(wrappers):
-        rep = (rep, layer.base.zero_rep)
-    return FieldElement(target, rep)
+    nums, den = _parts(x.rep)
+    return FieldElement(target, _reduced(nums + (0,) * ((1 << target.depth) - len(nums)), den))
 
 
 # ----------------------------------------------------------- square roots
-
-def _flatten_coeffs(k: FieldTower, rep) -> list[Fraction]:
-    if isinstance(k, Rationals):
-        return [rep]
-    if isinstance(k, QuadExt):
-        return _flatten_coeffs(k.base, rep[0]) + _flatten_coeffs(k.base, rep[1])
-    raise TypeError(f"{k} has no rational coefficient vector")
-
 
 def coeff_vector(x: FieldElement) -> list[Fraction]:
     """Rational coefficients of x over the monomial basis of its tower.
@@ -465,29 +513,28 @@ def coeff_vector(x: FieldElement) -> list[Fraction]:
     Index i holds the coefficient of the product of the radicals at the
     levels L with bit L-1 set in i.
     """
-    return _flatten_coeffs(x.tower, x.rep)
+    k = x.tower
+    if isinstance(k, Rationals):
+        return [x.rep]
+    if isinstance(k, QuadExt):
+        return [Fraction(n, x.rep.den) for n in x.rep.nums]
+    raise TypeError(f"{k} has no rational coefficient vector")
 
 
 def from_coeff_vector(k: FieldTower, vec) -> FieldElement:
-    def build(t: FieldTower, chunk):
-        if isinstance(t, Rationals):
-            return Fraction(chunk[0])
-        half = len(chunk) // 2
-        return (build(t.base, chunk[:half]), build(t.base, chunk[half:]))
-
     if len(vec) != 1 << k.depth:
         raise ValueError(f"expected {1 << k.depth} coefficients, got {len(vec)}")
-    return FieldElement(k, build(k, list(vec)))
+    if isinstance(k, PrimeField):
+        raise TypeError(f"{k} has no rational coefficient vector")
+    vec = [Fraction(c) for c in vec]
+    den = math.lcm(*(c.denominator for c in vec))
+    return FieldElement(k, _reduced([c.numerator * (den // c.denominator) for c in vec], den))
 
 
 def _canonical_sign(x: FieldElement) -> FieldElement:
-    """Flip sign so the leading nonzero rational coefficient is positive."""
-    for c in coeff_vector(x):
-        if c > 0:
-            return x
-        if c < 0:
-            return -x
-    return x
+    """Flip sign so the leading nonzero coefficient of a tower element is
+    positive."""
+    return -x if next((n for n in x.rep.nums if n), 0) < 0 else x
 
 
 def sqrt_in_field(x: FieldElement) -> FieldElement | None:
@@ -512,15 +559,14 @@ def sqrt_in_field(x: FieldElement) -> FieldElement | None:
         return None if r is None else k(r)
     if isinstance(k, QuadExt):
         base = k.base
-        a = FieldElement(base, x.rep[0])
-        b = FieldElement(base, x.rep[1])
+        a, b = (FieldElement(base, h) for h in _halves(x.rep))
         if b.is_zero:
             ra = sqrt_in_field(a)
             if ra is not None:
-                return _canonical_sign(FieldElement(k, (ra.rep, base.zero_rep)))
+                return _canonical_sign(k(ra))
             rb = sqrt_in_field(a / k.d)
             if rb is not None:
-                return _canonical_sign(FieldElement(k, (base.zero_rep, rb.rep)))
+                return _canonical_sign(k(rb) * k.radical)
             return None
         # (u + v r)^2 = x forces u^2 = (a +/- s)/2 with s^2 = a^2 - d b^2.
         s = sqrt_in_field(a * a - k.d * b * b)
@@ -530,7 +576,7 @@ def sqrt_in_field(x: FieldElement) -> FieldElement | None:
             u = sqrt_in_field((a + cand) / 2)
             if u is not None and not u.is_zero:
                 v = b / (2 * u)
-                root = FieldElement(k, (u.rep, v.rep))
+                root = k(u) + k(v) * k.radical
                 if root * root == x:
                     return _canonical_sign(root)
         return None
@@ -558,7 +604,7 @@ def re_im(x: FieldElement) -> tuple[FieldElement, FieldElement]:
     if not (isinstance(k, QuadExt) and k.d == -1):
         raise NoImaginaryPresentation(
             f"{k} is not presented as a real tower extended by i")
-    return FieldElement(k.base, x.rep[0]), FieldElement(k.base, x.rep[1])
+    return tuple(FieldElement(k.base, h) for h in _halves(x.rep))
 
 
 def rational_value(x: FieldElement) -> Fraction:
@@ -589,7 +635,7 @@ def real_sign(x: FieldElement) -> int:
         return (x.rep > 0) - (x.rep < 0)
     if not (isinstance(k, QuadExt) and real_sign(k.d) > 0):
         raise FieldMismatch(f"{k} has no real embedding")
-    a, b = FieldElement(k.base, x.rep[0]), FieldElement(k.base, x.rep[1])
+    a, b = (FieldElement(k.base, h) for h in _halves(x.rep))
     sa, sb = real_sign(a), real_sign(b)
     if sa == sb or sb == 0:
         return sa
@@ -705,18 +751,17 @@ def compose_homs(h1: LevelConjugation, h2: LevelConjugation) -> LevelConjugation
 
 
 def _conjugate_rep(k: FieldTower, rep, level: int):
-    if not isinstance(k, QuadExt):
+    """Negate the numerators whose index has bit level-1 set."""
+    if not 1 <= level <= k.depth:
         raise InvalidLevel(f"level {level} exceeds tower depth")
-    if k.depth == level:
-        return (rep[0], k.base._neg(rep[1]))
-    return (_conjugate_rep(k.base, rep[0], level),
-            _conjugate_rep(k.base, rep[1], level))
+    bit = 1 << (level - 1)
+    return TowerRep(tuple(-n if i & bit else n for i, n in enumerate(rep.nums)), rep.den)
 
 
 def apply_hom(h: LevelConjugation, x: FieldElement) -> FieldElement:
     """Apply a catalog homomorphism to x.
 
-    Level conjugations act structurally on the coefficient tree; whether
+    Level conjugations act structurally on the coefficients; whether
     the result is multiplicative depends on the tower (see
     ``conjugation_is_automorphism``), and ``hom_check`` certifies it.
     """
@@ -801,21 +846,15 @@ def random_element(k: FieldTower, rng: random.Random) -> FieldElement:
         return k(Fraction(rng.randint(-RANDOM_SIZE, RANDOM_SIZE),
                           rng.randint(1, RANDOM_SIZE)))
     if isinstance(k, QuadExt):
-        a = random_element(k.base, rng)
-        b = random_element(k.base, rng)
-        return FieldElement(k, (a.rep, b.rep))
+        return from_coeff_vector(k, [random_element(Q, rng).rep
+                                     for _ in range(1 << k.depth)])
     raise TypeError(f"unsupported field {k}")
 
 
 def basis_monomials(k: FieldTower) -> list[FieldElement]:
     """1, each radical, and all products of radicals (char-0 towers)."""
     dim = 1 << k.depth
-    out = []
-    for idx in range(dim):
-        vec = [Fraction(0)] * dim
-        vec[idx] = Fraction(1)
-        out.append(from_coeff_vector(k, vec))
-    return out
+    return [from_coeff_vector(k, [int(i == idx) for i in range(dim)]) for idx in range(dim)]
 
 
 def probe_elements(k: FieldTower, rng: random.Random, count: int) -> list[FieldElement]:

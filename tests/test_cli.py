@@ -93,6 +93,13 @@ class TestPassingCommands:
         chain = next(r for r in _json_records(out) if r["record"] == "chain")
         assert chain["field"] == field
 
+    def test_auto_chain_far_target_within_default_budget(self, run):
+        code, out, _ = run("chain", "--from", "(0,0)", "--to", "(2000,1/3)",
+                           "--format", "json")
+        assert code == 0
+        chain = next(r for r in _json_records(out) if r["record"] == "chain")
+        assert chain["edge_bound"] == 2001
+
     def test_lemma3_chain(self, run):
         code, out, _ = run("lemma3-chain", "--point", "(1 + 2*i, 3 + i)",
                            "--field", "Q[i]", "--format", "json")
@@ -175,6 +182,31 @@ class TestVerdictFailures:
                            "--mode", "rational", "--budget", "10")
         assert code == 1
         assert "FAILURE SearchExhausted" in out
+
+    @pytest.mark.parametrize("budget, code", [("12", 0), ("11", 1)])
+    def test_auto_chain_budget_bounds_edges(self, run, budget, code):
+        got, out, _ = run("chain", "--from", "(0,0)", "--to", "(12,0)",
+                          "--budget", budget, "--format", "json")
+        assert got == code
+        recs = _json_records(out)
+        if code == 0:
+            chain = next(r for r in recs if r["record"] == "chain")
+            assert chain["edge_bound"] == len(chain["points"]) - 1 == 12
+        else:
+            failure = next(r for r in recs if r["record"] == "failure")
+            assert failure["error"] == "SearchExhausted"
+
+    @pytest.mark.parametrize("argv", [
+        ("chain", "--from", "(0,0)", "--to", "(1000000000,0)"),
+        ("lemma3-chain", "--field", "Q[i]", "--point", "(1000000000 + i, 0)"),
+    ])
+    def test_far_auto_walk_is_refused_quickly(self, run, argv):
+        start = time.monotonic()
+        code, out, _ = run(*argv)
+        assert time.monotonic() - start < 5
+        assert code == 1
+        assert "FAILURE SearchExhausted: the straight walk needs more than" \
+               " the budget of 10000 steps" in out
 
     def test_unsplit_denominator_is_an_undecided_refusal(self, run):
         # a 49-digit product of two primes = 1 mod 4: the bounded factoring

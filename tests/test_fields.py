@@ -1,5 +1,5 @@
+import functools
 import math
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,6 +23,7 @@ from bqplane.fields import (
     EXHAUSTIVE,
     DomainSpec,
     FieldElement,
+    FieldTower,
     LevelConjugation,
     PrimeField,
     Q,
@@ -467,38 +468,193 @@ class TestLevelSetCatalog:
         assert len(catalog_homomorphisms(k)) == 16
 
 
-# ------------------------------------------------------ schoolbook oracle
+# ---------------------------------------------------- Fraction-tree oracle
 #
-# The tower product and inverse before the sparse kernel: four base
-# products and a full base product by the radicand at every level, with
-# no zero skipping and no rational scaling.  Patched onto QuadExt, they
-# make every level of a tower compute schoolbook.
+# The tower kernel before flat integer reps: a pair (a, b) of base reps
+# per level with Fraction leaves, the schoolbook product with every
+# product of a zero half left out, and rational radicands scaling the
+# leaves instead of multiplying.  ``_tree_tower(k)`` mirrors a tower with
+# this kernel; its elements are FieldElements, so the operators run it.
 
-def _schoolbook_mul(self, a, b):
-    base = self.base
-    d = self.d.rep
-    return (
-        base._add(base._mul(a[0], b[0]), base._mul(base._mul(a[1], b[1]), d)),
-        base._add(base._mul(a[0], b[1]), base._mul(a[1], b[0])),
-    )
+class _TreeExt(FieldTower):
+    characteristic = 0
+
+    def __init__(self, base, d):
+        self.base = base
+        self.d = d
+        self.depth = base.depth + 1
+        self.zero_rep = (base.zero_rep, base.zero_rep)
+        self.one_rep = (base.one_rep, base.zero_rep)
+        coeffs = _leaves(d)
+        self._rational_d = None if any(coeffs[1:]) else coeffs[0]
+
+    def _coerce(self, v):
+        return (self.base._coerce(v), self.base.zero_rep)
+
+    def _add(self, a, b):
+        return (self.base._add(a[0], b[0]), self.base._add(a[1], b[1]))
+
+    def _sub(self, a, b):
+        return (self.base._sub(a[0], b[0]), self.base._sub(a[1], b[1]))
+
+    def _neg(self, a):
+        return (self.base._neg(a[0]), self.base._neg(a[1]))
+
+    def _scale(self, a, q):
+        return (_scale(self.base, a[0], q), _scale(self.base, a[1], q))
+
+    def _times_d(self, x):
+        if self._rational_d is not None:
+            return _scale(self.base, x, self._rational_d)
+        return self.base._mul(x, self.d.rep)
+
+    def _plus(self, x, y):
+        if x is None:
+            return self.base.zero_rep if y is None else y
+        return x if y is None else self.base._add(x, y)
+
+    def _mul(self, a, b):
+        base = self.base
+        is_zero = base._is_zero
+        a0, a1 = a
+        b0, b1 = b
+        a0z, a1z, b0z, b1z = is_zero(a0), is_zero(a1), is_zero(b0), is_zero(b1)
+        lo = self._plus(
+            None if a0z or b0z else base._mul(a0, b0),
+            None if a1z or b1z else self._times_d(base._mul(a1, b1)))
+        hi = self._plus(
+            None if a0z or b1z else base._mul(a0, b1),
+            None if a1z or b0z else base._mul(a1, b0))
+        return (lo, hi)
+
+    def _inv(self, a):
+        base = self.base
+        a0, a1 = a
+        if base._is_zero(a1):
+            if base._is_zero(a0):
+                raise DivisionByZero(f"division by zero in {self}")
+            return (base._inv(a0), a1)
+        norm = base._sub(base._mul(a0, a0), self._times_d(base._mul(a1, a1)))
+        ninv = base._inv(norm)
+        return (base._mul(a0, ninv), base._neg(base._mul(a1, ninv)))
+
+    def _is_zero(self, a):
+        return self.base._is_zero(a[0]) and self.base._is_zero(a[1])
 
 
-def _schoolbook_inv(self, a):
-    base = self.base
-    d = self.d.rep
-    norm = base._sub(base._mul(a[0], a[0]),
-                     base._mul(d, base._mul(a[1], a[1])))
-    if base._is_zero(norm):
-        raise DivisionByZero(f"division by zero in {self}")
-    ninv = base._inv(norm)
-    return (base._mul(a[0], ninv), base._neg(base._mul(a[1], ninv)))
+def _scale(k, rep, q):
+    return rep * q if k is Q else k._scale(rep, q)
 
 
-def schoolbook(fn, *args):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(QuadExt, "_mul", _schoolbook_mul)
-        mp.setattr(QuadExt, "_inv", _schoolbook_inv)
-        return fn(*args)
+_TREE_TOWERS = {}
+
+
+def _tree_tower(k):
+    if not isinstance(k, QuadExt):
+        return k
+    if k not in _TREE_TOWERS:
+        base = _tree_tower(k.base)
+        _TREE_TOWERS[k] = _TreeExt(base, _to_tree(base, coeff_vector(k.d)))
+    return _TREE_TOWERS[k]
+
+
+def _to_tree(t, vec):
+    """The element of the tree tower t with coefficient vector vec."""
+    def build(t, chunk):
+        if not isinstance(t, _TreeExt):
+            return Fraction(chunk[0])
+        half = len(chunk) // 2
+        return (build(t.base, chunk[:half]), build(t.base, chunk[half:]))
+    return FieldElement(t, build(t, vec))
+
+
+def _tree(x):
+    return _to_tree(_tree_tower(x.tower), coeff_vector(x))
+
+
+def _leaves(y):
+    def flat(t, rep):
+        if not isinstance(t, _TreeExt):
+            return [rep]
+        return flat(t.base, rep[0]) + flat(t.base, rep[1])
+    return flat(y.tower, y.rep)
+
+
+def _tree_halves(y):
+    return FieldElement(y.tower.base, y.rep[0]), FieldElement(y.tower.base, y.rep[1])
+
+
+def _tree_conjugate(t, rep, level):
+    if t.depth == level:
+        return (rep[0], t.base._neg(rep[1]))
+    return (_tree_conjugate(t.base, rep[0], level),
+            _tree_conjugate(t.base, rep[1], level))
+
+
+def _tree_apply_hom(h, y):
+    rep = y.rep
+    for L in h.levels:
+        rep = _tree_conjugate(y.tower, rep, L)
+    return FieldElement(y.tower, rep)
+
+
+def _tree_embed(y, t):
+    rep, depth = y.rep, y.tower.depth
+    while t.depth > depth:
+        depth += 1
+        rep = (rep, _tree_level(t, depth).base.zero_rep)
+    return FieldElement(t, rep)
+
+
+def _tree_level(t, depth):
+    while t.depth > depth:
+        t = t.base
+    return t
+
+
+def _tree_canonical_sign(y):
+    for c in _leaves(y):
+        if c:
+            return y if c > 0 else -y
+    return y
+
+
+def _tree_sqrt(y):
+    t = y.tower
+    if not isinstance(t, _TreeExt):
+        return sqrt_in_field(y)
+    a, b = _tree_halves(y)
+    if b.is_zero:
+        ra = _tree_sqrt(a)
+        if ra is not None:
+            return _tree_canonical_sign(FieldElement(t, (ra.rep, t.base.zero_rep)))
+        rb = _tree_sqrt(a / t.d)
+        if rb is not None:
+            return _tree_canonical_sign(FieldElement(t, (t.base.zero_rep, rb.rep)))
+        return None
+    s = _tree_sqrt(a * a - t.d * b * b)
+    if s is None:
+        return None
+    for cand in (s, -s):
+        u = _tree_sqrt((a + cand) / 2)
+        if u is not None and not u.is_zero:
+            root = FieldElement(t, (u.rep, (b / (2 * u)).rep))
+            if root * root == y:
+                return _tree_canonical_sign(root)
+    return None
+
+
+def _tree_real_sign(y):
+    t = y.tower
+    if not isinstance(t, _TreeExt):
+        return real_sign(y)
+    a, b = _tree_halves(y)
+    sa, sb = _tree_real_sign(a), _tree_real_sign(b)
+    if sa == sb or sb == 0:
+        return sa
+    if sa == 0:
+        return sb
+    return sa * _tree_real_sign(a * a - b * b * t.d)
 
 
 # Depth 1-6: rational radicands, nested ones and [i] on top.
@@ -512,7 +668,9 @@ KERNEL_TOWERS = [
     "Q[sqrt 2][sqrt 1 + r1][sqrt 3][sqrt 3 + r3][i]",
     "Q[sqrt 2][sqrt 1 + r1][sqrt 3][sqrt 5/4][sqrt 3 + r1*r3][i]",
 ]
-_BUILT_ONCE = {spec: parse_field(spec) for spec in KERNEL_TOWERS}
+@functools.cache
+def _built_once(spec):
+    return parse_field(spec)
 
 
 @st.composite
@@ -539,22 +697,47 @@ def _assert_same(x, y):
     assert format_element(x) == format_element(y)
 
 
+def _assert_matches(x, y):
+    """x from the kernel equals y from the tree oracle."""
+    if x is None or y is None:
+        assert x is None and y is None
+        return
+    assert coeff_vector(x) == _leaves(y)
+    _assert_same(x, from_coeff_vector(x.tower, _leaves(y)))
+
+
+def _real_subfield(k):
+    return k.base if k.d == -1 else k
+
+
 class TestSparseKernel:
     @pytest.mark.parametrize("spec", KERNEL_TOWERS)
     @given(data=st.data())
     def test_matches_schoolbook(self, spec, data):
-        k = _BUILT_ONCE[spec]
+        k = _built_once(spec)
         a = data.draw(sparse_elements(k))
         b = data.draw(sparse_elements(k))
-        _assert_same(a * b, schoolbook(operator.mul, a, b))
+        ta, tb = _tree(a), _tree(b)
+        _assert_matches(a * b, ta * tb)
+        _assert_matches(a + b, ta + tb)
+        _assert_matches(a - b, ta - tb)
         if b:
-            _assert_same(a / b, schoolbook(operator.truediv, a, b))
+            _assert_matches(a / b, ta / tb)
         square = a * a
-        _assert_same(sqrt_in_field(square), schoolbook(sqrt_in_field, square))
-        _assert_same(sqrt_in_field(a), schoolbook(sqrt_in_field, a))
+        _assert_matches(sqrt_in_field(square), _tree_sqrt(ta * ta))
+        _assert_matches(sqrt_in_field(a), _tree_sqrt(ta))
+        h = LevelConjugation(*data.draw(st.sets(st.integers(1, k.depth))))
+        _assert_matches(apply_hom(h, a), _tree_apply_hom(h, ta))
+        low = data.draw(st.sampled_from([Q] + tower_levels(k)))
+        c = data.draw(sparse_elements(low)) if low is not Q else Q(data.draw(fractions))
+        _assert_matches(embed(c, k), _tree_embed(_tree(c), _tree_tower(k)))
+        real = _real_subfield(k)
+        if isinstance(real, QuadExt):
+            e = data.draw(sparse_elements(real))
+            assert real_sign(e) == _tree_real_sign(_tree(e))
 
     def test_distinct_towers_differ(self):
-        built = list(_BUILT_ONCE.values())
+        built = [_built_once(spec) for spec in KERNEL_TOWERS]
         for n, k in enumerate(built):
             for other in built[n + 1:]:
                 assert k != other and not k == other
@@ -562,7 +745,7 @@ class TestSparseKernel:
     @pytest.mark.parametrize("spec", KERNEL_TOWERS)
     @given(data=st.data())
     def test_tower_built_twice(self, spec, data):
-        once, again = _BUILT_ONCE[spec], parse_field(spec)
+        once, again = _built_once(spec), parse_field(spec)
         assert again is not once
         assert again == once and once == again
         assert hash(again) == hash(once)
