@@ -64,9 +64,9 @@ from .fields import (
 )
 from .geometry import Point, all_points, eta, lambda_map, phi, point, random_point, xi
 from .maps import (
-    AffineOrthoMap,
+    AffineMap,
     MapTable,
-    OrthoMatrix2,
+    Matrix2,
     SemiAffineMap,
     invert,
     lorentz_case1_matrix,
@@ -80,9 +80,10 @@ from .maps import (
 @dataclass
 class DecompositionResult:
     """Certified triple (J, gamma, branch): on the verified domain the
-    input map equals invert(J) composed with the coordinatewise gamma."""
+    input map equals invert(J) composed with the coordinatewise gamma.
+    J is a normal form with orthogonal matrix and gamma = id."""
 
-    normalizer: AffineOrthoMap
+    normalizer: SemiAffineMap
     gamma: LevelConjugation
     branch: str  # "theta" | "zeta" | "not_applicable"
     verified_on: DomainSpec
@@ -92,11 +93,11 @@ class DecompositionResult:
     lorentz_scale: FieldElement | None = None
 
     def reconstruction(self) -> SemiAffineMap:
-        return SemiAffineMap(invert(self.normalizer), self.gamma)
+        return SemiAffineMap(invert(self.normalizer).outer, self.gamma)
 
     def to_record(self) -> dict:
-        q = self.normalizer.linear
-        t = self.normalizer.translation
+        q = self.normalizer.outer.linear
+        t = self.normalizer.outer.translation
         rec = {
             "route": self.route,
             "field": str(self.field),
@@ -131,7 +132,7 @@ def _oracle(f):
 
 # ----------------------------------------------------- frame normalizer
 
-def normalizer_from_images(f0: Point, f1: Point, f2: Point) -> AffineOrthoMap:
+def normalizer_from_images(f0: Point, f1: Point, f2: Point) -> SemiAffineMap:
     """The affine-orthogonal J sending the frame images f0, f1, f2 back
     to (0,0), (1,0), (0,1).
 
@@ -146,9 +147,9 @@ def normalizer_from_images(f0: Point, f1: Point, f2: Point) -> AffineOrthoMap:
             f"frame image distances ({d01}, {d02}, {d12}) differ from (1, 1, 2)")
     u = f1 - f0
     v = f2 - f0
-    q = OrthoMatrix2(u.x1, u.x2, v.x1, v.x2)  # rows u, v
+    q = Matrix2(u.x1, u.x2, v.x1, v.x2)  # orthonormal rows u, v
     shift = q.apply(f0)
-    return AffineOrthoMap(q, Point(-shift.x1, -shift.x2))
+    return SemiAffineMap(AffineMap(q, Point(-shift.x1, -shift.x2)))
 
 
 # ------------------------------------------------ homomorphism reading
@@ -393,14 +394,14 @@ def decompose_lorentz(f, k: FieldTower, domain: DomainSpec = EXHAUSTIVE
              else _tower_hom_from_eval(sigma_eval, k, domain)[0])
     case_matrix = (lorentz_case1_matrix if case == 1
                    else lorentz_case2_matrix)(a, sigma, k)
-    outer = AffineOrthoMap(case_matrix, t0)
+    outer = AffineMap(case_matrix, t0)
+    recon = SemiAffineMap(outer, sigma)
     if prime:
         _check_prime_hom_table([sigma_eval(k(x)).rep for x in range(k.p)], k)
         domain = EXHAUSTIVE
-        pairs = zip(all_points(k), raw_image_table(outer, k),
+        pairs = zip(all_points(k), raw_image_table(recon, k),
                     raw_image_table(ev, k))
     else:
-        recon = SemiAffineMap(outer, sigma)
         rng = random.Random(domain.seed + 2)
         pairs = ((x, recon(x), ev(x)) for x in
                  (random_point(k, rng) for _ in range(domain.samples)))
@@ -412,7 +413,7 @@ def decompose_lorentz(f, k: FieldTower, domain: DomainSpec = EXHAUSTIVE
     branch = "not_applicable"
     if isinstance(k, QuadExt) and k.d == -1:
         branch = "theta" if apply_hom(sigma, i0) == i0 else "zeta"
-    return DecompositionResult(invert(outer), sigma, branch, domain, k,
+    return DecompositionResult(invert(SemiAffineMap(outer)), sigma, branch, domain, k,
                                route="lorentz", lorentz_case=case,
                                lorentz_scale=a)
 

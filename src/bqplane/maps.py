@@ -1,12 +1,14 @@
-"""Plane maps: exact orthogonal/affine maps, coordinatewise-homomorphism
-maps, finite map tables, and the verdict scans over them.
+"""Plane maps in one normal form, finite map tables, and the verdict
+scans over them.
 
-``AffineOrthoMap`` is the canonical distance-preserving shape (orthogonal
-linear part plus translation); ``SemiAffineMap`` precomposes one with a
-coordinatewise field homomorphism, which is the general unit-distance-
-preserving form this toolkit decomposes into.  ``AffineMap2`` carries the
-non-orthogonal linear maps (xi, eta, lambda scalings) used by the
-product-form route.
+Every expression map is a ``SemiAffineMap``: x -> M gamma(x) + t, where
+the ``AffineMap`` record (M, t) holds any invertible 2x2 ``Matrix2`` and
+gamma is a catalog ``LevelConjugation`` applied coordinatewise.  These are
+the semi-affine maps of the fundamental theorem of affine geometry, and
+the form the paper decomposes every unit-distance preserver into.
+``compose`` and ``invert`` are one formula each on it; orthogonality of M
+is a checked predicate, not a separate class.  ``MapTable`` carries a map
+of a finite plane as data.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .errors import (
     NoImaginaryUnit,
     NotOrthogonal,
     ZeroParameter,
-    ZeroScale,
 )
 from .fields import (  # EXHAUSTIVE and sample_domain are re-exported
     EXHAUSTIVE,
@@ -35,35 +36,26 @@ from .fields import (  # EXHAUSTIVE and sample_domain are re-exported
     Q,
     apply_hom,
     compose_homs,
+    conjugation_is_automorphism,
     imaginary_unit,
     random_element,
     sample_domain,
     sqrt_in_field,
 )
-from .geometry import Point, all_points, phi, point, random_point
+from .geometry import Point, all_points, eta, lambda_map, phi, point, random_point, xi
 from .parsing import MapAtom, MapExpression
 
 
 # ------------------------------------------------------------- matrices
 
 @dataclass(frozen=True)
-class OrthoMatrix2:
-    """2x2 matrix with exactly orthonormal columns, checked at construction."""
+class Matrix2:
+    """2x2 matrix over one field."""
 
     q11: FieldElement
     q12: FieldElement
     q21: FieldElement
     q22: FieldElement
-
-    def __post_init__(self):
-        one = self.q11.tower.one
-        zero = self.q11.tower.zero
-        if (self.q11 * self.q11 + self.q21 * self.q21 != one
-                or self.q12 * self.q12 + self.q22 * self.q22 != one
-                or self.q11 * self.q12 + self.q21 * self.q22 != zero):
-            raise NotOrthogonal(
-                f"[[{self.q11}, {self.q12}], [{self.q21}, {self.q22}]] "
-                "fails the orthogonality equations")
 
     @property
     def tower(self) -> FieldTower:
@@ -73,16 +65,27 @@ class OrthoMatrix2:
         return Point(self.q11 * x.x1 + self.q12 * x.x2,
                      self.q21 * x.x1 + self.q22 * x.x2)
 
-    def transpose(self) -> "OrthoMatrix2":
-        return OrthoMatrix2(self.q11, self.q21, self.q12, self.q22)
-
-    def matmul(self, other: "OrthoMatrix2") -> "OrthoMatrix2":
-        return OrthoMatrix2(
+    def matmul(self, other: "Matrix2") -> "Matrix2":
+        return Matrix2(
             self.q11 * other.q11 + self.q12 * other.q21,
             self.q11 * other.q12 + self.q12 * other.q22,
             self.q21 * other.q11 + self.q22 * other.q21,
             self.q21 * other.q12 + self.q22 * other.q22,
         )
+
+    def inverse(self) -> "Matrix2":
+        det = self.q11 * self.q22 - self.q12 * self.q21
+        if det.is_zero:
+            raise DivisionByZero(f"{self} is singular")
+        return Matrix2(self.q22 / det, -self.q12 / det,
+                       -self.q21 / det, self.q11 / det)
+
+    def is_orthogonal(self) -> bool:
+        """Exactly orthonormal columns."""
+        one, zero = self.tower.one, self.tower.zero
+        return (self.q11 * self.q11 + self.q21 * self.q21 == one
+                and self.q12 * self.q12 + self.q22 * self.q22 == one
+                and self.q11 * self.q12 + self.q21 * self.q22 == zero)
 
     def entries(self):
         return (self.q11, self.q12, self.q21, self.q22)
@@ -91,25 +94,33 @@ class OrthoMatrix2:
         return f"[[{self.q11}, {self.q12}], [{self.q21}, {self.q22}]]"
 
 
-def identity_matrix(k: FieldTower) -> OrthoMatrix2:
-    return OrthoMatrix2(k.one, k.zero, k.zero, k.one)
+def orthogonal_matrix(q11, q12, q21, q22) -> Matrix2:
+    """The matrix of the given entries, refused unless orthogonal."""
+    m = Matrix2(q11, q12, q21, q22)
+    if not m.is_orthogonal():
+        raise NotOrthogonal(f"{m} fails the orthogonality equations")
+    return m
 
 
-def rotation_matrix(a: FieldElement, b: FieldElement) -> OrthoMatrix2:
-    return OrthoMatrix2(a, -b, b, a)
+def identity_matrix(k: FieldTower) -> Matrix2:
+    return Matrix2(k.one, k.zero, k.zero, k.one)
 
 
-def reflection_matrix(a: FieldElement, b: FieldElement) -> OrthoMatrix2:
-    return OrthoMatrix2(a, b, b, -a)
+def rotation_matrix(a: FieldElement, b: FieldElement) -> Matrix2:
+    return orthogonal_matrix(a, -b, b, a)
 
 
-# ----------------------------------------------------------- map classes
+def reflection_matrix(a: FieldElement, b: FieldElement) -> Matrix2:
+    return orthogonal_matrix(a, b, b, -a)
+
+
+# ------------------------------------------------------------- map forms
 
 @dataclass(frozen=True)
-class AffineOrthoMap:
-    """x -> Q x + t with Q exactly orthogonal; preserves phi on all pairs."""
+class AffineMap:
+    """x -> M x + t."""
 
-    linear: OrthoMatrix2
+    linear: Matrix2
     translation: Point
 
     def __post_init__(self):
@@ -120,59 +131,39 @@ class AffineOrthoMap:
         return self.linear.apply(x) + self.translation
 
 
-def identity_map(k: FieldTower) -> AffineOrthoMap:
-    return AffineOrthoMap(identity_matrix(k), point(k, 0, 0))
+def identity_map(k: FieldTower) -> AffineMap:
+    return AffineMap(identity_matrix(k), point(k, 0, 0))
 
 
-def translation_map(k: FieldTower, tx, ty) -> AffineOrthoMap:
-    return AffineOrthoMap(identity_matrix(k), point(k, tx, ty))
+def _hom_point(h: LevelConjugation, x: Point) -> Point:
+    return Point(apply_hom(h, x.x1), apply_hom(h, x.x2))
 
 
-def swap_affine(k: FieldTower) -> AffineOrthoMap:
-    return AffineOrthoMap(OrthoMatrix2(k.zero, k.one, k.one, k.zero),
-                          point(k, 0, 0))
+def _hom_matrix(h: LevelConjugation, m: Matrix2) -> Matrix2:
+    return Matrix2(*(apply_hom(h, e) for e in m.entries()))
 
 
 @dataclass(frozen=True)
 class SemiAffineMap:
-    """x -> outer((gamma(x1), gamma(x2))): the canonical decomposed form."""
+    """The normal form x -> outer(gamma(x1), gamma(x2)) = M gamma(x) + t."""
 
-    outer: AffineOrthoMap
-    gamma: LevelConjugation
-
-    def __call__(self, x: Point) -> Point:
-        return self.outer(Point(apply_hom(self.gamma, x.x1),
-                                apply_hom(self.gamma, x.x2)))
-
-
-@dataclass(frozen=True)
-class AffineMap2:
-    """General affine map x -> M x + t, no orthogonality constraint."""
-
-    m11: FieldElement
-    m12: FieldElement
-    m21: FieldElement
-    m22: FieldElement
-    translation: Point
+    outer: AffineMap
+    gamma: LevelConjugation = LevelConjugation()
 
     def __call__(self, x: Point) -> Point:
-        return Point(self.m11 * x.x1 + self.m12 * x.x2 + self.translation.x1,
-                     self.m21 * x.x1 + self.m22 * x.x2 + self.translation.x2)
-
-    def determinant(self) -> FieldElement:
-        return self.m11 * self.m22 - self.m12 * self.m21
+        return self.outer(_hom_point(self.gamma, x))
 
 
-@dataclass(frozen=True)
-class ComposedMap:
-    """Fallback composition; stages[-1] is applied first."""
+def linear_map(m: Matrix2) -> SemiAffineMap:
+    return SemiAffineMap(AffineMap(m, point(m.tower, 0, 0)))
 
-    stages: tuple
 
-    def __call__(self, x: Point) -> Point:
-        for stage in reversed(self.stages):
-            x = stage(x)
-        return x
+def translation_map(k: FieldTower, tx, ty) -> SemiAffineMap:
+    return SemiAffineMap(AffineMap(identity_matrix(k), point(k, tx, ty)))
+
+
+def swap_affine(k: FieldTower) -> SemiAffineMap:
+    return linear_map(Matrix2(k.zero, k.one, k.one, k.zero))
 
 
 @dataclass
@@ -196,78 +187,34 @@ class MapTable:
     def __call__(self, x: Point) -> Point:
         return self.images[x]
 
+    def inverse(self) -> "MapTable":
+        inv = {img: src for src, img in self.images.items()}
+        if len(inv) != len(self.images):
+            raise FieldMismatch("table is not injective")
+        return MapTable(self.field, inv)
+
 
 # -------------------------------------------------- compose and inverse
+#
+# Both formulas need gamma(M x) = gamma(M) gamma(x), which holds because
+# every gamma is a field automorphism (expressions only admit catalog
+# conjugations), and invert needs gamma = gamma^-1, which holds because
+# level conjugations are involutions.
 
-def _general_parts(m):
-    if isinstance(m, AffineOrthoMap):
-        q = m.linear
-        return (q.q11, q.q12, q.q21, q.q22), m.translation
-    if isinstance(m, AffineMap2):
-        return (m.m11, m.m12, m.m21, m.m22), m.translation
-    return None
-
-
-def _hom_affine(h: LevelConjugation, m: AffineOrthoMap) -> AffineOrthoMap:
-    q = m.linear
-    return AffineOrthoMap(
-        OrthoMatrix2(apply_hom(h, q.q11), apply_hom(h, q.q12),
-                     apply_hom(h, q.q21), apply_hom(h, q.q22)),
-        Point(apply_hom(h, m.translation.x1), apply_hom(h, m.translation.x2)))
+def compose(m1: SemiAffineMap, m2: SemiAffineMap) -> SemiAffineMap:
+    """m2 first, then m1: (M1 g1(M2), M1 g1(t2) + t1, g1 g2)."""
+    g1, q1 = m1.gamma, m1.outer.linear
+    return SemiAffineMap(
+        AffineMap(q1.matmul(_hom_matrix(g1, m2.outer.linear)),
+                  q1.apply(_hom_point(g1, m2.outer.translation)) + m1.outer.translation),
+        compose_homs(g1, m2.gamma))
 
 
-def compose(m1, m2):
-    """The map applying m2 first, then m1; specialized shapes are kept
-    closed (affine with affine, affine with semi-affine, ...)."""
-    if isinstance(m1, AffineOrthoMap) and isinstance(m2, AffineOrthoMap):
-        return AffineOrthoMap(m1.linear.matmul(m2.linear),
-                              m1.linear.apply(m2.translation) + m1.translation)
-    if isinstance(m1, AffineOrthoMap) and isinstance(m2, SemiAffineMap):
-        return SemiAffineMap(compose(m1, m2.outer), m2.gamma)
-    if isinstance(m1, SemiAffineMap) and isinstance(m2, AffineOrthoMap):
-        return SemiAffineMap(compose(m1.outer, _hom_affine(m1.gamma, m2)), m1.gamma)
-    if isinstance(m1, SemiAffineMap) and isinstance(m2, SemiAffineMap):
-        return SemiAffineMap(
-            compose(m1.outer, _hom_affine(m1.gamma, m2.outer)),
-            compose_homs(m1.gamma, m2.gamma))
-    g1, g2 = _general_parts(m1), _general_parts(m2)
-    if g1 is not None and g2 is not None:
-        (a11, a12, a21, a22), t1 = g1
-        (b11, b12, b21, b22), t2 = g2
-        return AffineMap2(
-            a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
-            a21 * b11 + a22 * b21, a21 * b12 + a22 * b22,
-            Point(a11 * t2.x1 + a12 * t2.x2 + t1.x1,
-                  a21 * t2.x1 + a22 * t2.x2 + t1.x2))
-    stages1 = m1.stages if isinstance(m1, ComposedMap) else (m1,)
-    stages2 = m2.stages if isinstance(m2, ComposedMap) else (m2,)
-    return ComposedMap(stages1 + stages2)
-
-
-def invert(m):
-    if isinstance(m, AffineOrthoMap):
-        qt = m.linear.transpose()
-        inv_t = qt.apply(m.translation)
-        return AffineOrthoMap(qt, Point(-inv_t.x1, -inv_t.x2))
-    if isinstance(m, SemiAffineMap):
-        # gamma is an involution, so the inverse is gamma(outer^-1) o (gamma, gamma)
-        return SemiAffineMap(_hom_affine(m.gamma, invert(m.outer)), m.gamma)
-    if isinstance(m, AffineMap2):
-        det = m.determinant()
-        if det.is_zero:
-            raise DivisionByZero("affine map is singular")
-        n11, n12 = m.m22 / det, -m.m12 / det
-        n21, n22 = -m.m21 / det, m.m11 / det
-        t = m.translation
-        return AffineMap2(n11, n12, n21, n22,
-                          Point(-(n11 * t.x1 + n12 * t.x2),
-                                -(n21 * t.x1 + n22 * t.x2)))
-    if isinstance(m, MapTable):
-        inv = {img: src for src, img in m.images.items()}
-        if len(inv) != len(m.images):
-            raise FieldMismatch("table is not injective")
-        return MapTable(m.field, inv)
-    raise TypeError(f"cannot invert {m!r}")
+def invert(m: SemiAffineMap) -> SemiAffineMap:
+    """(g(M^-1), -g(M^-1 t), g)."""
+    g, inv = m.gamma, m.outer.linear.inverse()
+    shift = _hom_point(g, inv.apply(m.outer.translation))
+    return SemiAffineMap(AffineMap(_hom_matrix(g, inv), Point(-shift.x1, -shift.x2)), g)
 
 
 # --------------------------------------------------------- unit vectors
@@ -306,7 +253,7 @@ def unit_circle(k: PrimeField) -> list[Point]:
 
 # ------------------------------------------------------- group census
 
-def enumerate_orthogonal_group(k: PrimeField) -> list[OrthoMatrix2]:
+def enumerate_orthogonal_group(k: PrimeField) -> list[Matrix2]:
     """All exactly orthogonal 2x2 matrices over GF(p).
 
     Deterministic order: identity first, then ascending lexicographic on
@@ -325,14 +272,11 @@ def enumerate_orthogonal_group(k: PrimeField) -> list[OrthoMatrix2]:
     return [ident] + [m for m, _ in rest]
 
 
-def enumerate_canonical_maps(k: PrimeField) -> list[AffineOrthoMap]:
+def enumerate_canonical_maps(k: PrimeField) -> list[SemiAffineMap]:
     """Every translation composed with every orthogonal matrix; the
     reference census for the preserver search."""
-    out = []
-    for t in all_points(k):
-        for q in enumerate_orthogonal_group(k):
-            out.append(AffineOrthoMap(q, t))
-    return out
+    group = enumerate_orthogonal_group(k)
+    return [SemiAffineMap(AffineMap(q, t)) for t in all_points(k) for q in group]
 
 
 # -------------------------------------------------------- verdict scans
@@ -380,9 +324,10 @@ def _sample_rational_phi_pair(k: FieldTower, rng: random.Random) -> tuple[Point,
 def preserves_phi(m, k: FieldTower, domain: DomainSpec) -> Check:
     """Check phi preservation; stops at the MAX_WITNESSES-th witness.
 
-    For AffineOrthoMap every pair is quantified; for maps involving a
-    homomorphism only pairs whose phi lies in the prime subfield are,
-    which is the strongest claim the decomposed form supports.
+    For a normal form with orthogonal M and gamma = id every pair is
+    quantified; for any other map only pairs whose phi lies in the prime
+    subfield are, which is the strongest claim the decomposed form
+    supports.
     """
     if domain.exhaustive_over(k):
         pts = all_points(k)
@@ -391,7 +336,8 @@ def preserves_phi(m, k: FieldTower, domain: DomainSpec) -> Check:
     else:
         image = m
         rng = random.Random(domain.seed)
-        if isinstance(m, AffineOrthoMap):
+        if (isinstance(m, SemiAffineMap) and not m.gamma.levels
+                and m.outer.linear.is_orthogonal()):
             pairs = ((random_point(k, rng), random_point(k, rng))
                      for _ in range(domain.samples))
         else:
@@ -415,91 +361,79 @@ def _half_sum_terms(a: FieldElement):
     return big, small
 
 
-def lorentz_case1_matrix(a: FieldElement, sigma: LevelConjugation, k: FieldTower) -> OrthoMatrix2:
+def _lorentz_case_matrix(a, sigma: LevelConjugation, k: FieldTower, s: int) -> Matrix2:
+    a = k(a)
+    i = imaginary_unit(k)
+    if i is None:
+        raise NoImaginaryUnit(f"{k} has no canonical i")
+    si = apply_hom(sigma, i)
+    big, small = _half_sum_terms(a)
+    return orthogonal_matrix(big, s * small * si, -small * i, -s * big * i * si)
+
+
+def lorentz_case1_matrix(a: FieldElement, sigma: LevelConjugation, k: FieldTower) -> Matrix2:
     """Orthogonal matrix reconstructing a product-form map whose
     normalization fixes coordinates (no swap)."""
-    a = k(a)
-    i = imaginary_unit(k)
-    if i is None:
-        raise NoImaginaryUnit(f"{k} has no canonical i")
-    si = apply_hom(sigma, i)
-    big, small = _half_sum_terms(a)
-    return OrthoMatrix2(big, small * si, -small * i, -big * i * si)
+    return _lorentz_case_matrix(a, sigma, k, 1)
 
 
-def lorentz_case2_matrix(a: FieldElement, sigma: LevelConjugation, k: FieldTower) -> OrthoMatrix2:
+def lorentz_case2_matrix(a: FieldElement, sigma: LevelConjugation, k: FieldTower) -> Matrix2:
     """Variant for the swapped normalization case."""
-    a = k(a)
-    i = imaginary_unit(k)
-    if i is None:
-        raise NoImaginaryUnit(f"{k} has no canonical i")
-    si = apply_hom(sigma, i)
-    big, small = _half_sum_terms(a)
-    return OrthoMatrix2(big, -small * si, -small * i, big * i * si)
+    return _lorentz_case_matrix(a, sigma, k, -1)
 
 
 # ------------------------------------------------- expression elaboration
 
-def map_from_expression(expr: MapExpression, k: FieldTower):
-    """Build a concrete map from a parsed expression over k."""
-    built = [_atom_to_map(atom, k) for atom in expr.parts]
-    m = built[0]
-    for nxt in built[1:]:
-        m = compose(m, nxt)
+def map_from_expression(expr: MapExpression, k: FieldTower) -> SemiAffineMap:
+    """The normal form of a parsed expression over k."""
+    m = _atom_to_map(expr.parts[0], k)
+    for atom in expr.parts[1:]:
+        m = compose(m, _atom_to_map(atom, k))
     return m
 
 
-def _atom_to_map(atom: MapAtom, k: FieldTower):
-    kind = atom.kind
+def _matrix_of(fn, k: FieldTower) -> Matrix2:
+    """The matrix of a linear point function: its images of (1, 0) and
+    (0, 1) are the columns."""
+    e1, e2 = fn(point(k, 1, 0)), fn(point(k, 0, 1))
+    return Matrix2(e1.x1, e2.x1, e1.x2, e2.x2)
+
+
+def _atom_to_map(atom: MapAtom, k: FieldTower) -> SemiAffineMap:
+    kind, args = atom.kind, atom.args
     if kind == "translate":
-        return translation_map(k, atom.args[0], atom.args[1])
-    if kind == "rot":
-        return AffineOrthoMap(rotation_matrix(k(atom.args[0]), k(atom.args[1])),
-                              point(k, 0, 0))
-    if kind == "refl":
-        return AffineOrthoMap(reflection_matrix(k(atom.args[0]), k(atom.args[1])),
-                              point(k, 0, 0))
+        return translation_map(k, *args)
     if kind == "swap":
         return swap_affine(k)
     if kind == "hom":
-        for level in atom.args:
-            if not 1 <= level <= k.depth:
-                raise InvalidLevel(f"conj@{level} invalid for {k}")
-        return SemiAffineMap(identity_map(k), LevelConjugation(*atom.args))
+        for level in args:
+            if not (1 <= level <= k.depth and conjugation_is_automorphism(k, level)):
+                raise InvalidLevel(f"conj@{level} is not a catalog automorphism of {k}")
+        return SemiAffineMap(identity_map(k), LevelConjugation(*args))
+    if kind == "rot":
+        return linear_map(rotation_matrix(k(args[0]), k(args[1])))
+    if kind == "refl":
+        return linear_map(reflection_matrix(k(args[0]), k(args[1])))
     if kind == "lambda":
-        z = k(atom.args[0])
-        if z.is_zero:
-            raise ZeroScale("lambda(0) is not a map")
-        return AffineMap2(k.one / z, k.zero, k.zero, z, point(k, 0, 0))
-    if kind == "xi":
-        i = imaginary_unit(k)
-        if i is None:
-            raise NoImaginaryUnit(f"xi needs i in {k}")
-        return AffineMap2(k.one, i, k.one, -i, point(k, 0, 0))
-    if kind == "eta":
-        i = imaginary_unit(k)
-        if i is None:
-            raise NoImaginaryUnit(f"eta needs i in {k}")
-        half = k.one / 2
-        return AffineMap2(half, half, -i * half, i * half, point(k, 0, 0))
+        z = k(args[0])
+        return linear_map(_matrix_of(lambda x: lambda_map(z, x), k))
+    if kind in ("xi", "eta"):
+        return linear_map(_matrix_of(xi if kind == "xi" else eta, k))
     raise ValueError(f"unknown atom kind {kind!r}")
 
 
 # ---------------------------------------------------- raw prime tables
 
 def raw_image_table(m, k: PrimeField) -> list[int]:
-    """Image table as point indices (idx = x1*p + x2); fast paths for the
-    structured map shapes, generic application otherwise."""
+    """Image table as point indices (idx = x1*p + x2): in machine integers
+    for a normal form with gamma = id, by applying m point by point for
+    anything else."""
     p = k.p
-    if isinstance(m, AffineOrthoMap):
-        q = m.linear
-        a, b = q.q11.rep, q.q12.rep
-        c, d = q.q21.rep, q.q22.rep
-        tx, ty = m.translation.x1.rep, m.translation.x2.rep
+    if isinstance(m, SemiAffineMap) and not m.gamma.levels:
+        a, b, c, d = (e.rep for e in m.outer.linear.entries())
+        tx, ty = m.outer.translation.x1.rep, m.outer.translation.x2.rep
         return [((a * x + b * y + tx) % p) * p + (c * x + d * y + ty) % p
                 for x in range(p) for y in range(p)]
-    if isinstance(m, SemiAffineMap) and not m.gamma.levels:
-        return raw_image_table(m.outer, k)
     return [img.x1.rep * p + img.x2.rep
             for img in (m(pt) for pt in all_points(k))]
 

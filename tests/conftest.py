@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, Phase, settings
 
 from bqplane.fields import PrimeField, Q, QuadExt
 
@@ -10,6 +10,14 @@ settings.register_profile(
     max_examples=40,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
+)
+# The same, without shrinking: a broken kernel fails many exact examples,
+# and shrinking each of them can take minutes.  CI selects it with
+# --hypothesis-profile=ci; local runs keep shrinking.
+settings.register_profile(
+    "ci",
+    settings.get_profile("exact"),
+    phases=[phase for phase in Phase if phase is not Phase.shrink],
 )
 settings.load_profile("exact")
 

@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -308,6 +309,34 @@ class TestUsageErrors:
         code, out, err = run("search-preservers", "--p", "73", "--budget", "0")
         assert code == 2 and out == ""
         assert f"p <= {MAX_SEARCH_P}" in err
+
+
+class TestMapMixes:
+    """Expressions mixing lambda, xi and eta with isometries and
+    homomorphisms, over GF(13) and Q[sqrt 2][i]: stdout and exit codes
+    of both decomposition routes in both formats, as captured before
+    every expression map became one normal form."""
+
+    CASES = json.loads(Path(__file__).with_name("cli_map_mixes.json")
+                       .read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize("case", CASES, ids=[f"mix{n:02d}" for n in range(len(CASES))])
+    def test_output_matches_golden(self, run, case):
+        code, out, _ = run(*case["argv"])
+        assert (code, out) == (case["code"], case["stdout"])
+
+    @pytest.mark.parametrize("expr", [
+        "hom(conj@1) . rot(1 - r1, 2*r2 - r1*r2)",
+        "hom(conj@1)",
+        "hom(conj@1) . lambda(r2)",
+    ])
+    def test_non_catalog_conjugation_exits_two(self, run, expr):
+        # conj@1 moves the radicand 1 + sqrt 2 of the next level, so it
+        # is no automorphism of this field
+        code, out, err = run("decompose", "--field", "Q[sqrt 2][sqrt (1 + r1)][i]",
+                             "--map", expr)
+        assert code == 2 and out == ""
+        assert "conj@1" in err and "Q[sqrt 2][sqrt 1 + r1][i]" in err
 
 
 class TestOutputStability:

@@ -33,7 +33,6 @@ from bqplane.fields import (
 )
 from bqplane.geometry import Point, all_points, point, verify_transform_identities
 from bqplane.maps import (
-    AffineOrthoMap,
     MapTable,
     SemiAffineMap,
     compose,

@@ -37,8 +37,9 @@ from bqplane.fields import (
 )
 from bqplane.geometry import Point, all_points, point
 from bqplane.maps import (
-    AffineOrthoMap,
-    OrthoMatrix2,
+    AffineMap,
+    Matrix2,
+    SemiAffineMap,
     enumerate_orthogonal_group,
     invert,
     map_from_expression,
@@ -81,9 +82,9 @@ def _decompose_prime_raw(raw, k):
             raise ProductFormViolation(
                 f"normalized map sends ({x1}, {x2}) to ({ia}, {ib}), "
                 "not coordinatewise", witness=point(k, x1, x2))
-    q = OrthoMatrix2(k(u1), k(u2), k(v1), k(v2))
+    q = Matrix2(k(u1), k(u2), k(v1), k(v2))
     shift = q.apply(point(k, a0, b0))
-    normalizer = AffineOrthoMap(q, Point(-shift.x1, -shift.x2))
+    normalizer = SemiAffineMap(AffineMap(q, Point(-shift.x1, -shift.x2)))
     return DecompositionResult(normalizer, LevelConjugation(), "not_applicable",
                                EXHAUSTIVE, k)
 
@@ -141,8 +142,8 @@ def _lorentz_prime_raw(raw, k):
             raise ProductFormViolation(
                 f"case-{case} reconstruction disagrees at ({x1}, {x2})",
                 witness=point(k, x1, x2))
-    matrix = OrthoMatrix2(k(m11), k(m12), k(m21), k(m22))
-    outer = AffineOrthoMap(matrix, point(k, t0a, t0b))
+    matrix = Matrix2(k(m11), k(m12), k(m21), k(m22))
+    outer = SemiAffineMap(AffineMap(matrix, point(k, t0a, t0b)))
     return DecompositionResult(invert(outer), LevelConjugation(), "not_applicable",
                                EXHAUSTIVE, k, route="lorentz",
                                lorentz_case=case, lorentz_scale=k(a))

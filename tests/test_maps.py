@@ -25,19 +25,20 @@ from bqplane.fields import (
 from bqplane.geometry import Point, all_points, phi, point, random_point
 from bqplane.maps import (
     EXHAUSTIVE,
-    AffineMap2,
-    AffineOrthoMap,
+    AffineMap,
     MapTable,
-    OrthoMatrix2,
+    Matrix2,
     SemiAffineMap,
     compose,
     enumerate_canonical_maps,
     enumerate_orthogonal_group,
     identity_map,
     invert,
+    linear_map,
     lorentz_case1_matrix,
     lorentz_case2_matrix,
     map_from_expression,
+    orthogonal_matrix,
     preserves_phi,
     preserves_unit_distance,
     raw_image_table,
@@ -52,7 +53,7 @@ from bqplane.maps import (
     unit_from_parameter,
     _sample_rational_phi_pair,
 )
-from bqplane.parsing import parse_map
+from bqplane.parsing import parse_field, parse_map
 
 QI = QuadExt(Q, -1)
 
@@ -60,13 +61,18 @@ params = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
 
 
 def _identity_matrix(k):
-    return OrthoMatrix2(k.one, k.zero, k.zero, k.one)
+    return Matrix2(k.one, k.zero, k.zero, k.one)
+
+
+def _transpose(m):
+    return Matrix2(m.q11, m.q21, m.q12, m.q22)
 
 
 class TestOrthoMatrices:
     def test_construction_rejects_bad_columns(self, gf13):
+        assert not Matrix2(gf13(1), gf13(1), gf13(0), gf13(1)).is_orthogonal()
         with pytest.raises(NotOrthogonal):
-            OrthoMatrix2(gf13(1), gf13(1), gf13(0), gf13(1))
+            orthogonal_matrix(gf13(1), gf13(1), gf13(0), gf13(1))
         with pytest.raises(NotOrthogonal):
             rotation_matrix(Q(1), Q(1))
 
@@ -74,12 +80,14 @@ class TestOrthoMatrices:
     def test_rotation_and_reflection_from_unit_params(self, t):
         u = unit_from_parameter(Q, t)
         for m in (rotation_matrix(u.x1, u.x2), reflection_matrix(u.x1, u.x2)):
-            assert m.matmul(m.transpose()) == _identity_matrix(Q)
+            assert m.matmul(_transpose(m)) == _identity_matrix(Q)
+            assert m.is_orthogonal()
 
     def test_transpose_is_inverse(self, gf13):
         m = rotation_matrix(gf13(2), gf13(6))  # 4 + 36 = 40 = 1 mod 13
-        assert m.matmul(m.transpose()) == _identity_matrix(gf13)
-        assert m.transpose().matmul(m) == _identity_matrix(gf13)
+        assert m.matmul(_transpose(m)) == _identity_matrix(gf13)
+        assert _transpose(m).matmul(m) == _identity_matrix(gf13)
+        assert m.inverse() == _transpose(m)
         # 5^2 + 1^2 = 26 = 0 mod 13: off the circle, rejected
         with pytest.raises(NotOrthogonal):
             rotation_matrix(gf13(5), gf13(1))
@@ -147,7 +155,7 @@ class TestGroupCensus:
     def test_canonical_maps_are_distinct_and_counted(self, gf13):
         maps = enumerate_canonical_maps(gf13)
         assert len(maps) == 169 * 24
-        assert maps[0] == identity_map(gf13)
+        assert maps[0] == SemiAffineMap(identity_map(gf13))
         tables = {tuple(raw_image_table(m, gf13)) for m in maps}
         assert len(tables) == len(maps)
 
@@ -155,15 +163,16 @@ class TestGroupCensus:
 class TestComposeInvert:
     def test_affine_composition_stays_affine(self, gf13):
         f = translation_map(gf13, 2, 3)
-        g = AffineOrthoMap(rotation_matrix(gf13(0), gf13(1)), point(gf13, 0, 0))
+        g = linear_map(rotation_matrix(gf13(0), gf13(1)))
         fg = compose(f, g)
-        assert isinstance(fg, AffineOrthoMap)
+        assert fg.gamma == LevelConjugation() and fg.outer.linear.is_orthogonal()
         for x in all_points(gf13)[:20]:
             assert fg(x) == f(g(x))
 
     def test_inverse_round_trip(self, gf13):
         f = compose(translation_map(gf13, 2, 3),
-                    AffineOrthoMap(rotation_matrix(gf13(2), gf13(6)), point(gf13, 1, 1)))
+                    SemiAffineMap(AffineMap(rotation_matrix(gf13(2), gf13(6)),
+                                            point(gf13, 1, 1))))
         back = compose(invert(f), f)
         for x in all_points(gf13)[:20]:
             assert back(x) == x
@@ -187,24 +196,25 @@ class TestComposeInvert:
     def test_semiaffine_inverse(self, qi):
         f = SemiAffineMap(
             compose(translation_map(qi, 1, 2),
-                    AffineOrthoMap(rotation_matrix(qi(0), qi(1)), point(qi, 0, 0))),
+                    linear_map(rotation_matrix(qi(0), qi(1)))).outer,
             LevelConjugation(1))
         back = invert(f)
         x = point(qi, Fraction(3, 7), Fraction(-1, 2))
         assert back(f(x)) == x and f(back(x)) == x
 
     def test_general_affine_inverse_and_singularity(self, qi):
-        m = AffineMap2(qi(2), qi(1), qi(0), qi(3), point(qi, 1, 1))
+        m = SemiAffineMap(AffineMap(Matrix2(qi(2), qi(1), qi(0), qi(3)),
+                                    point(qi, 1, 1)))
         inv = invert(m)
         x = point(qi, 5, -2)
         assert inv(m(x)) == x
-        singular = AffineMap2(qi(1), qi(2), qi(2), qi(4), point(qi, 0, 0))
+        singular = linear_map(Matrix2(qi(1), qi(2), qi(2), qi(4)))
         with pytest.raises(DivisionByZero):
             invert(singular)
 
     def test_swap_is_self_inverse(self, gf13):
         s = swap_affine(gf13)
-        assert compose(s, s) == identity_map(gf13)
+        assert compose(s, s) == SemiAffineMap(identity_map(gf13))
 
 
 class TestMapTables:
@@ -221,11 +231,14 @@ class TestMapTables:
         pts = all_points(gf13)
         collapsed = MapTable(gf13, {x: pts[0] for x in pts})
         with pytest.raises(FieldMismatch):
-            invert(collapsed)
+            collapsed.inverse()
+        shifted = table_from_raw(gf13, raw_image_table(translation_map(gf13, 3, 1), gf13))
+        back = shifted.inverse()
+        assert all(back(shifted(x)) == x for x in pts)
 
     def test_raw_round_trip(self, gf13):
         f = compose(translation_map(gf13, 4, 9),
-                    AffineOrthoMap(reflection_matrix(gf13(6), gf13(2)), point(gf13, 0, 0)))
+                    linear_map(reflection_matrix(gf13(6), gf13(2))))
         raw = raw_image_table(f, gf13)
         table = table_from_raw(gf13, raw)
         assert raw_image_table(table, gf13) == raw
@@ -233,19 +246,19 @@ class TestMapTables:
             assert table(x) == f(x)
 
     def test_raw_fast_paths_match_generic(self, gf13):
-        f = compose(translation_map(gf13, 1, 5),
-                    AffineOrthoMap(rotation_matrix(gf13(11), gf13(7)), point(gf13, 0, 0)))
-        generic = [img.x1.rep * 13 + img.x2.rep
-                   for img in (f(x) for x in all_points(gf13))]
-        assert raw_image_table(f, gf13) == generic
-        wrapped = SemiAffineMap(f, LevelConjugation())
-        assert raw_image_table(wrapped, gf13) == generic
+        for f in (compose(translation_map(gf13, 1, 5),
+                          linear_map(rotation_matrix(gf13(11), gf13(7)))),
+                  map_from_expression(
+                      parse_map("xi . lambda(2) . eta . translate(1, 5)", gf13), gf13)):
+            generic = [img.x1.rep * 13 + img.x2.rep
+                       for img in (f(x) for x in all_points(gf13))]
+            assert raw_image_table(f, gf13) == generic
 
 
 class TestPreservationScans:
     def test_exhaustive_unit_distance(self, gf13):
         f = compose(translation_map(gf13, 2, 3),
-                    AffineOrthoMap(rotation_matrix(gf13(0), gf13(1)), point(gf13, 0, 0)))
+                    linear_map(rotation_matrix(gf13(0), gf13(1))))
         rep = preserves_unit_distance(f, gf13, EXHAUSTIVE)
         assert rep.ok and rep.checked == 169 * 12
         assert rep.name == "unit_distance" and rep.domain == EXHAUSTIVE
@@ -274,12 +287,12 @@ class TestPreservationScans:
         assert rep.ok and rep.checked == 50
 
     def test_phi_scan_full_quantifier(self, gf13):
-        f = AffineOrthoMap(reflection_matrix(gf13(0), gf13(1)), point(gf13, 7, 0))
+        f = SemiAffineMap(AffineMap(reflection_matrix(gf13(0), gf13(1)), point(gf13, 7, 0)))
         rep = preserves_phi(f, gf13, EXHAUSTIVE)
         assert rep.ok and rep.checked == 169 * 169
 
     def test_phi_scan_rejects_scaling(self, qi):
-        squeeze = AffineMap2(qi(2), qi.zero, qi.zero, qi(2), point(qi, 0, 0))
+        squeeze = linear_map(Matrix2(qi(2), qi.zero, qi.zero, qi(2)))
         rep = preserves_phi(squeeze, qi, sample_domain(30, seed=0))
         assert not rep.ok
 
@@ -318,8 +331,8 @@ class TestCaseMatrices:
         for a in range(1, 13):
             m1 = lorentz_case1_matrix(gf13(a), LevelConjugation(), gf13)
             m2 = lorentz_case2_matrix(gf13(a), LevelConjugation(), gf13)
-            assert m1.matmul(m1.transpose()) == _identity_matrix(gf13)
-            assert m2.matmul(m2.transpose()) == _identity_matrix(gf13)
+            assert m1.matmul(_transpose(m1)) == _identity_matrix(gf13)
+            assert m2.matmul(_transpose(m2)) == _identity_matrix(gf13)
 
     def test_orthogonal_over_tower_with_conjugation(self, qi):
         rng = random.Random(9)
@@ -328,7 +341,7 @@ class TestCaseMatrices:
             den = rng.randint(1, 9)
             a = qi(Fraction(num, den))
             m = lorentz_case1_matrix(a, LevelConjugation(1), qi)
-            assert m.matmul(m.transpose()) == _identity_matrix(qi)
+            assert m.matmul(_transpose(m)) == _identity_matrix(qi)
 
     def test_zero_parameter_rejected(self, gf13):
         with pytest.raises(ZeroParameter):
@@ -343,8 +356,8 @@ class TestExpressionElaboration:
     def test_translate_then_rotate(self, gf13):
         expr = parse_map("translate(2, 3) . rot(0, 1)", gf13)
         m = map_from_expression(expr, gf13)
-        assert m == AffineOrthoMap(rotation_matrix(gf13(0), gf13(1)),
-                                   point(gf13, 2, 3))
+        assert m == SemiAffineMap(AffineMap(rotation_matrix(gf13(0), gf13(1)),
+                                            point(gf13, 2, 3)))
 
     def test_hom_after_translate_conjugates_the_shift(self, qi):
         expr = parse_map("hom(conj@1) . translate(i, 0)", qi)
@@ -366,6 +379,16 @@ class TestExpressionElaboration:
     def test_conjugation_level_must_exist(self, qi):
         with pytest.raises(InvalidLevel):
             map_from_expression(parse_map("hom(conj@3)", qi), qi)
+
+    def test_conjugation_must_be_an_automorphism(self):
+        # conj@1 sends the radicand 1 + sqrt 2 to 1 - sqrt 2, whose root
+        # is not in the field: no automorphism, so no expression atom
+        k = parse_field("Q[sqrt 2][sqrt (1 + r1)][i]")
+        for text in ("hom(conj@1)", "hom(conj@1) . lambda(r2)", "hom(conj@2) . hom(conj@1)"):
+            with pytest.raises(InvalidLevel, match=r"conj@1 .*Q\[sqrt 2\]"):
+                map_from_expression(parse_map(text, k), k)
+        assert map_from_expression(parse_map("hom(conj@2) . hom(conj@3)", k), k).gamma \
+            == LevelConjugation(2, 3)
 
     def test_xi_needs_imaginary_unit(self):
         with pytest.raises(NoImaginaryUnit):
