@@ -33,10 +33,12 @@ from .fields import (
     Q,
     QuadExt,
     ensure_sqrt,
+    is_f_of_i,
     is_real_tower,
     rational_value,
     re_im,
     real_sign,
+    sqrt_in_field,
 )
 from .geometry import Point, phi, point, psi
 from .ntheory import factorint, sqrt_mod
@@ -91,7 +93,7 @@ class ChainReport:
 def verify_chain(c: Chain, *, require_psi: bool = False) -> ChainReport:
     """Recompute every edge exactly; with require_psi also demand the
     imaginary pairing be nonzero on each edge."""
-    has_i = isinstance(c.field, QuadExt) and c.field.d == -1
+    has_i = is_f_of_i(c.field)
     if require_psi and not has_i:
         raise NoImaginaryPresentation(
             f"{c.field} has no i presentation for psi certificates")
@@ -110,7 +112,7 @@ def verify_chain(c: Chain, *, require_psi: bool = False) -> ChainReport:
 def _strip_imaginary(s: Point, t: Point):
     """Move points given over F(i) with zero imaginary parts down to F."""
     k = s.tower
-    if isinstance(k, QuadExt) and k.d == -1:
+    if is_f_of_i(k):
         coords = []
         for e in (s.x1, s.x2, t.x1, t.x2):
             re, im = re_im(e)
@@ -123,6 +125,21 @@ def _strip_imaginary(s: Point, t: Point):
 
 def _lift_point(p: Point, field: FieldTower) -> Point:
     return Point(field(p.x1), field(p.x2))
+
+
+def _two_step(s: Point, t: Point, h: FieldElement) -> Chain:
+    """S -> M -> T over h's field, M at height h*|ST| off the midpoint.
+
+    Both edges are unit when h^2 = (4 - D) / (4 D) for D = phi(S, T), so
+    the closure needs that square root only, no sqrt(D).
+    """
+    k = h.tower
+    s, t = _lift_point(s, k), _lift_point(t, k)
+    diff = t - s
+    half = k(Fraction(1, 2))
+    mid = Point(s.x1 + half * diff.x1, s.x2 + half * diff.x2)
+    m = Point(mid.x1 - h * diff.x2, mid.x2 + h * diff.x1)
+    return Chain([s, m, t], k, reported_edge_bound=2)
 
 
 STEP_BUDGET = 10_000
@@ -147,15 +164,7 @@ def _auto_extend_chain(s: Point, t: Point, budget: int = STEP_BUDGET) -> Chain:
     while real_sign(dist2 - (steps_along + 2) ** 2) > 0:
         steps_along += 1
     if steps_along == 0:
-        # close S -> M -> T directly; the circle-intersection height only
-        # needs sqrt((4 - D) / (4 D)), no sqrt(D)
-        k2, h = ensure_sqrt(k, (4 - dist2) / (4 * dist2))
-        s2, t2 = _lift_point(s, k2), _lift_point(t, k2)
-        diff = t2 - s2
-        half = k2(Fraction(1, 2))
-        mid = Point(s2.x1 + half * diff.x1, s2.x2 + half * diff.x2)
-        m = Point(mid.x1 - h * diff.x2, mid.x2 + h * diff.x1)
-        return Chain([s2, m, t2], k2, reported_edge_bound=2)
+        return _two_step(s, t, ensure_sqrt(k, (4 - dist2) / (4 * dist2))[1])
     k1, root = ensure_sqrt(k, dist2)
     s1, t1 = _lift_point(s, k1), _lift_point(t, k1)
     diff = t1 - s1
@@ -296,30 +305,16 @@ def _rational_only_chain(s: Point, t: Point, budget: int) -> Chain:
     dist2 = v1 * v1 + v2 * v2
     if dist2 == 1:
         return Chain([s, t], Q, reported_edge_bound=1)
-    if dist2 <= 4:
-        two_step = _try_two_step(s, t, v1, v2, dist2)
-        if two_step is not None:
-            return two_step
+    # None when (4 - D) / (4 D) is no rational square, so for every D > 4
+    h = sqrt_in_field(Q((4 - dist2) / (4 * dist2)))
+    if h is not None:
+        return _two_step(s, t, h)
     steps = _rational_chain_steps(v1, v2, factors, budget)
     pts = [s]
     for dx, dy in steps:
         pts.append(Point(pts[-1].x1 + Q(dx), pts[-1].x2 + Q(dy)))
     assert pts[-1] == t, "constructive steps failed to land on the target"
     return Chain(pts, Q, reported_edge_bound=len(steps))
-
-
-def _try_two_step(s: Point, t: Point, v1: Fraction, v2: Fraction,
-                  dist2: Fraction) -> Chain | None:
-    # midpoint circle intersection is rational iff (4 - r^2)/r^2 is a square
-    ratio = (4 - dist2) / dist2
-    num, den = ratio.numerator, ratio.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn != num or rd * rd != den:
-        return None
-    half_s = Fraction(rn, rd) / 2
-    mid = Point(s.x1 + Q(v1 / 2), s.x2 + Q(v2 / 2))
-    m = Point(mid.x1 - Q(half_s * v2), mid.x2 + Q(half_s * v1))
-    return Chain([s, m, t], Q, reported_edge_bound=2)
 
 
 def build_real_chain(s: Point, t: Point, mode: str = "auto_extend", *,
@@ -359,7 +354,7 @@ def build_lemma3_chain(x: Point) -> tuple[Chain, list[EdgeRecord]]:
     than STEP_BUDGET steps raises SearchExhausted.
     """
     k = x.tower
-    if not (isinstance(k, QuadExt) and k.d == -1):
+    if not is_f_of_i(k):
         raise NoImaginaryPresentation(f"{k} must be presented as F(i)")
     a1, b1 = re_im(x.x1)
     a2, b2 = re_im(x.x2)

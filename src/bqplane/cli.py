@@ -33,8 +33,8 @@ from .fields import (
     LevelConjugation,
     PrimeField,
     Q,
-    QuadExt,
     imaginary_unit,
+    is_f_of_i,
     is_real_tower,
     sample_domain,
     tower_levels,
@@ -123,7 +123,7 @@ def _run_verify_identities(args, k) -> RunReport:
 
 def _prep_chain(args):
     k = parse_field(args.field)
-    real = k.base if isinstance(k, QuadExt) and k.d == -1 else k  # drops a top [i]
+    real = k.base if is_f_of_i(k) else k  # drops a top [i]
     if args.mode == "rational" and real != Q:
         raise FieldMismatch(f"rational chains need the field Q or Q[i], not {k}")
     if args.mode == "auto" and not is_real_tower(real):
@@ -160,7 +160,7 @@ def _run_chain(args, prepared) -> RunReport:
 
 def _prep_lemma3(args):
     k = parse_field(args.field)
-    if not (isinstance(k, QuadExt) and k.d == -1):
+    if not is_f_of_i(k):
         raise NoImaginaryPresentation(f"{k} must be presented as F(i)")
     return k, parse_point(args.point, k)
 

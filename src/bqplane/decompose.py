@@ -55,11 +55,11 @@ from .fields import (
     FieldTower,
     LevelConjugation,
     PrimeField,
-    QuadExt,
     apply_hom,
     basis_monomials,
     catalog_homomorphisms,
     imaginary_unit,
+    is_f_of_i,
     probe_elements,
 )
 from .geometry import Point, all_points, eta, lambda_map, phi, point, random_point, xi
@@ -297,7 +297,7 @@ def detect_branch(g, k: FieldTower) -> str:
     """Which homomorphic extension the normalized map follows at (i, i):
     "theta" keeps i, "zeta" conjugates it.  Any other image proves the
     map is not a unit-distance preserver."""
-    if not (isinstance(k, QuadExt) and k.d == -1):
+    if not is_f_of_i(k):
         raise NoImaginaryPresentation(f"{k} has no F(i) presentation")
     i0 = imaginary_unit(k)
     img = _oracle(g)(Point(i0, i0))
@@ -333,7 +333,7 @@ def decompose(f, k: FieldTower, domain: DomainSpec = EXHAUSTIVE
 
     ext = extract_homomorphism(g, k, domain)
     branch = "not_applicable"
-    if isinstance(k, QuadExt) and k.d == -1:
+    if is_f_of_i(k):
         branch = detect_branch(g, k)
     return DecompositionResult(normalizer, ext.hom, branch, domain, k)
 
@@ -411,7 +411,7 @@ def decompose_lorentz(f, k: FieldTower, domain: DomainSpec = EXHAUSTIVE
                 f"case-{case} reconstruction disagrees at ({x.x1}, {x.x2})",
                 witness=x)
     branch = "not_applicable"
-    if isinstance(k, QuadExt) and k.d == -1:
+    if is_f_of_i(k):
         branch = "theta" if apply_hom(sigma, i0) == i0 else "zeta"
     return DecompositionResult(invert(SemiAffineMap(outer)), sigma, branch, domain, k,
                                route="lorentz", lorentz_case=case,

@@ -4,10 +4,12 @@ Three kinds of field are supported: the rationals Q, prime fields GF(p)
 with p prime, p = 1 mod 4 and p != 5, and towers of quadratic
 extensions built over Q by repeatedly adjoining a square root of a
 non-square.  Elements carry canonical representations with decidable
-equality (an element of a depth-k tower is 2^k integer numerators over
-one positive denominator), so every geometric identity downstream is
-checked exactly; no floating point is used anywhere.  The real order of
-a real tower is the exact ``real_sign``.
+equality: an element of a depth-k tower is 2^k integer numerators over
+one positive denominator, and Q is the depth-0 tower, one numerator
+over a positive denominator, so Q and its towers share one kernel.
+Every geometric identity downstream is checked exactly; no floating
+point is used anywhere.  The real order of a real tower is the exact
+``real_sign``.
 
 Field homomorphisms of a tower are generated by "level conjugations",
 the maps that negate the coefficient of one adjoined radical.  They
@@ -48,10 +50,10 @@ EXCLUDED_CHARACTERISTICS = (2, 3, 5)
 class FieldElement:
     """An element of a FieldTower, wrapping a canonical representation.
 
-    Representations: Fraction over Q, a residue int over GF(p), and a
-    TowerRep (integer numerators over one denominator) over a tower of
-    quadratic extensions.  Canonical representations make ``==`` and
-    ``hash`` structural.
+    Representations: a residue int over GF(p), and a TowerRep (2^depth
+    integer numerators over one denominator) over Q, the depth-0 tower,
+    and its towers of quadratic extensions.  Canonical representations
+    make ``==`` and ``hash`` structural.
     """
 
     __slots__ = ("tower", "rep")
@@ -179,52 +181,6 @@ class FieldTower:
         return self.describe()
 
 
-class Rationals(FieldTower):
-    """The rational numbers with fractions.Fraction representations."""
-
-    characteristic = 0
-    zero_rep = Fraction(0)
-    one_rep = Fraction(1)
-
-    def _coerce(self, v):
-        if isinstance(v, Fraction):
-            return v
-        if isinstance(v, int):
-            return Fraction(v)
-        raise TypeError(f"cannot coerce {v!r} into Q")
-
-    def _add(self, a, b):
-        return a + b
-
-    def _sub(self, a, b):
-        return a - b
-
-    def _neg(self, a):
-        return -a
-
-    def _mul(self, a, b):
-        return a * b
-
-    def _inv(self, a):
-        if not a:
-            raise DivisionByZero("division by zero in Q")
-        return 1 / a
-
-    def _is_zero(self, a):
-        return not a
-
-    def describe(self):
-        return "Q"
-
-    def __eq__(self, other):
-        if isinstance(other, FieldTower):
-            return isinstance(other, Rationals)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash("bqplane.Q")
-
-
 class PrimeField(FieldTower):
     """GF(p) with residue representations in [0, p).
 
@@ -300,12 +256,14 @@ class PrimeField(FieldTower):
 
 
 class TowerRep:
-    """Canonical representation of an element of a tower of depth k >= 1.
+    """Canonical representation of an element of a tower of depth k >= 0
+    (Q is depth 0).
 
     ``nums`` holds 2^k integer numerators in ``coeff_vector`` order over
     the one positive denominator ``den``, reduced by their joint gcd, so
-    equal elements have equal reps.  ``rep[0]`` and ``rep[1]`` are the
-    canonical base representations of a and b in x = a + b*r.
+    equal elements have equal reps.  At depth k >= 1, ``rep[0]`` and
+    ``rep[1]`` are the canonical base representations of a and b in
+    x = a + b*r.
     """
 
     __slots__ = ("nums", "den")
@@ -324,27 +282,25 @@ class TowerRep:
         return hash((self.nums, self.den))
 
 
-def _reduced(nums, den: int):
-    """The canonical rep of nums / den, den > 0 (a Fraction for one numerator)."""
-    if len(nums) == 1:
-        return Fraction(nums[0], den)
+def _reduced(nums, den: int) -> TowerRep:
+    """The canonical rep of nums / den, den > 0."""
     g = math.gcd(den, *nums)
     if g == 1:
         return TowerRep(tuple(nums), den)
     return TowerRep(tuple(n // g for n in nums), den // g)
 
 
-def _parts(rep) -> tuple[tuple, int]:
-    """Numerators and denominator of a characteristic-0 rep."""
-    if isinstance(rep, Fraction):
-        return (rep.numerator,), rep.denominator
-    return rep.nums, rep.den
-
-
 def _halves(rep: TowerRep):
     """The canonical base reps of a and b in the element a + b*r."""
     h = len(rep.nums) >> 1
     return _reduced(rep.nums[:h], rep.den), _reduced(rep.nums[h:], rep.den)
+
+
+def _join(a: TowerRep, b: TowerRep) -> TowerRep:
+    """The rep of a + b*r from the base reps a and b (inverse of _halves)."""
+    g = math.gcd(a.den, b.den)
+    fa, fb = b.den // g, a.den // g
+    return _reduced([n * fa for n in a.nums] + [n * fb for n in b.nums], a.den * fa)
 
 
 def _combine(h: int, *terms) -> list[int]:
@@ -357,15 +313,77 @@ def _combine(h: int, *terms) -> list[int]:
     return [0] * h if out is None else out
 
 
-class QuadExt(FieldTower):
+class FlatTower(FieldTower):
+    """Q and the towers of quadratic extensions over it, whose elements
+    are TowerReps: Q is the depth-0 tower of one numerator.
+
+    Subclasses supply ``_imul(x, y)``, the product of two numerator
+    vectors times ``_prod_scale``, and ``_inv``.
+    """
+
+    characteristic = 0
+    zero_rep = TowerRep((0,), 1)
+    one_rep = TowerRep((1,), 1)
+    _pad = ()
+    _prod_scale = 1
+
+    def _coerce(self, v):
+        if not isinstance(v, (int, Fraction)):
+            raise TypeError(f"cannot coerce {v!r} into {self}")
+        return TowerRep((v.numerator,) + self._pad, v.denominator)
+
+    def _add(self, a, b, sign: int = 1):
+        ad, bd = a.den, b.den
+        if ad == bd:
+            return _reduced([p + sign * q for p, q in zip(a.nums, b.nums)], ad)
+        g = math.gcd(ad, bd)
+        fa, fb = bd // g, sign * ad // g
+        return _reduced([p * fa + q * fb for p, q in zip(a.nums, b.nums)], ad * fa)
+
+    def _sub(self, a, b):
+        return self._add(a, b, -1)
+
+    def _neg(self, a):
+        return TowerRep(tuple(-p for p in a.nums), a.den)
+
+    def _mul(self, a, b):
+        return _reduced(self._imul(a.nums, b.nums), a.den * b.den * self._prod_scale)
+
+    def _is_zero(self, a):
+        return not any(a.nums)
+
+
+class Rationals(FlatTower):
+    """The rational numbers, the depth-0 flat tower."""
+
+    def _imul(self, x, y) -> list[int]:
+        return [x[0] * y[0]]
+
+    def _inv(self, a):
+        (n,), d = a.nums, a.den
+        if not n:
+            raise DivisionByZero("division by zero in Q")
+        return TowerRep((d,), n) if n > 0 else TowerRep((-d,), -n)
+
+    def describe(self):
+        return "Q"
+
+    def __eq__(self, other):
+        if isinstance(other, FieldTower):
+            return isinstance(other, Rationals)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash("bqplane.Q")
+
+
+class QuadExt(FlatTower):
     """Quadratic extension base(sqrt(d)) with TowerRep representations.
 
     The radicand d must be a nonzero non-square of the base; the base
     must have characteristic 0 (extensions of GF(p) are out of scope).
     ``level`` is the 1-based position of this adjunction in the tower.
     """
-
-    characteristic = 0
 
     def __init__(self, base: FieldTower, d):
         if base.characteristic != 0:
@@ -385,31 +403,13 @@ class QuadExt(FieldTower):
         # _imul(x, y) is x*y times _prod_scale for numerator vectors.  With
         # d = dn/dd its low half is _lo_scale*x0*y0 + dn*x1*y1, and a rational
         # radicand (dn one int) scales the vector instead of multiplying it.
-        dn, dd = _parts(d.rep)
+        dn, dd = d.rep.nums, d.rep.den
         nested = any(dn[1:])
-        inner = base._prod_scale if isinstance(base, QuadExt) else 1
+        inner = base._prod_scale
         self._d_nums = dn if nested else dn[0]
         self._lo_scale = dd * inner if nested else dd
         self._prod_scale = self._lo_scale * inner
         self._hash = hash(("bqplane.QuadExt", hash(base), d.rep))
-
-    def _coerce(self, v):
-        v = Q._coerce(v)
-        return TowerRep((v.numerator,) + self._pad, v.denominator)
-
-    def _add(self, a, b, sign: int = 1):
-        ad, bd = a.den, b.den
-        if ad == bd:
-            return _reduced([p + sign * q for p, q in zip(a.nums, b.nums)], ad)
-        g = math.gcd(ad, bd)
-        fa, fb = bd // g, sign * ad // g
-        return _reduced([p * fa + q * fb for p, q in zip(a.nums, b.nums)], ad * fa)
-
-    def _sub(self, a, b):
-        return self._add(a, b, -1)
-
-    def _neg(self, a):
-        return TowerRep(tuple(-p for p in a.nums), a.den)
 
     def _imul(self, x, y) -> list[int]:
         # (x0 + x1 r)(y0 + y1 r) = (x0 y0 + d x1 y1) + (x0 y1 + x1 y0) r,
@@ -430,9 +430,6 @@ class QuadExt(FieldTower):
         return lo + _combine(h, (c, base._imul(x0, y1) if nx0 and ny1 else None),
                              (c, base._imul(x1, y0) if nx1 and ny0 else None))
 
-    def _mul(self, a, b):
-        return _reduced(self._imul(a.nums, b.nums), a.den * b.den * self._prod_scale)
-
     def _inv(self, a):
         # 1/x = conj(x) / (x conj(x)) with conj negating the top radical;
         # the norm x conj(x) lies in the base and vanishes only at zero
@@ -445,12 +442,10 @@ class QuadExt(FieldTower):
             conj, norm = None, x[:h]
         else:
             raise DivisionByZero(f"division by zero in {self}")
-        w, e = _parts(self.base._inv(_reduced(norm, 1)))
+        inv = self.base._inv(_reduced(norm, 1))
+        w, e = inv.nums, inv.den
         nums = w + (0,) * h if conj is None else self._imul(conj, w + (0,) * h)
         return _reduced([a.den * n for n in nums], e)
-
-    def _is_zero(self, a):
-        return not any(a.nums)
 
     @property
     def radical(self) -> FieldElement:
@@ -501,8 +496,8 @@ def embed(x: FieldElement, target: FieldTower) -> FieldElement:
         if not isinstance(t, QuadExt):
             raise FieldMismatch(f"{target} does not extend {x.tower}")
         t = t.base
-    nums, den = _parts(x.rep)
-    return FieldElement(target, _reduced(nums + (0,) * ((1 << target.depth) - len(nums)), den))
+    nums, den = x.rep.nums, x.rep.den
+    return FieldElement(target, TowerRep(nums + (0,) * ((1 << target.depth) - len(nums)), den))
 
 
 # ----------------------------------------------------------- square roots
@@ -513,12 +508,9 @@ def coeff_vector(x: FieldElement) -> list[Fraction]:
     Index i holds the coefficient of the product of the radicals at the
     levels L with bit L-1 set in i.
     """
-    k = x.tower
-    if isinstance(k, Rationals):
-        return [x.rep]
-    if isinstance(k, QuadExt):
-        return [Fraction(n, x.rep.den) for n in x.rep.nums]
-    raise TypeError(f"{k} has no rational coefficient vector")
+    if isinstance(x.tower, PrimeField):
+        raise TypeError(f"{x.tower} has no rational coefficient vector")
+    return [Fraction(n, x.rep.den) for n in x.rep.nums]
 
 
 def from_coeff_vector(k: FieldTower, vec) -> FieldElement:
@@ -546,27 +538,27 @@ def sqrt_in_field(x: FieldElement) -> FieldElement | None:
     """
     k = x.tower
     if isinstance(k, Rationals):
-        v = x.rep
-        if v < 0:
+        (num,), den = x.rep.nums, x.rep.den
+        if num < 0:
             return None
-        num, den = v.numerator, v.denominator
         rn, rd = math.isqrt(num), math.isqrt(den)
         if rn * rn == num and rd * rd == den:
-            return FieldElement(k, Fraction(rn, rd))
+            return FieldElement(k, TowerRep((rn,), rd))
         return None
     if isinstance(k, PrimeField):
         r = sqrt_mod(x.rep, k.p)
         return None if r is None else k(r)
     if isinstance(k, QuadExt):
         base = k.base
+        zero = base.zero_rep
         a, b = (FieldElement(base, h) for h in _halves(x.rep))
         if b.is_zero:
             ra = sqrt_in_field(a)
             if ra is not None:
-                return _canonical_sign(k(ra))
+                return _canonical_sign(FieldElement(k, _join(ra.rep, zero)))
             rb = sqrt_in_field(a / k.d)
             if rb is not None:
-                return _canonical_sign(k(rb) * k.radical)
+                return _canonical_sign(FieldElement(k, _join(zero, rb.rep)))
             return None
         # (u + v r)^2 = x forces u^2 = (a +/- s)/2 with s^2 = a^2 - d b^2.
         s = sqrt_in_field(a * a - k.d * b * b)
@@ -576,7 +568,7 @@ def sqrt_in_field(x: FieldElement) -> FieldElement | None:
             u = sqrt_in_field((a + cand) / 2)
             if u is not None and not u.is_zero:
                 v = b / (2 * u)
-                root = k(u) + k(v) * k.radical
+                root = FieldElement(k, _join(u.rep, v.rep))
                 if root * root == x:
                     return _canonical_sign(root)
         return None
@@ -593,15 +585,21 @@ def imaginary_unit(k: FieldTower) -> FieldElement | None:
     """
     if isinstance(k, PrimeField):
         return k._i
-    if isinstance(k, QuadExt) and k.d == -1:
+    if is_f_of_i(k):
         return k.radical
     return None
+
+
+def is_f_of_i(k: FieldTower) -> bool:
+    """True when k is presented as F(i): a tower whose top adjunction is
+    sqrt(-1), over the real subfield F = k.base."""
+    return isinstance(k, QuadExt) and k.d == -1
 
 
 def re_im(x: FieldElement) -> tuple[FieldElement, FieldElement]:
     """Split x = a + b*i over the real subfield of a tower topped by i."""
     k = x.tower
-    if not (isinstance(k, QuadExt) and k.d == -1):
+    if not is_f_of_i(k):
         raise NoImaginaryPresentation(
             f"{k} is not presented as a real tower extended by i")
     return tuple(FieldElement(k.base, h) for h in _halves(x.rep))
@@ -618,11 +616,7 @@ def rational_value(x: FieldElement) -> Fraction:
 
 def is_real_tower(k: FieldTower) -> bool:
     """True when every radicand is a positive real (so k orders into R)."""
-    if isinstance(k, Rationals):
-        return True
-    if isinstance(k, QuadExt):
-        return is_real_tower(k.base) and real_sign(k.d) > 0
-    return False
+    return isinstance(k, FlatTower) and all(real_sign(layer.d) > 0 for layer in tower_levels(k))
 
 
 def real_sign(x: FieldElement) -> int:
@@ -632,7 +626,8 @@ def real_sign(x: FieldElement) -> int:
     one level down."""
     k = x.tower
     if isinstance(k, Rationals):
-        return (x.rep > 0) - (x.rep < 0)
+        n = x.rep.nums[0]
+        return (n > 0) - (n < 0)
     if not (isinstance(k, QuadExt) and real_sign(k.d) > 0):
         raise FieldMismatch(f"{k} has no real embedding")
     a, b = (FieldElement(k.base, h) for h in _halves(x.rep))
@@ -842,13 +837,9 @@ def random_element(k: FieldTower, rng: random.Random) -> FieldElement:
     RANDOM_SIZE."""
     if isinstance(k, PrimeField):
         return k(rng.randrange(k.p))
-    if isinstance(k, Rationals):
-        return k(Fraction(rng.randint(-RANDOM_SIZE, RANDOM_SIZE),
-                          rng.randint(1, RANDOM_SIZE)))
-    if isinstance(k, QuadExt):
-        return from_coeff_vector(k, [random_element(Q, rng).rep
-                                     for _ in range(1 << k.depth)])
-    raise TypeError(f"unsupported field {k}")
+    return from_coeff_vector(k, [Fraction(rng.randint(-RANDOM_SIZE, RANDOM_SIZE),
+                                          rng.randint(1, RANDOM_SIZE))
+                                 for _ in range(1 << k.depth)])
 
 
 def basis_monomials(k: FieldTower) -> list[FieldElement]:

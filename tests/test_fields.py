@@ -39,6 +39,7 @@ from bqplane.fields import (
     from_coeff_vector,
     hom_check,
     imaginary_unit,
+    is_f_of_i,
     probe_elements,
     random_element,
     re_im,
@@ -470,11 +471,49 @@ class TestLevelSetCatalog:
 
 # ---------------------------------------------------- Fraction-tree oracle
 #
-# The tower kernel before flat integer reps: a pair (a, b) of base reps
-# per level with Fraction leaves, the schoolbook product with every
-# product of a zero half left out, and rational radicands scaling the
-# leaves instead of multiplying.  ``_tree_tower(k)`` mirrors a tower with
-# this kernel; its elements are FieldElements, so the operators run it.
+# The characteristic-0 kernel before flat integer reps: Q on Fraction
+# reps (``_FQ``), and over it a pair (a, b) of base reps per level, the
+# schoolbook product with every product of a zero half left out, and
+# rational radicands scaling the leaves instead of multiplying.
+# ``_tree_tower(k)`` mirrors a tower (Q included) with this kernel; its
+# elements are FieldElements, so the operators run it.
+
+class _FractionQ(FieldTower):
+    characteristic = 0
+    zero_rep = Fraction(0)
+    one_rep = Fraction(1)
+
+    def _coerce(self, v):
+        if isinstance(v, (int, Fraction)):
+            return Fraction(v)
+        raise TypeError(f"cannot coerce {v!r} into Q")
+
+    def _add(self, a, b):
+        return a + b
+
+    def _sub(self, a, b):
+        return a - b
+
+    def _neg(self, a):
+        return -a
+
+    def _mul(self, a, b):
+        return a * b
+
+    def _inv(self, a):
+        if not a:
+            raise DivisionByZero("division by zero in Q")
+        return 1 / a
+
+    def _is_zero(self, a):
+        return not a
+
+    def describe(self):
+        return "Q"
+
+
+_FQ = _FractionQ()
+
 
 class _TreeExt(FieldTower):
     characteristic = 0
@@ -543,7 +582,7 @@ class _TreeExt(FieldTower):
 
 
 def _scale(k, rep, q):
-    return rep * q if k is Q else k._scale(rep, q)
+    return rep * q if k is _FQ else k._scale(rep, q)
 
 
 _TREE_TOWERS = {}
@@ -551,7 +590,7 @@ _TREE_TOWERS = {}
 
 def _tree_tower(k):
     if not isinstance(k, QuadExt):
-        return k
+        return _FQ
     if k not in _TREE_TOWERS:
         base = _tree_tower(k.base)
         _TREE_TOWERS[k] = _TreeExt(base, _to_tree(base, coeff_vector(k.d)))
@@ -622,7 +661,13 @@ def _tree_canonical_sign(y):
 def _tree_sqrt(y):
     t = y.tower
     if not isinstance(t, _TreeExt):
-        return sqrt_in_field(y)
+        v = y.rep
+        if v < 0:
+            return None
+        rn, rd = math.isqrt(v.numerator), math.isqrt(v.denominator)
+        if rn * rn == v.numerator and rd * rd == v.denominator:
+            return FieldElement(t, Fraction(rn, rd))
+        return None
     a, b = _tree_halves(y)
     if b.is_zero:
         ra = _tree_sqrt(a)
@@ -647,7 +692,7 @@ def _tree_sqrt(y):
 def _tree_real_sign(y):
     t = y.tower
     if not isinstance(t, _TreeExt):
-        return real_sign(y)
+        return (y.rep > 0) - (y.rep < 0)
     a, b = _tree_halves(y)
     sa, sb = _tree_real_sign(a), _tree_real_sign(b)
     if sa == sb or sb == 0:
@@ -657,8 +702,9 @@ def _tree_real_sign(y):
     return sa * _tree_real_sign(a * a - b * b * t.d)
 
 
-# Depth 1-6: rational radicands, nested ones and [i] on top.
+# Depth 0-6: Q, rational radicands, nested ones and [i] on top.
 KERNEL_TOWERS = [
+    "Q",
     "Q[sqrt 2]",
     "Q[i]",
     "Q[sqrt 2][i]",
@@ -707,7 +753,7 @@ def _assert_matches(x, y):
 
 
 def _real_subfield(k):
-    return k.base if k.d == -1 else k
+    return k.base if is_f_of_i(k) else k
 
 
 class TestSparseKernel:
@@ -726,15 +772,14 @@ class TestSparseKernel:
         square = a * a
         _assert_matches(sqrt_in_field(square), _tree_sqrt(ta * ta))
         _assert_matches(sqrt_in_field(a), _tree_sqrt(ta))
-        h = LevelConjugation(*data.draw(st.sets(st.integers(1, k.depth))))
+        levels = st.sets(st.integers(1, k.depth)) if k.depth else st.just(())
+        h = LevelConjugation(*data.draw(levels))
         _assert_matches(apply_hom(h, a), _tree_apply_hom(h, ta))
         low = data.draw(st.sampled_from([Q] + tower_levels(k)))
         c = data.draw(sparse_elements(low)) if low is not Q else Q(data.draw(fractions))
         _assert_matches(embed(c, k), _tree_embed(_tree(c), _tree_tower(k)))
-        real = _real_subfield(k)
-        if isinstance(real, QuadExt):
-            e = data.draw(sparse_elements(real))
-            assert real_sign(e) == _tree_real_sign(_tree(e))
+        e = data.draw(sparse_elements(_real_subfield(k)))
+        assert real_sign(e) == _tree_real_sign(_tree(e))
 
     def test_distinct_towers_differ(self):
         built = [_built_once(spec) for spec in KERNEL_TOWERS]
@@ -742,7 +787,8 @@ class TestSparseKernel:
             for other in built[n + 1:]:
                 assert k != other and not k == other
 
-    @pytest.mark.parametrize("spec", KERNEL_TOWERS)
+    # Q is one object; only extensions are built anew by parse_field.
+    @pytest.mark.parametrize("spec", KERNEL_TOWERS[1:])
     @given(data=st.data())
     def test_tower_built_twice(self, spec, data):
         once, again = _built_once(spec), parse_field(spec)
@@ -766,7 +812,7 @@ def real_value(x: FieldElement) -> float:
         a = real_value(FieldElement(k.base, x.rep[0]))
         b = real_value(FieldElement(k.base, x.rep[1]))
         return a + b * math.sqrt(real_value(k.d))
-    return float(x.rep)
+    return float(coeff_vector(x)[0])
 
 
 class TestRealSign:
