@@ -4,13 +4,13 @@ coordinatewise field homomorphism.
 
 Two independent routes produce the same certified triple (J, gamma,
 branch).  The frame route normalizes by the affine-orthogonal map J
-sending the images of (0,0), (1,0), (0,1) back to the canonical frame,
-then reads gamma off the normalized map and checks the homomorphism laws
-and the product form directly.  The Lorentz route conjugates by the
-xi/eta change of coordinates, rescales by lambda(a), splits the kept
-from the swapped product form, and rebuilds the map from the case
-matrices; it never touches the frame construction.  Agreement of the two
-routes on a domain is therefore meaningful evidence, not a tautology.
+sending the images of (0,0), (1,0), (0,1) back to the canonical frame
+and reads gamma off the normalized map.  The Lorentz route conjugates by
+the xi/eta change of coordinates, rescales by lambda(a), splits the kept
+from the swapped product form, reads gamma off the surviving coordinate
+and rebuilds the map from the case matrices; it never touches the frame
+construction.  Agreement of the two routes on a domain is therefore
+meaningful evidence, not a tautology.
 
 ``search_unit_preservers`` closes the loop over a finite plane: it
 enumerates every self-map of GF(p)^2 that preserves unit distance by
@@ -19,16 +19,16 @@ the decomposition.  A find that fails to decompose would falsify the
 canonical-form claim at that prime; it is reported as an anomaly with a
 full witness table, never discarded.
 
-Both routes compute their normal form the same way over every field:
-the frame route through ``normalizer_from_images``, the Lorentz route
-through ``xi``/``eta``/``lambda_map`` and the case matrices.  The field
-only picks how the result is verified.  Finite fields are verified
-exhaustively by scans of raw index tables (idx = x1*p + x2) in machine
-integers: the homomorphism law table, the coordinatewise scan, and the
-comparison of the rebuilt map with the input on every point.  Over
-infinite towers "verified" means: on the seeded probe set described by
-the DomainSpec (basis monomials, their pairwise sums and products, then
-random elements), which is this library's documented evidence standard.
+Both routes end in the same two verification steps, shared over every
+field: one reader certifies gamma's laws (``_read_gamma``), and one scan
+checks that f equals the rebuilt normal form (``_first_disagreement``).
+Only the verified domain picks how they run.  GF(p) is verified
+exhaustively in machine integers: the law table of the p residues, then
+the raw index tables (idx = x1*p + x2) of f and the normal form, compared
+in row-major order.  Over infinite towers "verified" means: on the
+seeded probe set described by the DomainSpec (basis monomials, their
+pairwise sums and products, then random elements), which is this
+library's documented evidence standard.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from .fields import (
     is_f_of_i,
     probe_elements,
 )
-from .geometry import Point, all_points, eta, lambda_map, phi, point, random_point, xi
+from .geometry import Point, eta, lambda_map, phi, point, random_point, xi
 from .maps import (
     AffineMap,
     MapTable,
@@ -73,6 +73,7 @@ from .maps import (
     lorentz_case2_matrix,
     raw_image_table,
     table_from_raw,
+    unit_circle,
 )
 
 # ------------------------------------------------------------- results
@@ -114,16 +115,6 @@ class DecompositionResult:
         return rec
 
 
-@dataclass
-class HomExtraction:
-    """Outcome of reading a homomorphism off a normalized map."""
-
-    hom: LevelConjugation
-    law_pairs: int
-    points_checked: int
-    complete: bool
-
-
 def _oracle(f):
     if callable(f):
         return f
@@ -152,59 +143,47 @@ def normalizer_from_images(f0: Point, f1: Point, f2: Point) -> SemiAffineMap:
     return SemiAffineMap(AffineMap(q, Point(-shift.x1, -shift.x2)))
 
 
-# ------------------------------------------------ homomorphism reading
+# ------------------------------------------------------ verification
 
-def _check_prime_hom_table(table: list[int], k: PrimeField) -> int:
-    """Exhaustive law check of a GF(p) value table.  A table that is
-    additive, multiplicative, and unital is necessarily the identity."""
-    p = k.p
-    if table[1] != 1:
-        raise NotAHomomorphism("gamma(1) != 1", witness=k.one)
-    for x in range(p):
-        gx = table[x]
-        for y in range(p):
-            if table[(x + y) % p] != (gx + table[y]) % p:
-                raise NotAHomomorphism(
-                    f"additivity fails at ({x}, {y})", witness=(k(x), k(y)))
-            if table[x * y % p] != gx * table[y] % p:
-                raise NotAHomomorphism(
-                    f"multiplicativity fails at ({x}, {y})", witness=(k(x), k(y)))
-    assert table == list(range(p)), "lawful unital table must be the identity"
-    return p * p
-
-
-def _prime_hom_scan(raw: list[int], k: PrimeField) -> int:
-    """Exhaustive reading of a normalized GF(p) map from its raw index
-    table (idx = x1*p + x2): the law table of gamma(x) = g((x, 0)).x1,
-    then the coordinatewise scan in row-major order.  The lawful gamma is
-    the identity, so coordinatewise means every point is fixed.  Returns
-    the law pairs checked."""
-    p = k.p
-    law_pairs = _check_prime_hom_table([raw[x * p] // p for x in range(p)], k)
-    for idx, img in enumerate(raw):
-        if img != idx:
-            (x1, x2), (ia, ib) = divmod(idx, p), divmod(img, p)
-            raise ProductFormViolation(
-                f"normalized map sends ({x1}, {x2}) to ({ia}, {ib}), "
-                "not coordinatewise", witness=point(k, x1, x2))
-    return law_pairs
-
-
-def _check_domain(domain: DomainSpec, k: FieldTower) -> None:
-    """An exhaustive domain needs a finite field (FieldNotFinite
-    otherwise) and a sampled one at least one probe; a decomposition
-    verified on nothing is no verdict."""
+def _verified_domain(domain: DomainSpec, k: FieldTower) -> DomainSpec:
+    """The domain a decomposition over k is verified on: every point of
+    GF(p) whatever was asked for, else the requested sample.  An
+    exhaustive domain over a tower is refused (FieldNotFinite), and so
+    is an empty sample: a decomposition verified on nothing is no
+    verdict."""
     if not domain.exhaustive_over(k) and domain.samples < 1:
         raise ValueError(
             f"a sampled domain needs at least 1 sample, got {domain.samples}")
+    return EXHAUSTIVE if isinstance(k, PrimeField) else domain
 
 
-def _tower_hom_from_eval(gamma_eval, k: FieldTower, domain: DomainSpec
-                         ) -> tuple[LevelConjugation, int]:
-    """Probe-set extraction over an infinite tower: law spot checks with
-    genuine witnesses, then a catalog match pinned on the monomial basis
-    and re-verified on every probe.  The caller has refused an exhaustive
-    domain (k is infinite) and an empty sample."""
+def _read_gamma(gamma_eval, k: FieldTower, domain: DomainSpec) -> LevelConjugation:
+    """Read the homomorphism gamma off one coordinate map and certify its
+    laws on a verified domain.
+
+    Over GF(p) the law table of the p residues is checked exhaustively in
+    machine integers; a table that is additive, multiplicative and unital
+    is the identity.  Over a tower the laws are spot-checked on the
+    seeded probe set with genuine witnesses, then gamma is matched
+    against the catalog on the monomial basis and re-verified on every
+    probe.
+    """
+    if domain == EXHAUSTIVE:
+        p = k.p
+        table = [gamma_eval(k(x)).rep for x in range(p)]
+        if table[1] != 1:
+            raise NotAHomomorphism("gamma(1) != 1", witness=k.one)
+        for x in range(p):
+            gx = table[x]
+            for y in range(p):
+                if table[(x + y) % p] != (gx + table[y]) % p:
+                    raise NotAHomomorphism(
+                        f"additivity fails at ({x}, {y})", witness=(k(x), k(y)))
+                if table[x * y % p] != gx * table[y] % p:
+                    raise NotAHomomorphism(
+                        f"multiplicativity fails at ({x}, {y})", witness=(k(x), k(y)))
+        assert table == list(range(p)), "lawful unital table must be the identity"
+        return LevelConjugation()
     count = domain.samples
     rng = random.Random(domain.seed)
     probes = probe_elements(k, rng, count)
@@ -222,7 +201,6 @@ def _tower_hom_from_eval(gamma_eval, k: FieldTower, domain: DomainSpec
     one = k.one
     if ev(one) != one:
         raise NotAHomomorphism("gamma(1) != 1", witness=one)
-    pairs = 0
     for _ in range(count):
         x, y = rng.choice(probes), rng.choice(probes)
         if ev(x + y) != ev(x) + ev(y):
@@ -231,7 +209,6 @@ def _tower_hom_from_eval(gamma_eval, k: FieldTower, domain: DomainSpec
         if ev(x * y) != ev(x) * ev(y):
             raise NotAHomomorphism(
                 f"multiplicativity fails at ({x}, {y})", witness=(x, y))
-        pairs += 1
     monomials = basis_monomials(k)
     match = None
     for h in catalog_homomorphisms(k):
@@ -250,45 +227,20 @@ def _tower_hom_from_eval(gamma_eval, k: FieldTower, domain: DomainSpec
             raise NotAHomomorphism(
                 f"disagrees at {x} with the homomorphism fixed by its "
                 "generator images", witness=x)
-    return match, pairs
+    return match
 
 
-def extract_homomorphism(g, k: FieldTower, domain: DomainSpec = EXHAUSTIVE
-                         ) -> HomExtraction:
-    """Read gamma(x) := g((x, 0)).x1 off a normalized map, certify the
-    homomorphism laws, and check the product form g((x1,x2)) =
-    (gamma(x1), gamma(x2)).
-
-    Over a prime field the whole check is exhaustive and the only lawful
-    gamma is the identity.  Over towers the laws and the product form are
-    checked on the seeded probe set and gamma is matched against the
-    conjugation catalog.
-    """
-    _check_domain(domain, k)
-    ev = _oracle(g)
-    if isinstance(k, PrimeField):
-        law_pairs = _prime_hom_scan(raw_image_table(ev, k), k)
-        return HomExtraction(LevelConjugation(), law_pairs, k.p * k.p, True)
-    zero = k.zero
-
-    def gamma_eval(x: FieldElement) -> FieldElement:
-        return ev(Point(x, zero)).x1
-
-    hom, law_pairs = _tower_hom_from_eval(gamma_eval, k, domain)
-    rng = random.Random(domain.seed + 1)
-    count = domain.samples
-    probes = probe_elements(k, rng, count)
-    checked = 0
-    for _ in range(count):
-        pt = Point(rng.choice(probes), rng.choice(probes))
-        img = ev(pt)
-        want = Point(apply_hom(hom, pt.x1), apply_hom(hom, pt.x2))
-        if img != want:
-            raise ProductFormViolation(
-                f"g(({pt.x1}, {pt.x2})) = ({img.x1}, {img.x2}) "
-                "is not coordinatewise", witness=pt)
-        checked += 1
-    return HomExtraction(hom, law_pairs, checked, False)
+def _first_disagreement(want, got, k: FieldTower, domain: DomainSpec, draw
+                        ) -> Point | None:
+    """The first point of a verified domain where the maps ``want`` and
+    ``got`` differ, or None: over GF(p) in row-major order of their raw
+    index tables, over a tower among the points ``draw()`` yields (each
+    route seeds its own)."""
+    if domain == EXHAUSTIVE:
+        pairs = zip(raw_image_table(want, k), raw_image_table(got, k))
+        return next((point(k, *divmod(idx, k.p))
+                     for idx, (w, g) in enumerate(pairs) if w != g), None)
+    return next((x for x in draw() if want(x) != got(x)), None)
 
 
 # ------------------------------------------------------- branch probe
@@ -314,28 +266,38 @@ def detect_branch(g, k: FieldTower) -> str:
 def decompose(f, k: FieldTower, domain: DomainSpec = EXHAUSTIVE
               ) -> DecompositionResult:
     """Frame-route decomposition: build J from the images of the frame,
-    extract gamma from J composed with f, detect the branch when the
-    field presents i.  Prime fields are verified exhaustively regardless
-    of the requested domain."""
-    _check_domain(domain, k)
+    read gamma off J composed with f, check that f equals the rebuilt
+    normal form invert(J) o gamma, and detect the branch when the field
+    presents i.  Prime fields are verified exhaustively regardless of the
+    requested domain."""
+    domain = _verified_domain(domain, k)
     ev = _oracle(f)
     normalizer = normalizer_from_images(
         ev(point(k, 0, 0)), ev(point(k, 1, 0)), ev(point(k, 0, 1)))
-    if isinstance(k, PrimeField):
-        # on raw index tables, J composed with f is a lookup
-        j = raw_image_table(normalizer, k)
-        _prime_hom_scan([j[img] for img in raw_image_table(ev, k)], k)
-        return DecompositionResult(normalizer, LevelConjugation(),
-                                   "not_applicable", EXHAUSTIVE, k)
 
     def g(x: Point) -> Point:
         return normalizer(ev(x))
 
-    ext = extract_homomorphism(g, k, domain)
+    zero = k.zero
+    gamma = _read_gamma(lambda x: g(Point(x, zero)).x1, k, domain)
+
+    def draw():
+        rng = random.Random(domain.seed + 1)
+        probes = probe_elements(k, rng, domain.samples)
+        return (Point(rng.choice(probes), rng.choice(probes))
+                for _ in range(domain.samples))
+
+    recon = SemiAffineMap(invert(normalizer).outer, gamma)
+    x = _first_disagreement(recon, ev, k, domain, draw)
+    if x is not None:
+        y = g(x)
+        raise ProductFormViolation(
+            f"normalized map sends ({x.x1}, {x.x2}) to ({y.x1}, {y.x2}), "
+            "not coordinatewise", witness=x)
     branch = "not_applicable"
     if is_f_of_i(k):
         branch = detect_branch(g, k)
-    return DecompositionResult(normalizer, ext.hom, branch, domain, k)
+    return DecompositionResult(normalizer, gamma, branch, domain, k)
 
 
 # ---------------------------------------------------- Lorentz pipeline
@@ -353,7 +315,7 @@ def decompose_lorentz(f, k: FieldTower, domain: DomainSpec = EXHAUSTIVE
     rebuilt from the case matrix and sigma and must agree with f on the
     whole domain.
     """
-    _check_domain(domain, k)
+    domain = _verified_domain(domain, k)
     i0 = imaginary_unit(k)
     if i0 is None:
         raise NoImaginaryUnit(f"{k} has no i; the Lorentz route needs one")
@@ -388,28 +350,20 @@ def decompose_lorentz(f, k: FieldTower, domain: DomainSpec = EXHAUSTIVE
         img = big_g(Point(x, zero))
         return img.x1 if case == 1 else img.x2
 
-    prime = isinstance(k, PrimeField)
-    # over GF(p) the identity is the only candidate; its law table decides
-    sigma = (LevelConjugation() if prime
-             else _tower_hom_from_eval(sigma_eval, k, domain)[0])
+    sigma = _read_gamma(sigma_eval, k, domain)
     case_matrix = (lorentz_case1_matrix if case == 1
                    else lorentz_case2_matrix)(a, sigma, k)
     outer = AffineMap(case_matrix, t0)
-    recon = SemiAffineMap(outer, sigma)
-    if prime:
-        _check_prime_hom_table([sigma_eval(k(x)).rep for x in range(k.p)], k)
-        domain = EXHAUSTIVE
-        pairs = zip(all_points(k), raw_image_table(recon, k),
-                    raw_image_table(ev, k))
-    else:
+
+    def draw():
         rng = random.Random(domain.seed + 2)
-        pairs = ((x, recon(x), ev(x)) for x in
-                 (random_point(k, rng) for _ in range(domain.samples)))
-    for x, want, got in pairs:
-        if want != got:
-            raise ProductFormViolation(
-                f"case-{case} reconstruction disagrees at ({x.x1}, {x.x2})",
-                witness=x)
+        return (random_point(k, rng) for _ in range(domain.samples))
+
+    x = _first_disagreement(SemiAffineMap(outer, sigma), ev, k, domain, draw)
+    if x is not None:
+        raise ProductFormViolation(
+            f"case-{case} reconstruction disagrees at ({x.x1}, {x.x2})",
+            witness=x)
     branch = "not_applicable"
     if is_f_of_i(k):
         branch = "theta" if apply_hom(sigma, i0) == i0 else "zeta"
@@ -511,8 +465,7 @@ def search_unit_preservers(p: int, budget: int | None = None
     """
     k = PrimeField(p)
     n = p * p
-    offs = [(dx, dy) for dx in range(p) for dy in range(p)
-            if (dx * dx + dy * dy) % p == 1]
+    offs = [(u.x1.rep, u.x2.rep) for u in unit_circle(k)]
     neigh = _neighbors(p, offs)
     # distinct offsets give distinct neighbours, so the sum is their union
     masks = [sum(1 << v for v in row) for row in neigh]

@@ -745,30 +745,25 @@ def compose_homs(h1: LevelConjugation, h2: LevelConjugation) -> LevelConjugation
     return LevelConjugation(*(h1.levels ^ h2.levels))
 
 
-def _conjugate_rep(k: FieldTower, rep, level: int):
-    """Negate the numerators whose index has bit level-1 set."""
-    if not 1 <= level <= k.depth:
-        raise InvalidLevel(f"level {level} exceeds tower depth")
-    bit = 1 << (level - 1)
-    return TowerRep(tuple(-n if i & bit else n for i, n in enumerate(rep.nums)), rep.den)
-
-
 def apply_hom(h: LevelConjugation, x: FieldElement) -> FieldElement:
     """Apply a catalog homomorphism to x.
 
-    Level conjugations act structurally on the coefficients; whether
-    the result is multiplicative depends on the tower (see
+    Level conjugations act structurally on the coefficients: a numerator
+    is negated when its index has an odd number of the levels' bits set.
+    Whether the result is multiplicative depends on the tower (see
     ``conjugation_is_automorphism``), and ``hom_check`` certifies it.
     """
     if not h.levels:
         return x
     k = x.tower
-    rep = x.rep
+    mask = 0
     for L in h.levels:
         if not 1 <= L <= k.depth:
             raise InvalidLevel(f"level {L} not in 1..{k.depth} for {k}")
-        rep = _conjugate_rep(k, rep, L)
-    return FieldElement(k, rep)
+        mask |= 1 << (L - 1)
+    nums = tuple(-n if (i & mask).bit_count() & 1 else n
+                 for i, n in enumerate(x.rep.nums))
+    return FieldElement(k, TowerRep(nums, x.rep.den))
 
 
 def conjugation_is_automorphism(k: FieldTower, level: int) -> bool:

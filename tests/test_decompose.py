@@ -8,11 +8,11 @@ from bqplane.decompose import (
     decompose,
     decompose_lorentz,
     detect_branch,
-    extract_homomorphism,
     normalizer_from_images,
     search_unit_preservers,
 )
 from bqplane.errors import (
+    BQError,
     BranchUndetermined,
     FieldNotFinite,
     FrameNotOrthonormal,
@@ -27,6 +27,7 @@ from bqplane.fields import (
     PrimeField,
     Q,
     QuadExt,
+    apply_hom,
     from_coeff_vector,
     hom_check,
     imaginary_unit,
@@ -43,11 +44,10 @@ from bqplane.maps import (
     raw_image_table,
     rotation_matrix,
     sample_domain,
-    swap_affine,
     table_from_raw,
     translation_map,
 )
-from bqplane.parsing import parse_map
+from bqplane.parsing import parse_element, parse_map
 
 QI = QuadExt(Q, -1)
 QS2I = QuadExt(QuadExt(Q, 2), -1)
@@ -75,34 +75,70 @@ class TestNormalizer:
 
 class TestHomExtraction:
     def test_identity_on_normalized_affine(self, qi):
-        ext = extract_homomorphism(identity_map(qi), qi, sample_domain(40))
-        assert ext.hom == LevelConjugation()
-        assert ext.law_pairs > 0 and ext.points_checked > 0
+        res = decompose(identity_map(qi), qi, sample_domain(40))
+        assert res.gamma == LevelConjugation()
+        assert res.verified_on == sample_domain(40)
 
     def test_reads_conjugation(self):
         g = SemiAffineMap(identity_map(QS2I), LevelConjugation(1))
-        ext = extract_homomorphism(g, QS2I, sample_domain(40))
-        assert ext.hom == LevelConjugation(1)
+        res = decompose(g, QS2I, sample_domain(40))
+        assert res.gamma == LevelConjugation(1)
 
     def test_prime_field_is_exhaustive_and_rigid(self, gf13):
-        ext = extract_homomorphism(identity_map(gf13), gf13)
-        assert ext.hom == LevelConjugation() and ext.complete
+        res = decompose(identity_map(gf13), gf13, sample_domain(5))
+        assert res.gamma == LevelConjugation() and res.verified_on == EXHAUSTIVE
 
     def test_swap_is_not_coordinatewise(self, gf13):
-        with pytest.raises((NotAHomomorphism, ProductFormViolation)):
-            extract_homomorphism(swap_affine(gf13), gf13)
+        # the frame and the x1 axis are fixed, so only the scan can refuse
+        raw = list(range(169))
+        raw[2 * 13 + 3], raw[3 * 13 + 2] = raw[3 * 13 + 2], raw[2 * 13 + 3]
+        with pytest.raises(ProductFormViolation) as info:
+            decompose(table_from_raw(gf13, raw), gf13)
+        assert info.value.witness == point(gf13, 2, 3)
 
     def test_squaring_fails_the_laws(self, qi):
         def sq(x: Point) -> Point:
             return Point(x.x1 * x.x1, x.x2 * x.x2)
 
-        with pytest.raises((NotAHomomorphism, ProductFormViolation)):
-            extract_homomorphism(sq, qi, sample_domain(40))
+        with pytest.raises(NotAHomomorphism):
+            decompose(sq, qi, sample_domain(40))
+
+
+class TestTowerRefusal:
+    """x -> (x1, conj@1(x2)) over Q[sqrt 2][i] fixes the frame and reads
+    gamma = id, but is no normal form.  The witnesses were recorded from
+    the routes before they shared one gamma reader and one scan."""
+
+    @staticmethod
+    def _run(route):
+        def f(x: Point) -> Point:
+            return Point(x.x1, apply_hom(LevelConjugation(1), x.x2))
+
+        with pytest.raises(BQError) as info:
+            route(f, QS2I, sample_domain(40, seed=3))
+        return info.value
+
+    def test_frame_route_finds_the_product_form_violation(self):
+        exc = self._run(decompose)
+        x1 = parse_element("1/3 - 2/3*r1 - 1/4*i - 1/2*r1*i", QS2I)
+        x2 = parse_element("-9/7 + 8/5*r1 - 2*i + 7/9*r1*i", QS2I)
+        y2 = parse_element("-9/7 - 8/5*r1 - 2*i - 7/9*r1*i", QS2I)
+        assert type(exc) is ProductFormViolation
+        assert exc.witness == Point(x1, x2)
+        assert str(exc) == (f"normalized map sends ({x1}, {x2}) to ({x1}, {y2}), "
+                            "not coordinatewise")
+
+    def test_lorentz_route_finds_the_law_violation(self):
+        exc = self._run(decompose_lorentz)
+        x = parse_element("-2/9 - 5/6*r1 + 3*i - 9/8*r1*i", QS2I)
+        y = parse_element("3/8 - 5/6*r1 - 6*i - 5/8*r1*i", QS2I)
+        assert type(exc) is NotAHomomorphism
+        assert exc.witness == (x, y)
+        assert str(exc) == f"multiplicativity fails at ({x}, {y})"
 
 
 class TestZeroSampleDomain:
-    @pytest.mark.parametrize("run", [decompose, decompose_lorentz,
-                                     extract_homomorphism])
+    @pytest.mark.parametrize("run", [decompose, decompose_lorentz])
     @pytest.mark.parametrize("field", ["QS2I", "gf13"])
     def test_refused_before_any_probe(self, run, field, request):
         k = QS2I if field == "QS2I" else request.getfixturevalue(field)
@@ -124,11 +160,10 @@ class TestExhaustiveDomainOverTower:
         lambda f: verify_transform_identities(QI, "exhaustive"),
         lambda f: preserves_unit_distance(f, QI, EXHAUSTIVE),
         lambda f: preserves_phi(f, QI, EXHAUSTIVE),
-        lambda f: extract_homomorphism(f, QI, EXHAUSTIVE),
         lambda f: decompose(f, QI, EXHAUSTIVE),
         lambda f: decompose_lorentz(f, QI, EXHAUSTIVE),
     ], ids=["hom_check", "verify_transform_identities", "preserves_unit_distance",
-            "preserves_phi", "extract_homomorphism", "decompose", "decompose_lorentz"])
+            "preserves_phi", "decompose", "decompose_lorentz"])
     def test_refused_before_any_probe(self, scan):
         f = _expr("translate(1, 0)", QI)
         probed = []

@@ -19,7 +19,6 @@ from bqplane.errors import (
     ZeroRadicand,
 )
 from bqplane.fields import (
-    _conjugate_rep,
     EXHAUSTIVE,
     DomainSpec,
     FieldElement,
@@ -28,6 +27,7 @@ from bqplane.fields import (
     PrimeField,
     Q,
     QuadExt,
+    TowerRep,
     apply_hom,
     catalog_homomorphisms,
     coeff_vector,
@@ -406,6 +406,13 @@ def _old_compose_homs(h1, h2):
     return _old_hom_from_levels(_old_conjugated_levels(h1) ^ _old_conjugated_levels(h2))
 
 
+def _old_conjugate_rep(rep, level):
+    """One level at a time: negate the numerators whose index has bit
+    level-1 set."""
+    bit = 1 << (level - 1)
+    return TowerRep(tuple(-n if i & bit else n for i, n in enumerate(rep.nums)), rep.den)
+
+
 def _old_apply_hom(h, x):
     levels = _old_conjugated_levels(h)
     if not levels:
@@ -416,7 +423,7 @@ def _old_apply_hom(h, x):
             raise InvalidLevel(f"level {L} not in 1..{k.depth} for {k}")
     rep = x.rep
     for L in sorted(levels):
-        rep = _conjugate_rep(k, rep, L)
+        rep = _old_conjugate_rep(rep, L)
     return FieldElement(k, rep)
 
 
