@@ -342,7 +342,8 @@ def build_real_chain(s: Point, t: Point, mode: str = "auto_extend", *,
 
 # ------------------------------------------------------- connector chain
 
-def build_lemma3_chain(x: Point) -> tuple[Chain, list[EdgeRecord]]:
+def build_lemma3_chain(x: Point, *, budget: int = STEP_BUDGET
+                       ) -> tuple[Chain, list[EdgeRecord]]:
     """Chain from a point with nonzero imaginary part to (i, i), with the
     imaginary pairing certified nonzero on every edge: the certificates
     are the edge records of ``verify_chain(chain, require_psi=True)``.
@@ -351,7 +352,7 @@ def build_lemma3_chain(x: Point) -> tuple[Chain, list[EdgeRecord]]:
     the second does, the construction runs on swapped coordinates and
     swaps back (the target is symmetric).  Fully real points have no
     such chain and raise PrimaryBranchUnavailable; a real walk of more
-    than STEP_BUDGET steps raises SearchExhausted.
+    than ``budget`` steps raises a retriable SearchExhausted.
     """
     k = x.tower
     if not is_f_of_i(k):
@@ -375,7 +376,7 @@ def build_lemma3_chain(x: Point) -> tuple[Chain, list[EdgeRecord]]:
 
     start = Point(a1 + s1, a2 + s2)
     goal = Point(s3, f3.zero)
-    real_chain = _auto_extend_chain(start, goal)
+    real_chain = _auto_extend_chain(start, goal, budget)
     f4 = real_chain.field
     a1, b1, a2, b2, s1 = (f4(e) for e in (a1, b1, a2, b2, s1))
 

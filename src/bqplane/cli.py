@@ -20,7 +20,13 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .chains import ChainReport, build_lemma3_chain, build_real_chain, verify_chain
+from .chains import (
+    STEP_BUDGET,
+    ChainReport,
+    build_lemma3_chain,
+    build_real_chain,
+    verify_chain,
+)
 from .errors import (
     BQError,
     FieldMismatch,
@@ -168,7 +174,7 @@ def _prep_lemma3(args):
 def _run_lemma3(args, prepared) -> RunReport:
     k, x = prepared
     rep = RunReport("lemma3-chain")
-    chain, certs = build_lemma3_chain(x)
+    chain, certs = build_lemma3_chain(x, budget=args.budget)
     verdict = ChainReport(certs, require_psi=True)
     rep.add({"record": "run", "command": rep.command, "field": str(k),
              "point": format_point(x)},
@@ -357,7 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--to", dest="dst", required=True, metavar="POINT")
     sp.add_argument("--field", default="Q")
     sp.add_argument("--mode", choices=("rational", "auto"), default="auto")
-    sp.add_argument("--budget", type=_int_at_least(0), default=10_000,
+    sp.add_argument("--budget", type=_int_at_least(0), default=STEP_BUDGET,
                     help="most unit steps the chain may take")
     sp.set_defaults(prepare=_prep_chain, run=_run_chain)
 
@@ -365,6 +371,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="chain to (i, i) with nonzero psi on every edge")
     sp.add_argument("--point", required=True)
     sp.add_argument("--field", required=True)
+    sp.add_argument("--budget", type=_int_at_least(0), default=STEP_BUDGET,
+                    help="most unit steps the real walk inside the chain may take")
     sp.set_defaults(prepare=_prep_lemma3, run=_run_lemma3)
 
     for name, route in (("decompose", decompose),

@@ -64,7 +64,7 @@ class FieldElement:
 
     def _operand(self, other) -> "FieldElement | None":
         if isinstance(other, FieldElement):
-            if other.tower == self.tower:
+            if other.tower is self.tower or other.tower == self.tower:
                 return other
             raise FieldMismatch(
                 f"operands from different fields: {self.tower} vs {other.tower}")
@@ -132,7 +132,8 @@ class FieldElement:
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            return self.tower == other.tower and self.rep == other.rep
+            return ((self.tower is other.tower or self.tower == other.tower)
+                    and self.rep == other.rep)
         if isinstance(other, (int, Fraction)):
             return self.rep == self.tower._coerce(other)
         return NotImplemented
@@ -161,7 +162,7 @@ class FieldTower:
 
     def __call__(self, value) -> FieldElement:
         if isinstance(value, FieldElement):
-            if value.tower == self:
+            if value.tower is self or value.tower == self:
                 return value
             return embed(value, self)
         return FieldElement(self, self._coerce(value))

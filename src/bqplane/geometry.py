@@ -15,6 +15,7 @@ from fractions import Fraction
 from .errors import FieldMismatch, NoImaginaryUnit, ZeroScale
 from .fields import (
     EXHAUSTIVE,
+    MAX_WITNESSES,
     Check,
     DomainSpec,
     FieldElement,
@@ -34,7 +35,7 @@ class Point:
     x2: FieldElement
 
     def __post_init__(self):
-        if self.x1.tower != self.x2.tower:
+        if self.x1.tower is not self.x2.tower and self.x1.tower != self.x2.tower:
             raise FieldMismatch(
                 f"point coordinates in different fields: {self.x1.tower} vs {self.x2.tower}")
 
@@ -179,6 +180,56 @@ def _identity_checks(domain: DomainSpec, pairs, pts) -> list[Check]:
     return checks
 
 
+def _residue_identity_checks(k: PrimeField) -> list[Check]:
+    """The same four checks over every pair and point of GF(p)^2, on
+    point indices a*p + b of ``all_points(k)``.
+
+    xi and eta are called once per point, and phi and lm_distance once
+    per difference vector d = x - y (both forms read only x - y), so the
+    p^4 pair scan is index arithmetic mod p.  Counts, witnesses and
+    witness order are those of ``_identity_checks`` over all pairs.
+    """
+    p = k.p
+    pts = all_points(k)
+    origin = pts[0]
+
+    def index(x: Point) -> int:
+        return x.x1.rep * p + x.x2.rep
+
+    xi_at = [index(xi(x)) for x in pts]
+    eta_at = [index(eta(x)) for x in pts]
+    phi_of = [phi(d, origin).rep for d in pts]
+    lm_of = [lm_distance(d, origin).rep for d in pts]
+    coords = [divmod(i, p) for i in range(len(pts))]
+    xi_coords = [coords[j] for j in xi_at]
+    eta_coords = [coords[j] for j in eta_at]
+
+    checks = [Check(name, EXHAUSTIVE) for name in _IDENTITY_NAMES]
+    phi_lm, lm_phi, eta_xi, xi_eta = checks
+
+    def note_row(check: Check, x: Point, got: list, want: list):
+        if got == want or len(check.witnesses) >= MAX_WITNESSES:
+            return
+        for y, g, w in zip(pts, got, want):
+            if g != w and check.note(str(x), str(y)):
+                return
+
+    for x, (a1, a2), (c1, c2), (e1, e2) in zip(pts, coords, xi_coords, eta_coords):
+        diff = [(a1 - b1) % p * p + (a2 - b2) % p for b1, b2 in coords]
+        xi_diff = [(c1 - b1) % p * p + (c2 - b2) % p for b1, b2 in xi_coords]
+        eta_diff = [(e1 - b1) % p * p + (e2 - b2) % p for b1, b2 in eta_coords]
+        note_row(phi_lm, x, [phi_of[d] for d in diff], [lm_of[d] for d in xi_diff])
+        note_row(lm_phi, x, [lm_of[d] for d in diff], [phi_of[d] for d in eta_diff])
+    phi_lm.checked = lm_phi.checked = len(pts) ** 2
+    for i, x in enumerate(pts):
+        if eta_at[xi_at[i]] != i:
+            eta_xi.note(str(x))
+        if xi_at[eta_at[i]] != i:
+            xi_eta.note(str(x))
+    eta_xi.checked = xi_eta.checked = len(pts)
+    return checks
+
+
 def verify_transform_identities(
     k: FieldTower,
     mode: str = "exhaustive",
@@ -197,11 +248,9 @@ def verify_transform_identities(
     domain = EXHAUSTIVE if mode == "exhaustive" else DomainSpec(mode, samples, seed)
     _unit(k)  # fail early with NoImaginaryUnit
     if domain.exhaustive_over(k):
-        pts = all_points(k)
-        pairs = ((x, y) for x in pts for y in pts)
+        checks = _residue_identity_checks(k)
     else:
         rng = random.Random(seed)
         pairs = [(random_point(k, rng), random_point(k, rng)) for _ in range(samples)]
-        pts = [x for x, _ in pairs]
-    return TransformIdentityReport(
-        str(k), domain.describe(), _identity_checks(domain, pairs, pts))
+        checks = _identity_checks(domain, pairs, [x for x, _ in pairs])
+    return TransformIdentityReport(str(k), domain.describe(), checks)

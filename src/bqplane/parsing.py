@@ -7,7 +7,8 @@ Grammar summary (whitespace insensitive):
     element   := ['-'] term (('+'|'-') term)*
     term      := factor ('*' factor)*
     factor    := INT ['/' INT] | RADICAL | '(' element ')'
-    RADICAL   := 'r'<level> | 'i'             # i names the level with d = -1
+    RADICAL   := 'r' INT | 'i'                # i names the level with d = -1
+    INT       := [0-9]+                       # ASCII digits only
     point     := '(' element ',' element ')'
     mapexpr   := atom (' . ' atom)*           # 'a . b' applies b first
     atom      := 'translate' '(' element ',' element ')'
@@ -18,13 +19,15 @@ Grammar summary (whitespace insensitive):
                | 'swap' | 'xi' | 'eta'
 
 Map-table files carry one line per domain point, ``x1,x2 -> y1,y2``, in
-element syntax; blank lines and '#' comments are ignored.
+element syntax; blank lines and '#' comments are ignored.  Parentheses
+nest at most 100 deep.
 
 Printing is canonical and parse(print(x)) round-trips exactly.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -49,6 +52,8 @@ from .fields import (
 from .geometry import Point
 
 _SYMBOLS = "+-*/()[],.@"
+_DIGITS = "0123456789"  # str.isdigit would also take '²' or '١'
+_MAX_NESTING = 100  # open parentheses, well inside the recursion limit
 
 
 @dataclass(frozen=True)
@@ -67,9 +72,9 @@ def _tokenize(s: str) -> list[_Token]:
         if ch.isspace():
             idx += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = idx
-            while idx < n and s[idx].isdigit():
+            while idx < n and s[idx] in _DIGITS:
                 idx += 1
             out.append(_Token("int", s[start:idx], start))
             continue
@@ -93,6 +98,7 @@ class _Parser:
         self.text = text
         self.toks = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.toks[self.i]
@@ -113,6 +119,28 @@ class _Parser:
         if t.kind != "end":
             raise ParseError(f"trailing input {t.text!r}", t.pos)
 
+    def expect_int(self) -> int:
+        t = self.expect("int")
+        return _int_value(t.text, t.pos)
+
+    def nested(self, t: _Token):
+        """Count one more open parenthesis at token t."""
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise ParseError(f"nesting deeper than {_MAX_NESTING} levels", t.pos)
+
+
+def _int_value(digits: str, pos: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # beyond sys.get_int_max_str_digits()
+        raise ParseError(f"integer of {len(digits)} digits is too long", pos) from None
+
+
+def _is_radical_name(name: str) -> bool:
+    return name == "i" or (name[0] == "r" and len(name) > 1
+                           and all(ch in _DIGITS for ch in name[1:]))
+
 
 # ------------------------------------------------------------- elements
 
@@ -123,7 +151,7 @@ def _radical_element(k: FieldTower, name: str, pos: int) -> FieldElement:
             if layer.d == -1:
                 return _level_monomial(k, layer.level)
         raise ParseError(f"'i' is not a radical of {k}", pos)
-    level = int(name[1:])
+    level = _int_value(name[1:], pos)
     for layer in levels:
         if layer.level == level:
             return _level_monomial(k, level)
@@ -137,12 +165,11 @@ def _level_monomial(k: FieldTower, level: int) -> FieldElement:
 
 
 def _parse_rational(p: _Parser) -> Fraction:
-    t = p.expect("int")
-    num = int(t.text)
+    num = p.expect_int()
     if p.peek().kind == "/":
         p.next()
         den_tok = p.expect("int")
-        den = int(den_tok.text)
+        den = _int_value(den_tok.text, den_tok.pos)
         if den == 0:
             raise ParseError("zero denominator", den_tok.pos)
         return Fraction(num, den)
@@ -155,15 +182,17 @@ def _parse_factor(p: _Parser, k: FieldTower) -> FieldElement:
         return k(_parse_rational(p))
     if t.kind == "name":
         p.next()
-        if t.text == "i" or (t.text[0] == "r" and t.text[1:].isdigit()):
+        if _is_radical_name(t.text):
             if isinstance(k, PrimeField):
                 raise ParseError(f"no radicals over {k}", t.pos)
             return _radical_element(k, t.text, t.pos)
         raise ParseError(f"unknown name {t.text!r}", t.pos)
     if t.kind == "(":
         p.next()
+        p.nested(t)
         e = _parse_element_expr(p, k)
         p.expect(")")
+        p.depth -= 1
         return e
     raise ParseError(f"expected an element, found {t.text or 'end of input'!r}", t.pos)
 
@@ -207,9 +236,9 @@ def _parse_field_at(p: _Parser) -> FieldTower:
         k: FieldTower = Q
     elif t.kind == "name" and t.text == "GF":
         p.expect("(")
-        prime_tok = p.expect("int")
+        prime = p.expect_int()
         p.expect(")")
-        k = PrimeField(int(prime_tok.text))
+        k = PrimeField(prime)
     else:
         raise ParseError(f"expected 'Q' or 'GF', found {t.text or 'end of input'!r}", t.pos)
     while p.peek().kind == "[":
@@ -316,7 +345,7 @@ def _parse_map_atom(p: _Parser, k: FieldTower) -> MapAtom:
             atom = MapAtom("hom", ())
         elif inner.text == "conj":
             p.expect("@")
-            atom = MapAtom("hom", (int(p.expect("int").text),))
+            atom = MapAtom("hom", (p.expect_int(),))
         else:
             raise ParseError(f"expected 'id' or 'conj', found {inner.text!r}", inner.pos)
     else:
@@ -352,9 +381,17 @@ def format_map(expr: MapExpression) -> str:
 
 # ------------------------------------------------------- map table files
 
+# An integer pair as tables over GF(p) write it; at most 18 digits each,
+# so int() stays cheap and within the str-digit limit.
+_INT_PAIR = re.compile(r"\s*(-?[0-9]{1,18})\s*,\s*(-?[0-9]{1,18})\s*")
+
+
 def parse_table_lines(text: str, k: FieldTower) -> dict[Point, Point]:
     """Parse ``x1,x2 -> y1,y2`` lines into a point-image mapping; a
-    source point given twice is rejected."""
+    source point given twice is rejected.  Over GF(p) a side that is an
+    integer pair is read directly; any other side goes through the
+    element parser."""
+    read = _read_int_pair if isinstance(k, PrimeField) else _parse_pair
     table: dict[Point, Point] = {}
     line_of: dict[Point, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -365,8 +402,8 @@ def parse_table_lines(text: str, k: FieldTower) -> dict[Point, Point]:
             raise ParseError(f"line {lineno}: missing '->'")
         lhs, rhs = line.split("->", 1)
         try:
-            src = _parse_pair(lhs, k)
-            dst = _parse_pair(rhs, k)
+            src = read(lhs, k)
+            dst = read(rhs, k)
         except ParseError as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
         if src in line_of:
@@ -375,6 +412,13 @@ def parse_table_lines(text: str, k: FieldTower) -> dict[Point, Point]:
         line_of[src] = lineno
         table[src] = dst
     return table
+
+
+def _read_int_pair(s: str, k: PrimeField) -> Point:
+    m = _INT_PAIR.fullmatch(s)
+    if m is None:
+        return _parse_pair(s, k)
+    return Point(k(int(m[1])), k(int(m[2])))
 
 
 def _parse_pair(s: str, k: FieldTower) -> Point:

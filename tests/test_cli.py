@@ -209,6 +209,21 @@ class TestVerdictFailures:
         assert "FAILURE SearchExhausted: the straight walk needs more than" \
                " the budget of 10000 steps" in out
 
+    @pytest.mark.parametrize("budget, code", [("4", 1), ("5", 0)])
+    def test_lemma3_budget_bounds_the_real_walk(self, run, budget, code):
+        # the real walk from (6, 1) to (sqrt 2, 0) takes 5 unit steps
+        got, out, _ = run("lemma3-chain", "--field", "Q[i]", "--point", "(5 + i, 0)",
+                          "--budget", budget, "--format", "json")
+        assert got == code
+        recs = _json_records(out)
+        if code == 0:
+            chain = next(r for r in recs if r["record"] == "chain")
+            assert chain["edge_bound"] == 5 + 4
+        else:
+            failure = next(r for r in recs if r["record"] == "failure")
+            assert failure["error"] == "SearchExhausted"
+            assert "budget of 4 steps" in failure["detail"]
+
     def test_unsplit_denominator_is_an_undecided_refusal(self, run):
         # a 49-digit product of two primes = 1 mod 4: the bounded factoring
         # gives up and names the part it could not split
@@ -285,6 +300,15 @@ class TestUsageErrors:
         # radicand -1023286908188737 + 723573111879672 sqrt 2 < 0
         ("chain", "--field", "Q[sqrt 2][sqrt -1023286908188737 + 723573111879672*r1]",
          "--from", "(0,0)", "--to", "(3,0)"),
+        ("lemma3-chain", "--field", "Q[i]", "--point", "(1 + i, 0)", "--budget", "-1"),
+        # digits outside ASCII 0-9
+        ("verify-identities", "--field", "GF(1³)"),
+        ("verify-identities", "--field", "GF(١٣)"),
+        ("decompose", "--field", "GF(13)", "--map", "translate(²,0)"),
+        ("decompose", "--field", "Q[sqrt 2][i]", "--map", "translate(r²,0)"),
+        ("verify-identities", "--field", "GF(" + "1" * 5000 + ")"),
+        ("decompose", "--field", "Q[i]", "--map", "translate(r" + "1" * 5000 + ",0)"),
+        ("chain", "--from", "(0,0)", "--to", "(" + "(" * 400 + "1" + ")" * 400 + ",0)"),
     ])
     def test_exit_code_two(self, run, argv):
         code, out, err = run(*argv)

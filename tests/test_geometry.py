@@ -194,8 +194,9 @@ QS2I = QuadExt(QuadExt(Q, 2), -1)
 class TestScanAgainstReference:
     @pytest.mark.parametrize("k, mode, samples", [
         (PrimeField(13), "exhaustive", 0),
+        (PrimeField(17), "exhaustive", 0),
         (QS2I, "samples", 60),
-    ], ids=["GF(13)-exhaustive", "Q[sqrt 2][i]-samples"])
+    ], ids=["GF(13)-exhaustive", "GF(17)-exhaustive", "Q[sqrt 2][i]-samples"])
     def test_matches_uncached_scan(self, k, mode, samples):
         rep, got, want = _scan_and_reference(k, mode, samples, seed=2)
         assert rep.ok
@@ -209,4 +210,15 @@ class TestScanAgainstReference:
         assert not rep.ok
         assert got == want
         assert [len(v) for _, _, v in got] == [10, 0, 10, 10]
+        assert [n for _, n, _ in got] == [169 * 169, 169 * 169, 169, 169]
+
+    def test_wrong_eta_is_reported(self, gf13, monkeypatch):
+        # eta(x) = (x1 + x2, x2 - x1) drops the halves and i: the product
+        # form no longer matches phi, and neither round trip is the identity
+        monkeypatch.setattr(geometry, "eta",
+                            lambda x: Point(x.x1 + x.x2, x.x2 - x.x1))
+        rep, got, want = _scan_and_reference(gf13, "exhaustive")
+        assert not rep.ok
+        assert got == want
+        assert [len(v) for _, _, v in got] == [0, 10, 10, 10]
         assert [n for _, n, _ in got] == [169 * 169, 169 * 169, 169, 169]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bqplane.errors import InvalidField, NotOrthogonal, ParseError
+from bqplane.errors import BQError, InvalidField, NotOrthogonal, ParseError
 from bqplane.fields import (
     PrimeField,
     Q,
@@ -25,6 +25,7 @@ from bqplane.parsing import (
     parse_point,
     parse_table_lines,
 )
+from bqplane.parsing import _parse_pair
 
 QS2I = QuadExt(QuadExt(Q, 2), -1)
 
@@ -187,3 +188,95 @@ class TestTableFiles:
     def test_bad_element_propagates(self, gf13):
         with pytest.raises(ParseError):
             parse_table_lines("0,0 -> 1,r1\n", gf13)
+
+    def test_malformed_line_messages(self, gf13):
+        for text, message in [
+            ("1,2 -> 3\n", "line 1: expected ',', found 'end of input' (at position 2)"),
+            ("1,2 -> 3,4\n\n1, 2 -> 0,0\n",
+             "line 3: point (1, 2) already mapped on line 1"),
+        ]:
+            with pytest.raises(ParseError) as exc:
+                parse_table_lines(text, gf13)
+            assert str(exc.value) == message
+
+
+# ------------------------------------ integer lines against the parser
+
+def _reference_table(text, k):
+    """Every side through the element parser, as tables were read before
+    integer pairs got their own reader."""
+    table = {}
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            lhs, rhs = line.split("->", 1)
+            table[_parse_pair(lhs, k)] = _parse_pair(rhs, k)
+    return table
+
+
+class TestIntegerTableLines:
+    @pytest.mark.parametrize("line", [
+        "1,2 -> 3,4",
+        "-1,-2 -> -14,-27",                 # negatives
+        "13,40 -> 26,100",                  # residues >= p
+        "007,0012 -> 000,01",               # leading zeros
+        "\t3 ,\t4->  5 ,6\t",               # tabs and spaces
+        "3,4 -> 5,6   # a comment, with -> in it",
+        "123456789012345678,-9 -> 0,0",     # longest integers read directly
+        "1234567890123456789,0 -> 0,0",     # one digit more: the parser's turn
+        "1/2, 3 -> 4, -1",                  # fallback lines
+        "- 1, 2 -> (3), 4*5",
+        "1 + 1, 2 -> 3 - 4, -0",
+    ])
+    def test_same_table_as_the_parser(self, gf13, line):
+        got = parse_table_lines(line + "\n", gf13)
+        assert got == _reference_table(line, gf13)
+        assert len(got) == 1
+
+    @given(st.lists(st.tuples(st.integers(-10**20, 10**20), st.integers(0, 3),
+                              st.sampled_from(["", " ", "\t", "  "])),
+                    min_size=4, max_size=4))
+    def test_random_integer_lines(self, parts):
+        k = PrimeField(29)
+        sides = [f"{ws}{'-' if n < 0 else ''}{'0' * zeros}{abs(n)}{ws}"
+                 for n, zeros, ws in parts]
+        line = f"{sides[0]},{sides[1]} ->{sides[2]},{sides[3]}"
+        assert parse_table_lines(line, k) == _reference_table(line, k)
+
+
+# ------------------------------------------ any text: a value or a BQError
+
+_PIECES = ["GF", "Q", "(", ")", "[", "]", "sqrt ", "i", "r1", "r2", "13", "17",
+           "0", "2", "-", "+", "*", "/", ",", " . ", "translate", "rot", "lambda",
+           "hom", "id", "conj", "@", "swap", "xi", "->", "#", "\n", " ",
+           "²", "r²", "١٣", "５", "1³"]
+_TEXTS = st.one_of(
+    st.text(max_size=30),
+    st.lists(st.sampled_from(_PIECES), max_size=14).map("".join),
+)
+
+
+class TestAnyText:
+    @given(_TEXTS)
+    def test_field_descriptors(self, text):
+        try:
+            parse_field(text)
+        except BQError:
+            pass
+
+    @given(_TEXTS)
+    def test_elements_points_and_maps(self, text):
+        for k in (Q, PrimeField(13), QS2I):
+            for parse in (parse_element, parse_point, parse_map):
+                try:
+                    parse(text, k)
+                except BQError:
+                    pass
+
+    @given(_TEXTS)
+    def test_table_lines(self, text):
+        for k in (PrimeField(13), Q):
+            try:
+                parse_table_lines(text, k)
+            except BQError:
+                pass
