@@ -283,7 +283,7 @@ def _run_search(args, k) -> RunReport:
             f" {census.nodes} nodes, {len(census.anomalies)} anomalies")
     for a in census.anomalies:
         rep.add({"record": "anomaly", "reason": a.reason,
-                 "table": format_table_lines(a.table.images).splitlines()},
+                 "table": format_table_lines(a.table).splitlines()},
                 f"  ANOMALY: {a.reason}")
     rep.ok = census.ok
     return rep

@@ -72,7 +72,6 @@ from .maps import (
     lorentz_case1_matrix,
     lorentz_case2_matrix,
     raw_image_table,
-    table_from_raw,
     unit_circle,
 )
 
@@ -470,39 +469,53 @@ def search_unit_preservers(p: int, budget: int | None = None
     # distinct offsets give distinct neighbours, so the sum is their union
     masks = [sum(1 << v for v in row) for row in neigh]
     order, earlier = _search_order(neigh)
-    full = (1 << n) - 1
-    img = [0] * n
-    stack = [0] * n
-    stack[0] = full
-    found_raw: list[list[int]] = []
+    # Position pos + 1 may take the AND of the masks of its earlier
+    # neighbours' images, seed[pos] and more[pos]; each position after 0
+    # has one, as (1, 0) and (0, 1) make the unit graph connected.
+    seed = [e[0] for e in earlier[1:]] + [0]
+    more = [tuple(e[1:]) for e in earlier[1:]] + [()]
+    img = [0] * n    # per position: the image's point index
+    mpos = [0] * n   # and the mask of the image's unit circle
+    stack = [0] * n  # untried candidates of the positions below pos
+    found_pos: list[list[int]] = []
     nodes = 0
+    stop = 0 if budget is None else budget + 1  # nodes never equals 0
     complete = True
+    last = n - 1
     pos = 0
-    while pos >= 0:
-        cm = stack[pos]
+    cm = (1 << n) - 1  # untried candidates of pos, never pushed empty
+    while True:
         if not cm:
             pos -= 1
+            if pos < 0:
+                break
+            cm = stack[pos]
             continue
         low = cm & -cm
-        stack[pos] = cm ^ low
+        cm ^= low
         nodes += 1
-        if budget is not None and nodes > budget:
+        if nodes == stop:
             complete = False
             break
-        img[order[pos]] = low.bit_length() - 1
-        if pos + 1 == n:
-            found_raw.append(img[:])
+        v = low.bit_length() - 1
+        img[pos] = v
+        if pos == last:
+            found_pos.append(img[:])
             continue
-        nxt = full
-        for e in earlier[pos + 1]:
-            nxt &= masks[img[order[e]]]
-        pos += 1
-        stack[pos] = nxt
+        mpos[pos] = masks[v]
+        nxt = mpos[seed[pos]]
+        for e in more[pos]:
+            nxt &= mpos[e]
+        if nxt:
+            stack[pos] = cm
+            pos += 1
+            cm = nxt
     expected = n * 2 * (p - 1)
     found: list[MapTable] = []
     anomalies: list[Anomaly] = []
-    for raw in found_raw:
-        table = table_from_raw(k, raw)
+    pos_of = sorted(range(n), key=order.__getitem__)  # point index -> position
+    for by_pos in found_pos:
+        table = MapTable(k, [by_pos[e] for e in pos_of])
         found.append(table)
         try:
             decompose(table, k)

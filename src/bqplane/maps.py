@@ -168,28 +168,34 @@ def swap_affine(k: FieldTower) -> SemiAffineMap:
 
 @dataclass
 class MapTable:
-    """Total image table over a finite field's point grid."""
+    """Total image table over GF(p)^2 as point indices, idx = x1*p + x2:
+    ``raw[idx]`` is the index of the image of the point idx names."""
 
     field: PrimeField
-    images: dict[Point, Point]
+    raw: tuple[int, ...]
 
     def __post_init__(self):
         if not isinstance(self.field, PrimeField):
             raise FieldNotFinite("map tables need a finite field")
-        pts = all_points(self.field)
-        if set(self.images) != set(pts):
+        n = self.field.p ** 2
+        self.raw = tuple(self.raw)
+        if len(self.raw) != n or None in self.raw:
             raise FieldMismatch(
-                f"table must cover all {len(pts)} points of {self.field}^2")
-        for img in self.images.values():
-            if img.tower != self.field:
-                raise FieldMismatch("table image outside the field")
+                f"table must cover all {n} points of {self.field}^2")
+        if not all(type(v) is int and 0 <= v < n for v in self.raw):
+            raise FieldMismatch("table image outside the field")
 
     def __call__(self, x: Point) -> Point:
-        return self.images[x]
+        k = self.field
+        if x.tower is not k and x.tower != k:
+            raise FieldMismatch(f"point {x} is not in the table's field {k}")
+        return all_points(k)[self.raw[x.x1.rep * k.p + x.x2.rep]]
 
     def inverse(self) -> "MapTable":
-        inv = {img: src for src, img in self.images.items()}
-        if len(inv) != len(self.images):
+        inv = [None] * len(self.raw)
+        for src, img in enumerate(self.raw):
+            inv[img] = src
+        if None in inv:  # p^2 images miss a point exactly when two coincide
             raise FieldMismatch("table is not injective")
         return MapTable(self.field, inv)
 
@@ -424,20 +430,17 @@ def _atom_to_map(atom: MapAtom, k: FieldTower) -> SemiAffineMap:
 
 # ---------------------------------------------------- raw prime tables
 
-def raw_image_table(m, k: PrimeField) -> list[int]:
-    """Image table as point indices (idx = x1*p + x2): in machine integers
-    for a normal form with gamma = id, by applying m point by point for
-    anything else."""
+def raw_image_table(m, k: PrimeField) -> tuple[int, ...]:
+    """Image table as point indices (idx = x1*p + x2): a table's own
+    indices, in machine integers for a normal form with gamma = id, by
+    applying m point by point for anything else."""
+    if isinstance(m, MapTable) and m.field == k:
+        return m.raw
     p = k.p
     if isinstance(m, SemiAffineMap) and not m.gamma.levels:
         a, b, c, d = (e.rep for e in m.outer.linear.entries())
         tx, ty = m.outer.translation.x1.rep, m.outer.translation.x2.rep
-        return [((a * x + b * y + tx) % p) * p + (c * x + d * y + ty) % p
-                for x in range(p) for y in range(p)]
-    return [img.x1.rep * p + img.x2.rep
-            for img in (m(pt) for pt in all_points(k))]
-
-
-def table_from_raw(k: PrimeField, raw: list[int]) -> MapTable:
-    pts = all_points(k)
-    return MapTable(k, {pts[i]: pts[raw[i]] for i in range(len(pts))})
+        return tuple(((a * x + b * y + tx) % p) * p + (c * x + d * y + ty) % p
+                     for x in range(p) for y in range(p))
+    return tuple(img.x1.rep * p + img.x2.rep
+                 for img in (m(pt) for pt in all_points(k)))

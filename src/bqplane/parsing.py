@@ -18,9 +18,10 @@ Grammar summary (whitespace insensitive):
                | 'hom' '(' ('id' | 'conj' '@' INT) ')'
                | 'swap' | 'xi' | 'eta'
 
-Map-table files carry one line per domain point, ``x1,x2 -> y1,y2``, in
-element syntax; blank lines and '#' comments are ignored.  Parentheses
-nest at most 100 deep.
+Map-table files over GF(p) carry one line per domain point, ``x1,x2 ->
+y1,y2``, in element syntax; blank lines and '#' comments are ignored.
+They are read into, and printed from, tables of point indices x1*p + x2.
+Parentheses nest at most 100 deep.
 
 Printing is canonical and parse(print(x)) round-trips exactly.
 """
@@ -33,6 +34,8 @@ from fractions import Fraction
 
 from .errors import (
     AlreadySquare,
+    BQError,
+    FieldNotFinite,
     InvalidField,
     NotOrthogonal,
     ParseError,
@@ -386,39 +389,45 @@ def format_map(expr: MapExpression) -> str:
 _INT_PAIR = re.compile(r"\s*(-?[0-9]{1,18})\s*,\s*(-?[0-9]{1,18})\s*")
 
 
-def parse_table_lines(text: str, k: FieldTower) -> dict[Point, Point]:
-    """Parse ``x1,x2 -> y1,y2`` lines into a point-image mapping; a
-    source point given twice is rejected.  Over GF(p) a side that is an
-    integer pair is read directly; any other side goes through the
-    element parser."""
-    read = _read_int_pair if isinstance(k, PrimeField) else _parse_pair
-    table: dict[Point, Point] = {}
-    line_of: dict[Point, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+def parse_table_lines(text: str, k: FieldTower) -> list[int | None]:
+    """Parse ``x1,x2 -> y1,y2`` lines over GF(p) into the raw images of a
+    ``MapTable``, None where no line maps the point; a source point given
+    twice is rejected, and every error names its line.  Integer-pair
+    sides are read directly, any other side by the element parser."""
+    if not isinstance(k, PrimeField):
+        raise FieldNotFinite("map tables need a finite field")
+    n = k.p * k.p
+    raw: list[int | None] = [None] * n
+    line_of = [0] * n
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "->" not in line:
             raise ParseError(f"line {lineno}: missing '->'")
         lhs, rhs = line.split("->", 1)
         try:
-            src = read(lhs, k)
-            dst = read(rhs, k)
-        except ParseError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from exc
-        if src in line_of:
-            raise ParseError(f"line {lineno}: point {format_point(src)}"
+            src = _read_index(lhs, k)
+            dst = _read_index(rhs, k)
+        except BQError as exc:
+            exc.args = (f"line {lineno}: {exc}",)
+            raise
+        if line_of[src]:
+            raise ParseError(f"line {lineno}: point ({src // k.p}, {src % k.p})"
                              f" already mapped on line {line_of[src]}")
         line_of[src] = lineno
-        table[src] = dst
-    return table
+        raw[src] = dst
+    return raw
 
 
-def _read_int_pair(s: str, k: PrimeField) -> Point:
+def _read_index(s: str, k: PrimeField) -> int:
+    """The point index x1*p + x2 of one side of a table line."""
+    p = k.p
     m = _INT_PAIR.fullmatch(s)
-    if m is None:
-        return _parse_pair(s, k)
-    return Point(k(int(m[1])), k(int(m[2])))
+    if m is not None:
+        return int(m[1]) % p * p + int(m[2]) % p
+    pt = _parse_pair(s, k)
+    return pt.x1.rep * p + pt.x2.rep
 
 
 def _parse_pair(s: str, k: FieldTower) -> Point:
@@ -430,10 +439,9 @@ def _parse_pair(s: str, k: FieldTower) -> Point:
     return Point(x1, x2)
 
 
-def format_table_lines(table: dict[Point, Point]) -> str:
-    lines = []
-    for src in sorted(table, key=lambda pt: (str(pt.x1), str(pt.x2))):
-        dst = table[src]
-        lines.append(f"{format_element(src.x1)},{format_element(src.x2)}"
-                     f" -> {format_element(dst.x1)},{format_element(dst.x2)}")
-    return "\n".join(lines) + "\n"
+def format_table_lines(table) -> str:
+    """The lines of a ``MapTable``, sorted by the coordinates' text (so
+    ``0,10`` comes before ``0,2``)."""
+    p, raw = table.field.p, table.raw
+    order = sorted(range(p * p), key=lambda i: (str(i // p), str(i % p)))
+    return "".join(f"{i // p},{i % p} -> {raw[i] // p},{raw[i] % p}\n" for i in order)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import HealthCheck, Phase, settings
 
-from bqplane.fields import PrimeField, Q, QuadExt
+from bqplane.fields import PrimeField, Q, QuadExt, format_element
 
 # Exact-fraction arithmetic makes single examples slow; cap the example
 # count and drop the per-example deadline instead of thinning assertions.
@@ -45,6 +45,22 @@ def qs2():
 @pytest.fixture(scope="session")
 def qs2i(qs2):
     return QuadExt(qs2, -1)
+
+
+@pytest.fixture(scope="session")
+def point_table_text():
+    """Table lines printed from a point-to-point dict, sorted by the
+    coordinates' text, as tables were printed when they held points: the
+    reference for the index-table printer."""
+    def text(table) -> str:
+        lines = []
+        for src in sorted(table, key=lambda pt: (str(pt.x1), str(pt.x2))):
+            dst = table[src]
+            lines.append(f"{format_element(src.x1)},{format_element(src.x2)}"
+                         f" -> {format_element(dst.x1)},{format_element(dst.x2)}")
+        return "\n".join(lines) + "\n"
+
+    return text
 
 
 # ------------------------------------------------- acceptance reporting

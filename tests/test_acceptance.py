@@ -287,11 +287,12 @@ def test_09_rational_phi_preserved_by_canonical_maps(acceptance):
 
 def test_10_preserver_search_census(gf13, canonical_maps13, acceptance):
     census = search_unit_preservers(13)
-    oracle = {tuple(raw_image_table(f, gf13)) for f in canonical_maps13}
-    found = {tuple(raw_image_table(t, gf13)) for t in census.found}
+    oracle = {raw_image_table(f, gf13) for f in canonical_maps13}
+    found = {t.raw for t in census.found}
     limited = search_unit_preservers(13, budget=50_000)
     ok = (census.complete
           and census.total_found == census.expected == 4056
+          and census.nodes == 75_135_541  # the static-order DFS visits exactly these
           and not census.anomalies
           and found == oracle
           and not limited.complete

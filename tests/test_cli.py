@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -6,7 +7,8 @@ import pytest
 
 from bqplane.cli import MAX_SEARCH_P, run_command
 from bqplane.geometry import all_points
-from bqplane.maps import identity_map, raw_image_table
+from bqplane.errors import ProductFormViolation
+from bqplane.maps import MapTable, identity_map, raw_image_table
 from bqplane.parsing import format_table_lines
 
 
@@ -22,10 +24,9 @@ def run(capsys):
 
 @pytest.fixture
 def corrupt_table_file(tmp_path, gf13):
-    raw = raw_image_table(identity_map(gf13), gf13)
+    raw = list(raw_image_table(identity_map(gf13), gf13))
     raw[0], raw[70] = raw[70], raw[0]
-    pts = all_points(gf13)
-    text = format_table_lines({pts[i]: pts[raw[i]] for i in range(169)})
+    text = format_table_lines(MapTable(gf13, raw))
     path = tmp_path / "bad_table.txt"
     path.write_text(text, encoding="utf-8")
     return str(path)
@@ -33,8 +34,7 @@ def corrupt_table_file(tmp_path, gf13):
 
 @pytest.fixture
 def duplicate_table_file(tmp_path, gf13):
-    lines = format_table_lines(
-        {pt: pt for pt in all_points(gf13)}).splitlines()
+    lines = format_table_lines(MapTable(gf13, range(169))).splitlines()
     lines.append(lines[4])  # (0, 4) mapped again on line 170
     path = tmp_path / "dup_table.txt"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -255,6 +255,33 @@ class TestVerdictFailures:
                        if r["record"] == "failure")
         assert failure["error"] == "FrameNotOrthonormal"
 
+    def test_anomaly_record_lists_the_rejected_table(self, run, gf13, monkeypatch,
+                                                     point_table_text):
+        # at p = 13 the first find comes after 20,000 nodes; 40,000 give two
+        module = sys.modules["bqplane.decompose"]
+        decompose, rejected = module.decompose, []
+
+        def reject_first(table, k, *rest):
+            if not rejected:
+                rejected.append(table)
+                raise ProductFormViolation("rejected by the test")
+            return decompose(table, k, *rest)
+
+        monkeypatch.setattr(module, "decompose", reject_first)
+        code, out, _ = run("search-preservers", "--p", "13", "--budget", "40000",
+                           "--format", "json")
+        assert code == 1
+        recs = _json_records(out)
+        census = next(r for r in recs if r["record"] == "census")
+        assert (census["found"], census["anomaly_count"]) == (2, 1)
+        [anomaly] = [r for r in recs if r["record"] == "anomaly"]
+        assert anomaly["reason"] == "ProductFormViolation: rejected by the test"
+        pts = all_points(gf13)
+        images = {pts[i]: pts[v] for i, v in enumerate(rejected[0].raw)}
+        assert anomaly["table"] == point_table_text(images).splitlines()
+        assert [line.split(" -> ")[0] for line in anomaly["table"][:4]] == \
+            ["0,0", "0,1", "0,10", "0,11"]
+
     def test_real_point_has_no_lemma3_chain(self, run):
         code, out, _ = run("lemma3-chain", "--point", "(2, 3)",
                            "--field", "Q[i]")
@@ -325,6 +352,20 @@ class TestUsageErrors:
                              "--table", duplicate_table_file)
         assert code == 2 and out == ""
         assert "line 170" in err and "line 5" in err
+
+    def test_table_errors_name_their_line(self, run, tmp_path):
+        for text, message in [
+            ("0,0 -> 1/13,0\n", "line 1: denominator divisible by 13"),
+            ("0,0 -> 0,0\n", "table must cover all 169 points of GF(13)^2"),
+        ]:
+            path = tmp_path / "table.txt"
+            path.write_text(text, encoding="utf-8")
+            code, out, err = run("decompose", "--field", "GF(13)", "--table", str(path))
+            assert code == 2 and out == ""
+            assert err == f"bq: error: {message}\n"
+        code, out, err = run("decompose", "--field", "Q[i]", "--table", str(path))
+        assert code == 2 and out == ""
+        assert err == "bq: error: map tables need a finite field\n"
 
     def test_search_prime_above_bound(self, run):
         # 73 is the first p = 1 mod 4 above the bound; the budget keeps a

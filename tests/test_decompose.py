@@ -44,7 +44,6 @@ from bqplane.maps import (
     raw_image_table,
     rotation_matrix,
     sample_domain,
-    table_from_raw,
     translation_map,
 )
 from bqplane.parsing import parse_element, parse_map
@@ -93,7 +92,7 @@ class TestHomExtraction:
         raw = list(range(169))
         raw[2 * 13 + 3], raw[3 * 13 + 2] = raw[3 * 13 + 2], raw[2 * 13 + 3]
         with pytest.raises(ProductFormViolation) as info:
-            decompose(table_from_raw(gf13, raw), gf13)
+            decompose(MapTable(gf13, raw), gf13)
         assert info.value.witness == point(gf13, 2, 3)
 
     def test_squaring_fails_the_laws(self, qi):
@@ -203,7 +202,7 @@ class TestFrameRoute:
 
     def test_prime_table_round_trip(self, gf13):
         f = _expr("translate(7, 1) . refl(6, 2)", gf13)
-        table = table_from_raw(gf13, raw_image_table(f, gf13))
+        table = MapTable(gf13, raw_image_table(f, gf13))
         res = decompose(table, gf13)
         assert raw_image_table(res.reconstruction(), gf13) == \
             raw_image_table(table, gf13)
@@ -228,11 +227,11 @@ class TestFrameRoute:
         assert res.branch == "zeta" and res.gamma == LevelConjugation(1)
 
     def test_corrupted_table_rejected(self, gf13):
-        raw = raw_image_table(identity_map(gf13), gf13)
+        raw = list(raw_image_table(identity_map(gf13), gf13))
         raw[17] = (raw[17] + 40) % 169
         with pytest.raises((FrameNotOrthonormal, NotAHomomorphism,
                             ProductFormViolation, BranchUndetermined)):
-            decompose(table_from_raw(gf13, raw), gf13)
+            decompose(MapTable(gf13, raw), gf13)
 
     def test_record_shape(self, gf13):
         res = decompose(_expr("translate(1, 1)", gf13), gf13)
@@ -283,7 +282,7 @@ class TestLorentzRoute:
                             lambda a, p: calls.append(p) or sqrt_mod(a, p))
         k = PrimeField(13)
         f = _expr("translate(2, 3) . refl(2, 6)", k)
-        res = decompose_lorentz(table_from_raw(k, raw_image_table(f, k)), k)
+        res = decompose_lorentz(MapTable(k, raw_image_table(f, k)), k)
         assert res.lorentz_case == 2
         assert calls == [13]
 

@@ -1,5 +1,5 @@
-"""Differential test of the GF(p) decomposition routes against the
-machine-integer pipelines they replaced.
+"""Differential tests of the GF(p) decomposition routes and of the
+preserver search against the code they replaced.
 
 Over GF(p) both routes used to compute their normal form in machine
 integers, apart from the code they share with towers.  They now run the
@@ -8,13 +8,24 @@ the exhaustive scans.  The old pipelines are kept here, test-local, as
 oracles: on canonical maps the records must be equal, and on every table
 one image away from a canonical map both must refuse with the same
 exception type and message.
+
+The preserver search loop was rewritten to keep per-position image
+masks and to skip empty domains; its previous loop is kept here as an
+oracle for the node count, the completeness flag and the finds in order.
 """
 
 import random
 
 import pytest
 
-from bqplane.decompose import DecompositionResult, decompose, decompose_lorentz
+from bqplane.decompose import (
+    DecompositionResult,
+    _neighbors,
+    _search_order,
+    decompose,
+    decompose_lorentz,
+    search_unit_preservers,
+)
 from bqplane.errors import (
     BQError,
     CaseUndetermined,
@@ -33,13 +44,14 @@ from bqplane.fields import (
 from bqplane.geometry import Point, all_points, point
 from bqplane.maps import (
     AffineMap,
+    MapTable,
     Matrix2,
     SemiAffineMap,
     enumerate_orthogonal_group,
     invert,
     map_from_expression,
     raw_image_table,
-    table_from_raw,
+    unit_circle,
 )
 from bqplane.parsing import parse_map
 
@@ -163,6 +175,46 @@ def _lorentz_prime_raw(raw, k):
                                lorentz_case=case, lorentz_scale=k(a))
 
 
+def _search_prime_raw(p, budget):
+    """The preserver search loop as it was before per-position masks:
+    (nodes, complete, raw finds in the order found)."""
+    k = PrimeField(p)
+    n = p * p
+    offs = [(u.x1.rep, u.x2.rep) for u in unit_circle(k)]
+    neigh = _neighbors(p, offs)
+    masks = [sum(1 << v for v in row) for row in neigh]
+    order, earlier = _search_order(neigh)
+    full = (1 << n) - 1
+    img = [0] * n
+    stack = [0] * n
+    stack[0] = full
+    found_raw = []
+    nodes = 0
+    complete = True
+    pos = 0
+    while pos >= 0:
+        cm = stack[pos]
+        if not cm:
+            pos -= 1
+            continue
+        low = cm & -cm
+        stack[pos] = cm ^ low
+        nodes += 1
+        if budget is not None and nodes > budget:
+            complete = False
+            break
+        img[order[pos]] = low.bit_length() - 1
+        if pos + 1 == n:
+            found_raw.append(tuple(img))
+            continue
+        nxt = full
+        for e in earlier[pos + 1]:
+            nxt &= masks[img[order[e]]]
+        pos += 1
+        stack[pos] = nxt
+    return nodes, complete, found_raw
+
+
 ROUTES = [(decompose, _decompose_prime_raw),
           (decompose_lorentz, _lorentz_prime_raw)]
 
@@ -203,7 +255,7 @@ def test_records_equal_on_canonical_maps(p, count):
     for text in _canonical_expressions(k, count, seed=p):
         f = map_from_expression(parse_map(text, k), k)
         raw = raw_image_table(f, k)
-        table = table_from_raw(k, raw)
+        table = MapTable(k, raw)
         for route, oracle in ROUTES:
             want = oracle(raw, k).to_record()
             assert route(f, k).to_record() == want, (text, route.__name__)
@@ -222,7 +274,7 @@ def test_every_single_moved_image_refused_as_by_oracle():
         for img in range(n):
             if img == base[idx]:
                 continue
-            raw = base[:]
+            raw = list(base)
             raw[idx] = img
             f = _raw_oracle(raw, k)
             for route, oracle in ROUTES:
@@ -245,7 +297,7 @@ def test_two_moved_images_report_the_first_in_row_major_order():
     for text in _canonical_expressions(k, 6, seed=3):
         base = raw_image_table(map_from_expression(parse_map(text, k), k), k)
         for _ in range(40):
-            raw = base[:]
+            raw = list(base)
             for idx in rng.sample(range(n), 2):
                 raw[idx] = rng.choice([v for v in range(n) if v != base[idx]])
             f = _raw_oracle(raw, k)
@@ -262,3 +314,12 @@ def test_decompose_uses_the_frame_scan_wording(gf13):
                              "not coordinatewise") as info:
         decompose(_raw_oracle(raw, gf13), gf13)
     assert info.value.witness == point(gf13, 0, 5)
+
+
+@pytest.mark.parametrize("p", [13, 17, 29, 37])
+@pytest.mark.parametrize("budget", [0, 1, 1_000, 40_000, 200_000])
+def test_search_visits_the_oracle_nodes(p, budget):
+    census = search_unit_preservers(p, budget=budget)
+    nodes, complete, found = _search_prime_raw(p, budget)
+    assert (census.nodes, census.complete) == (nodes, complete)
+    assert [t.raw for t in census.found] == found

@@ -17,6 +17,7 @@ from bqplane.errors import (
 )
 from bqplane.fields import (
     LevelConjugation,
+    PrimeField,
     Q,
     QuadExt,
     from_coeff_vector,
@@ -47,7 +48,6 @@ from bqplane.maps import (
     rotation_matrix,
     sample_domain,
     swap_affine,
-    table_from_raw,
     translation_map,
     unit_circle,
     unit_from_parameter,
@@ -219,20 +219,33 @@ class TestComposeInvert:
 
 class TestMapTables:
     def test_requires_full_coverage(self, gf13):
-        pts = all_points(gf13)
-        with pytest.raises(FieldMismatch):
-            MapTable(gf13, {pts[0]: pts[0]})
+        hole = [None] + list(range(1, 169))
+        for raw in ([0], [0] * 170, hole):
+            with pytest.raises(FieldMismatch,
+                               match=r"cover all 169 points of GF\(13\)\^2"):
+                MapTable(gf13, raw)
+
+    def test_images_must_be_point_indices(self, gf13):
+        for bad in (169, -1, "0", 1.0):
+            with pytest.raises(FieldMismatch, match="table image outside the field"):
+                MapTable(gf13, [bad] + [0] * 168)
 
     def test_requires_finite_field(self):
-        with pytest.raises(FieldNotFinite):
-            MapTable(Q, {})
+        with pytest.raises(FieldNotFinite, match="map tables need a finite field"):
+            MapTable(Q, ())
+
+    def test_point_of_another_field_is_a_mismatch(self, gf13, gf17):
+        table = MapTable(gf13, range(169))
+        with pytest.raises(FieldMismatch):
+            table(point(gf17, 0, 0))
+        assert table(point(PrimeField(13), 2, 5)) == point(gf13, 2, 5)
 
     def test_invert_requires_injectivity(self, gf13):
         pts = all_points(gf13)
-        collapsed = MapTable(gf13, {x: pts[0] for x in pts})
+        collapsed = MapTable(gf13, [0] * 169)
         with pytest.raises(FieldMismatch):
             collapsed.inverse()
-        shifted = table_from_raw(gf13, raw_image_table(translation_map(gf13, 3, 1), gf13))
+        shifted = MapTable(gf13, raw_image_table(translation_map(gf13, 3, 1), gf13))
         back = shifted.inverse()
         assert all(back(shifted(x)) == x for x in pts)
 
@@ -240,8 +253,9 @@ class TestMapTables:
         f = compose(translation_map(gf13, 4, 9),
                     linear_map(reflection_matrix(gf13(6), gf13(2))))
         raw = raw_image_table(f, gf13)
-        table = table_from_raw(gf13, raw)
-        assert raw_image_table(table, gf13) == raw
+        table = MapTable(gf13, list(raw))
+        assert table.raw == raw
+        assert raw_image_table(table, gf13) is table.raw  # no point evaluated
         for x in all_points(gf13)[:20]:
             assert table(x) == f(x)
 
@@ -250,8 +264,8 @@ class TestMapTables:
                           linear_map(rotation_matrix(gf13(11), gf13(7)))),
                   map_from_expression(
                       parse_map("xi . lambda(2) . eta . translate(1, 5)", gf13), gf13)):
-            generic = [img.x1.rep * 13 + img.x2.rep
-                       for img in (f(x) for x in all_points(gf13))]
+            generic = tuple(img.x1.rep * 13 + img.x2.rep
+                            for img in (f(x) for x in all_points(gf13)))
             assert raw_image_table(f, gf13) == generic
 
 
@@ -264,16 +278,16 @@ class TestPreservationScans:
         assert rep.name == "unit_distance" and rep.domain == EXHAUSTIVE
 
     def test_corrupted_table_is_caught(self, gf13):
-        raw = raw_image_table(identity_map(gf13), gf13)
+        raw = list(raw_image_table(identity_map(gf13), gf13))
         raw[0], raw[1] = raw[5], raw[70]  # break two images
-        bad = table_from_raw(gf13, raw)
+        bad = MapTable(gf13, raw)
         rep = preserves_unit_distance(bad, gf13, EXHAUSTIVE)
         assert not rep.ok and rep.witnesses
 
     def test_scans_stop_at_the_tenth_witness(self, gf13):
         # every point sent to (0, 0): each unit pair fails, and every pair
         # fails phi except those of a point with itself
-        flat = table_from_raw(gf13, [0] * 169)
+        flat = MapTable(gf13, [0] * 169)
         unit = preserves_unit_distance(flat, gf13, EXHAUSTIVE)
         assert len(unit.witnesses) == 10 and unit.checked == 10
         assert unit.witnesses[0] == ("(0, 0)", "(0, 1)", "0")

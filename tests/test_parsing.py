@@ -1,10 +1,19 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bqplane.errors import BQError, InvalidField, NotOrthogonal, ParseError
+from bqplane.errors import (
+    BQError,
+    DivisionByZero,
+    FieldMismatch,
+    FieldNotFinite,
+    InvalidField,
+    NotOrthogonal,
+    ParseError,
+)
 from bqplane.fields import (
     PrimeField,
     Q,
@@ -12,7 +21,8 @@ from bqplane.fields import (
     from_coeff_vector,
     tower_levels,
 )
-from bqplane.geometry import Point
+from bqplane.geometry import Point, all_points
+from bqplane.maps import MapTable
 from bqplane.parsing import (
     format_element,
     format_field,
@@ -170,15 +180,13 @@ class TestMapExpressions:
 
 class TestTableFiles:
     def test_round_trip(self, gf13):
-        table = {Point(gf13(a), gf13(b)): Point(gf13(b), gf13(a))
-                 for a in range(3) for b in range(3)}
-        text = format_table_lines(table)
-        assert parse_table_lines(text, gf13) == table
+        raw = [(b % 13) * 13 + a % 13 for a in range(13) for b in range(13)]
+        text = format_table_lines(MapTable(gf13, raw))
+        assert parse_table_lines(text, gf13) == raw
 
     def test_comments_and_blanks(self, gf13):
         text = "# header\n\n0,0 -> 1,2   # inline note\n"
-        parsed = parse_table_lines(text, gf13)
-        assert parsed == {Point(gf13(0), gf13(0)): Point(gf13(1), gf13(2))}
+        assert parse_table_lines(text, gf13) == [1 * 13 + 2] + [None] * 168
 
     def test_missing_arrow_reports_line(self, gf13):
         with pytest.raises(ParseError) as exc:
@@ -190,28 +198,83 @@ class TestTableFiles:
             parse_table_lines("0,0 -> 1,r1\n", gf13)
 
     def test_malformed_line_messages(self, gf13):
-        for text, message in [
-            ("1,2 -> 3\n", "line 1: expected ',', found 'end of input' (at position 2)"),
-            ("1,2 -> 3,4\n\n1, 2 -> 0,0\n",
+        for text, error, message in [
+            ("1,2 -> 3\n", ParseError,
+             "line 1: expected ',', found 'end of input' (at position 2)"),
+            ("1,2 -> 3,4\n\n1, 2 -> 0,0\n", ParseError,
              "line 3: point (1, 2) already mapped on line 1"),
+            ("0,0 -> 1/13,0\n", DivisionByZero,
+             "line 1: denominator divisible by 13"),
+            ("# 1/13\n\n2,2 -> 0,0\n1/26,0 -> 0,0\n", DivisionByZero,
+             "line 4: denominator divisible by 13"),
         ]:
-            with pytest.raises(ParseError) as exc:
+            with pytest.raises(error) as exc:
                 parse_table_lines(text, gf13)
             assert str(exc.value) == message
 
+    def test_tables_need_a_finite_field(self):
+        with pytest.raises(FieldNotFinite, match="^map tables need a finite field$"):
+            parse_table_lines("0,0 -> 0,0\n", Q)
 
-# ------------------------------------ integer lines against the parser
+    def test_holes_are_refused_by_the_table(self, gf13):
+        with pytest.raises(FieldMismatch, match=r"cover all 169 points"):
+            MapTable(gf13, parse_table_lines("0,0 -> 1,2\n", gf13))
+
+    @pytest.mark.parametrize("p, seed", [(13, 1), (13, 2), (17, 0), (29, 3)])
+    def test_format_is_the_point_table_format(self, p, seed, point_table_text):
+        k = PrimeField(p)
+        rng = random.Random(seed)
+        raw = [rng.randrange(p * p) for _ in range(p * p)]
+        pts = all_points(k)
+        want = point_table_text({pts[i]: pts[raw[i]] for i in range(p * p)})
+        assert format_table_lines(MapTable(k, raw)) == want
+
+
+# ------------------------- index tables against the point-table reader
 
 def _reference_table(text, k):
-    """Every side through the element parser, as tables were read before
-    integer pairs got their own reader."""
-    table = {}
-    for raw in text.splitlines():
+    """Table lines read as tables were read when they held points: every
+    side through the element parser, into a point-to-point dict.  Errors
+    name their line, and a point given twice is refused."""
+    table, line_of = {}, {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if line:
-            lhs, rhs = line.split("->", 1)
-            table[_parse_pair(lhs, k)] = _parse_pair(rhs, k)
+        if not line:
+            continue
+        if "->" not in line:
+            raise ParseError(f"line {lineno}: missing '->'")
+        lhs, rhs = line.split("->", 1)
+        try:
+            src, dst = _parse_pair(lhs, k), _parse_pair(rhs, k)
+        except BQError as exc:
+            raise type(exc)(f"line {lineno}: {exc}") from exc
+        if src in line_of:
+            raise ParseError(f"line {lineno}: point {format_point(src)}"
+                             f" already mapped on line {line_of[src]}")
+        line_of[src] = lineno
+        table[src] = dst
     return table
+
+
+def _reading(reader, text, k):
+    """The index table a reader gives, or its error's type and message."""
+    try:
+        table = reader(text, k)
+    except BQError as exc:
+        return type(exc), str(exc)
+    if isinstance(table, dict):
+        p = k.p
+        raw = [None] * (p * p)
+        for src, dst in table.items():
+            raw[src.x1.rep * p + src.x2.rep] = dst.x1.rep * p + dst.x2.rep
+        return raw
+    return table
+
+
+def _same_reading(text, k):
+    got = _reading(parse_table_lines, text, k)
+    assert got == _reading(_reference_table, text, k)
+    return got
 
 
 class TestIntegerTableLines:
@@ -229,9 +292,24 @@ class TestIntegerTableLines:
         "1 + 1, 2 -> 3 - 4, -0",
     ])
     def test_same_table_as_the_parser(self, gf13, line):
-        got = parse_table_lines(line + "\n", gf13)
-        assert got == _reference_table(line, gf13)
-        assert len(got) == 1
+        got = _same_reading(line + "\n", gf13)
+        assert sum(v is not None for v in got) == 1
+
+    @pytest.mark.parametrize("text", [
+        "1,2 -> 3,4\n14,15 -> 0,0\n",       # the same point, written twice
+        "0,0 -> 1,1\n# 0,0 -> 2,2\n1/2,0 -> 0,0\n7,0 -> 5,5\n",
+        "0,0 -> 1/13,0\n",
+        "0,0 -> 1,2\n\n3,r1 -> 0,0\n",
+        "0,0 -> 1,2\n3,3 4,4\n",
+        "0,0 -> 1,2\n5,5 -> 6,6\n",          # holes everywhere else
+        "",
+    ])
+    def test_same_outcome_on_many_lines(self, gf13, text):
+        _same_reading(text, gf13)
+
+    def test_same_table_on_a_full_file(self, gf13):
+        raw = [(3 * (i // 13) + 1) % 13 * 13 + (5 * i + 2) % 13 for i in range(169)]
+        _same_reading(format_table_lines(MapTable(gf13, raw)), gf13)
 
     @given(st.lists(st.tuples(st.integers(-10**20, 10**20), st.integers(0, 3),
                               st.sampled_from(["", " ", "\t", "  "])),
@@ -241,7 +319,8 @@ class TestIntegerTableLines:
         sides = [f"{ws}{'-' if n < 0 else ''}{'0' * zeros}{abs(n)}{ws}"
                  for n, zeros, ws in parts]
         line = f"{sides[0]},{sides[1]} ->{sides[2]},{sides[3]}"
-        assert parse_table_lines(line, k) == _reference_table(line, k)
+        _same_reading(line, k)
+        _same_reading(f"{line}\n{line}\n", k)  # a duplicate on line 2
 
 
 # ------------------------------------------ any text: a value or a BQError
