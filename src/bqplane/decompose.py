@@ -62,7 +62,7 @@ from .fields import (
     is_f_of_i,
     probe_elements,
 )
-from .geometry import Point, eta, lambda_map, phi, point, random_point, xi
+from .geometry import Point, eta, phi, point, random_point, xi
 from .maps import (
     AffineMap,
     MapTable,
@@ -331,8 +331,11 @@ def decompose_lorentz(f, k: FieldTower, domain: DomainSpec = EXHAUSTIVE
         raise LorentzNormalizationFailed(
             f"normalized image of (1,1) gives a*b = {a * b}, not 1")
 
-    def big_g(x: Point) -> Point:
-        return lambda_map(a, big_f(x))
+    a_inv = k.one / a
+
+    def big_g(x: Point) -> Point:  # lambda(a) after big_f, with 1/a found once
+        y = big_f(x)
+        return Point(y.x1 * a_inv, a * y.x2)
 
     two, zero = k(2), k.zero
     probe = big_g(point(k, 2, 0))

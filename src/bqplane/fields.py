@@ -7,6 +7,12 @@ non-square.  Elements carry canonical representations with decidable
 equality: an element of a depth-k tower is 2^k integer numerators over
 one positive denominator, and Q is the depth-0 tower, one numerator
 over a positive denominator, so Q and its towers share one kernel.
+A tower whose radicands are all rational multiplies its numerator
+vectors in one pass, an XOR convolution over the monomials with one
+integer weight per level set.  From a level with a nested radicand (one
+with a radical part, such as sqrt(5 + r1*r2)) up, a product splits into
+halves over the level below, down to the rational levels beneath, which
+take the one-pass product again.
 Every geometric identity downstream is checked exactly; no floating
 point is used anywhere.  The real order of a real tower is the exact
 ``real_sign``.
@@ -28,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -73,6 +80,8 @@ class FieldElement:
         return None
 
     def __add__(self, other):
+        if other.__class__ is FieldElement and other.tower is self.tower:
+            return FieldElement(self.tower, self.tower._add(self.rep, other.rep))
         o = self._operand(other)
         if o is None:
             return NotImplemented
@@ -81,6 +90,8 @@ class FieldElement:
     __radd__ = __add__
 
     def __sub__(self, other):
+        if other.__class__ is FieldElement and other.tower is self.tower:
+            return FieldElement(self.tower, self.tower._sub(self.rep, other.rep))
         o = self._operand(other)
         if o is None:
             return NotImplemented
@@ -93,6 +104,8 @@ class FieldElement:
         return FieldElement(self.tower, self.tower._sub(o.rep, self.rep))
 
     def __mul__(self, other):
+        if other.__class__ is FieldElement and other.tower is self.tower:
+            return FieldElement(self.tower, self.tower._mul(self.rep, other.rep))
         o = self._operand(other)
         if o is None:
             return NotImplemented
@@ -135,7 +148,10 @@ class FieldElement:
             return ((self.tower is other.tower or self.tower == other.tower)
                     and self.rep == other.rep)
         if isinstance(other, (int, Fraction)):
-            return self.rep == self.tower._coerce(other)
+            try:
+                return self.rep == self.tower._coerce(other)
+            except DivisionByZero:  # a denominator divisible by p is no element
+                return False
         return NotImplemented
 
     def __hash__(self):
@@ -288,7 +304,7 @@ def _reduced(nums, den: int) -> TowerRep:
     g = math.gcd(den, *nums)
     if g == 1:
         return TowerRep(tuple(nums), den)
-    return TowerRep(tuple(n // g for n in nums), den // g)
+    return TowerRep(tuple([n // g for n in nums]), den // g)
 
 
 def _halves(rep: TowerRep):
@@ -327,6 +343,7 @@ class FlatTower(FieldTower):
     one_rep = TowerRep((1,), 1)
     _pad = ()
     _prod_scale = 1
+    _weights = (1,)  # Q's monomial weights; see QuadExt.__init__
 
     def _coerce(self, v):
         if not isinstance(v, (int, Fraction)):
@@ -401,26 +418,49 @@ class QuadExt(FlatTower):
         self._pad = (0,) * ((1 << self.depth) - 1)
         self.zero_rep = TowerRep((0,) + self._pad, 1)
         self.one_rep = TowerRep((1,) + self._pad, 1)
-        # _imul(x, y) is x*y times _prod_scale for numerator vectors.  With
-        # d = dn/dd its low half is _lo_scale*x0*y0 + dn*x1*y1, and a rational
-        # radicand (dn one int) scales the vector instead of multiplying it.
+        # _imul(x, y) is x*y times _prod_scale for numerator vectors.  While
+        # every radicand up to this level is rational, d_L = n_L/e_L, the
+        # monomials multiply as r^i r^j = r^(i^j) prod_{L in i&j} d_L, so the
+        # scaled product is one XOR convolution with the weights
+        # w[m] = prod_{L in m} n_L * prod_{L not in m} e_L, and _prod_scale
+        # = w[0].  From a nested radicand up, products split into halves.
         dn, dd = d.rep.nums, d.rep.den
         nested = any(dn[1:])
-        inner = base._prod_scale
-        self._d_nums = dn if nested else dn[0]
-        self._lo_scale = dd * inner if nested else dd
-        self._prod_scale = self._lo_scale * inner
+        if base._weights is not None and not nested:
+            bw = base._weights
+            self._weights = tuple(w * dd for w in bw) + tuple(w * dn[0] for w in bw)
+            self._prod_scale = self._weights[0]
+        else:
+            # The low half is _lo_scale*x0*y0 + dn*x1*y1, and a rational
+            # radicand (dn one int) scales the vector instead of multiplying it.
+            inner = base._prod_scale
+            self._weights = None
+            self._d_nums = dn if nested else dn[0]
+            self._lo_scale = dd * inner if nested else dd
+            self._prod_scale = self._lo_scale * inner
         self._hash = hash(("bqplane.QuadExt", hash(base), d.rep))
 
     def _imul(self, x, y) -> list[int]:
-        # (x0 + x1 r)(y0 + y1 r) = (x0 y0 + d x1 y1) + (x0 y1 + x1 y0) r,
-        # leaving out every product with a zero half.
+        w = self._weights
+        if w is None:
+            return self._imul_halves(x, y)
+        if len(w) == 2:
+            # (x0 + x1 r)(y0 + y1 r) = (x0 y0 + d x1 y1) + (x0 y1 + x1 y0) r
+            (x0, x1), (y0, y1), (c, dn) = x, y, w
+            return [c * x0 * y0 + dn * x1 * y1, c * (x0 * y1 + x1 * y0)]
+        out = [0] * len(x)
+        ys = [(j, b) for j, b in enumerate(y) if b]
+        for i, a in enumerate(x):
+            if a:
+                for j, b in ys:
+                    out[i ^ j] += a * b * w[i & j]
+        return out
+
+    def _imul_halves(self, x, y) -> list[int]:
+        # (x0 + x1 r)(y0 + y1 r) = (x0 y0 + d x1 y1) + (x0 y1 + x1 y0) r over
+        # the base, leaving out every product with a zero half.
         c, dn = self._lo_scale, self._d_nums
         h = len(x) >> 1
-        if h == 1:
-            x0, x1 = x
-            y0, y1 = y
-            return [c * x0 * y0 + dn * x1 * y1, c * (x0 * y1 + x1 * y0)]
         base = self.base
         x0, x1, y0, y1 = x[:h], x[h:], y[:h], y[h:]
         nx0, nx1, ny0, ny1 = any(x0), any(x1), any(y0), any(y1)
@@ -746,6 +786,11 @@ def compose_homs(h1: LevelConjugation, h2: LevelConjugation) -> LevelConjugation
     return LevelConjugation(*(h1.levels ^ h2.levels))
 
 
+# apply_hom's coefficient signs per (level mask, vector length): one entry
+# per conjugation of each tower shape in use.
+_HOM_SIGNS: dict[tuple[int, int], tuple[int, ...]] = {}
+
+
 def apply_hom(h: LevelConjugation, x: FieldElement) -> FieldElement:
     """Apply a catalog homomorphism to x.
 
@@ -762,9 +807,13 @@ def apply_hom(h: LevelConjugation, x: FieldElement) -> FieldElement:
         if not 1 <= L <= k.depth:
             raise InvalidLevel(f"level {L} not in 1..{k.depth} for {k}")
         mask |= 1 << (L - 1)
-    nums = tuple(-n if (i & mask).bit_count() & 1 else n
-                 for i, n in enumerate(x.rep.nums))
-    return FieldElement(k, TowerRep(nums, x.rep.den))
+    nums = x.rep.nums
+    key = (mask, len(nums))
+    signs = _HOM_SIGNS.get(key)
+    if signs is None:
+        signs = _HOM_SIGNS[key] = tuple(-1 if (i & mask).bit_count() & 1 else 1
+                                        for i in range(len(nums)))
+    return FieldElement(k, TowerRep(tuple(map(operator.mul, nums, signs)), x.rep.den))
 
 
 def conjugation_is_automorphism(k: FieldTower, level: int) -> bool:
@@ -833,9 +882,10 @@ def random_element(k: FieldTower, rng: random.Random) -> FieldElement:
     RANDOM_SIZE."""
     if isinstance(k, PrimeField):
         return k(rng.randrange(k.p))
-    return from_coeff_vector(k, [Fraction(rng.randint(-RANDOM_SIZE, RANDOM_SIZE),
-                                          rng.randint(1, RANDOM_SIZE))
-                                 for _ in range(1 << k.depth)])
+    pairs = [(rng.randint(-RANDOM_SIZE, RANDOM_SIZE), rng.randint(1, RANDOM_SIZE))
+             for _ in range(1 << k.depth)]
+    den = math.lcm(*(d for _, d in pairs))
+    return FieldElement(k, _reduced([n * (den // d) for n, d in pairs], den))
 
 
 def basis_monomials(k: FieldTower) -> list[FieldElement]:

@@ -98,9 +98,12 @@ def xi(x: Point) -> Point:
 def eta(x: Point) -> Point:
     """Inverse of xi: (x1/2 + x2/2, (i/2)(x2 - x1))."""
     k = x.tower
-    i = _unit(k)
-    half = k(Fraction(1, 2))
-    return Point(half * (x.x1 + x.x2), i * half * (x.x2 - x.x1))
+    scales = getattr(k, "_eta_scales", None)
+    if scales is None:
+        half = k(Fraction(1, 2))
+        scales = k._eta_scales = (half, _unit(k) * half)
+    half, i_half = scales
+    return Point(half * (x.x1 + x.x2), i_half * (x.x2 - x.x1))
 
 
 def lambda_map(z: FieldElement, x: Point) -> Point:

@@ -319,12 +319,11 @@ def preserves_unit_distance(m, k: FieldTower, domain: DomainSpec) -> Check:
 
 
 def _sample_rational_phi_pair(k: FieldTower, rng: random.Random) -> tuple[Point, Point]:
-    # X plus a rational multiple of a unit vector keeps phi in the prime
-    # subfield: phi = r^2.
-    x, y = _sample_unit_pair(k, rng)
-    u = y - x
-    r = k(rng.randint(-9, 9))
-    return x, x + Point(r * u.x1, r * u.x2)
+    # X plus a random v of the prime subfield's plane keeps phi in the prime
+    # subfield, phi = v1^2 + v2^2, and ties Y to no coset of the unit steps.
+    x = random_point(k, rng)
+    v = random_point(k if isinstance(k, PrimeField) else Q, rng)
+    return x, Point(x.x1 + k(v.x1), x.x2 + k(v.x2))
 
 
 def preserves_phi(m, k: FieldTower, domain: DomainSpec) -> Check:

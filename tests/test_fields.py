@@ -114,6 +114,13 @@ class TestElementArithmetic:
         with pytest.raises(FieldMismatch):
             QI.one + QS2.one
 
+    def test_fraction_outside_prime_field_is_unequal(self, gf13):
+        # 1/13 is no element of GF(13), so no element equals it
+        assert not gf13(1) == Fraction(1, 13)
+        assert gf13(1) != Fraction(1, 13)
+        assert gf13(0) != Fraction(13, 26 * 13)
+        assert gf13(7) == Fraction(1, 2) and gf13(1) == Fraction(14, 1)
+
 
 class TestCoefficientVectors:
     @given(elements(QS2I))

@@ -21,7 +21,6 @@ from bqplane.fields import (
     Q,
     QuadExt,
     from_coeff_vector,
-    random_element,
 )
 from bqplane.geometry import Point, all_points, phi, point, random_point
 from bqplane.maps import (
@@ -315,21 +314,46 @@ class TestPreservationScans:
         rep = preserves_phi(conj, qi, sample_domain(40, seed=1))
         assert rep.ok and rep.checked == 40
 
-    def test_rational_phi_pairs_match_inline_sampler(self, qs2i):
+    def test_rational_phi_pairs_match_inline_sampler(self, qs2i, gf13):
+        # y = x + v with v drawn from the prime subfield's plane, so that
+        # phi(x, y) = v1^2 + v2^2 lies in the prime subfield
         def reference(k, rng):
             x = random_point(k, rng)
-            while True:
-                try:
-                    u = unit_from_parameter(k, random_element(k, rng))
-                except ZeroParameter:
-                    continue
-                r = k(rng.randint(-9, 9))
-                return x, x + Point(r * u.x1, r * u.x2)
+            if isinstance(k, PrimeField):
+                v = [rng.randrange(k.p) for _ in range(2)]
+            else:
+                v = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(2)]
+            return x, Point(x.x1 + v[0], x.x2 + v[1]), v[0] ** 2 + v[1] ** 2
 
-        for seed in range(3):
-            got, want = random.Random(seed), random.Random(seed)
-            for _ in range(20):
-                assert _sample_rational_phi_pair(qs2i, got) == reference(qs2i, want)
+        for k in (Q, qs2i, gf13):
+            for seed in range(3):
+                got, want = random.Random(seed), random.Random(seed)
+                for _ in range(20):
+                    x, y, square = reference(k, want)
+                    assert _sample_rational_phi_pair(k, got) == (x, y)
+                    assert phi(x, y) == square
+
+    def test_phi_scan_catches_the_thirds_shift(self, qi):
+        # x + (1, 0) when a coordinate of x has a denominator divisible by
+        # 3, else x: a rational unit step has a denominator prime to 3, so
+        # both ends of a unit pair of Q^2 move alike, yet the map is not
+        # affine.  Pairs y = x + r*u stayed in one coset of the unit steps
+        # and never saw it.
+        def shift(x):
+            if x.x1.rep.den % 3 == 0 or x.x2.rep.den % 3 == 0:
+                return Point(x.x1 + 1, x.x2)
+            return x
+
+        unit = preserves_unit_distance(shift, Q, sample_domain(200, seed=1))
+        assert unit.ok and unit.checked == 200
+        rep = preserves_phi(shift, Q, sample_domain(200, seed=1))
+        assert not rep.ok and rep.witnesses
+        third = point(Q, Fraction(1, 3), 0)
+        assert phi(shift(point(Q, 0, 0)), shift(third)) == Fraction(16, 9)
+        # over Q(i) the same rule breaks the unit pair (0, 0), (5/3, 4i/3)
+        far = Point(qi(Fraction(5, 3)), from_coeff_vector(qi, [0, Fraction(4, 3)]))
+        assert phi(point(qi, 0, 0), far) == 1
+        assert phi(shift(point(qi, 0, 0)), shift(far)) != 1
 
     def test_zero_samples_is_not_ok(self, qi):
         conj = SemiAffineMap(identity_map(qi), LevelConjugation(1))
