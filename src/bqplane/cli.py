@@ -35,7 +35,6 @@ from .errors import (
     NoImaginaryUnit,
 )
 from .fields import (
-    EXHAUSTIVE,
     LevelConjugation,
     PrimeField,
     Q,
@@ -211,12 +210,8 @@ def _prep_decompose(args):
         with open(args.table, encoding="utf-8") as fh:
             f = MapTable(k, parse_table_lines(fh.read(), k))
         source = {"table": args.table}
-    if isinstance(k, PrimeField):
-        domain = EXHAUSTIVE
-    else:
-        samples = DEFAULT_SAMPLES if args.samples is None else args.samples
-        domain = sample_domain(samples, args.seed)
-    return k, f, source, domain
+    samples = DEFAULT_SAMPLES if args.samples is None else args.samples
+    return k, f, source, sample_domain(samples, args.seed)
 
 
 def _run_decompose(args, prepared, *, route) -> RunReport:

@@ -57,10 +57,11 @@ from .fields import (
     PrimeField,
     apply_hom,
     basis_monomials,
-    catalog_homomorphisms,
     imaginary_unit,
+    is_automorphism,
     is_f_of_i,
     probe_elements,
+    tower_levels,
 )
 from .geometry import Point, eta, phi, point, random_point, xi
 from .maps import (
@@ -163,9 +164,10 @@ def _read_gamma(gamma_eval, k: FieldTower, domain: DomainSpec) -> LevelConjugati
     Over GF(p) the law table of the p residues is checked exhaustively in
     machine integers; a table that is additive, multiplicative and unital
     is the identity.  Over a tower the laws are spot-checked on the
-    seeded probe set with genuine witnesses, then gamma is matched
-    against the catalog on the monomial basis and re-verified on every
-    probe.
+    seeded probe set with genuine witnesses, then gamma is read off the
+    generators (r_L -> -r_L conjugates level L, r_L -> r_L fixes it), must
+    be an automorphism, and is re-verified on every basis monomial (which
+    a small sample's probes leave out) and every probe.
     """
     if domain == EXHAUSTIVE:
         p = k.p
@@ -208,20 +210,21 @@ def _read_gamma(gamma_eval, k: FieldTower, domain: DomainSpec) -> LevelConjugati
         if ev(x * y) != ev(x) * ev(y):
             raise NotAHomomorphism(
                 f"multiplicativity fails at ({x}, {y})", witness=(x, y))
-    monomials = basis_monomials(k)
-    match = None
-    for h in catalog_homomorphisms(k):
-        if all(ev(m) == apply_hom(h, m) for m in monomials):
-            match = h
-            break
-    if match is None:
-        witness = next(
-            (m for m in monomials
-             if all(ev(m) != apply_hom(h, m) for h in catalog_homomorphisms(k))),
-            None)
+    layers = tower_levels(k)
+    levels = []
+    for layer in layers:
+        r = k(layer.radical)
+        if ev(r) == -r:
+            levels.append(layer.level)
+        elif ev(r) != r:
+            raise NotAHomomorphism(
+                "generator images match no catalog homomorphism", witness=r)
+    match = LevelConjugation(*levels)
+    if not is_automorphism(match, k):
+        moved = next(d for d in (k(layer.d) for layer in layers) if apply_hom(match, d) != d)
         raise NotAHomomorphism(
-            "generator images match no catalog homomorphism", witness=witness)
-    for x in probes:
+            "generator images match no catalog homomorphism", witness=moved)
+    for x in basis_monomials(k) + probes:
         if ev(x) != apply_hom(match, x):
             raise NotAHomomorphism(
                 f"disagrees at {x} with the homomorphism fixed by its "

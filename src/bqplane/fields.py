@@ -17,13 +17,12 @@ Every geometric identity downstream is checked exactly; no floating
 point is used anywhere.  The real order of a real tower is the exact
 ``real_sign``.
 
-Field homomorphisms of a tower are generated by "level conjugations",
-the maps that negate the coefficient of one adjoined radical.  They
-commute and are involutions, so each catalog homomorphism is exactly the
-set of levels it conjugates (``LevelConjugation(*levels)``; no levels is
-the identity).  The catalog is what the decomposition pipelines match
-extracted coordinate maps against.  On a prime field the identity is the
-only homomorphism.
+The catalog homomorphisms of a tower are its "level conjugations": a
+set of levels, each radical r_L of which is sent to -r_L while the
+others stay (``LevelConjugation(*levels)``; no levels is the identity).
+Such a map is an automorphism exactly when it fixes every radicand
+(``is_automorphism``), and the catalog is every level set that does.
+On a prime field the identity is the only homomorphism.
 
 Every verdict scan covers a ``DomainSpec`` (all of a finite field, or a
 seeded sample) and reports a ``Check``: the cases covered and up to
@@ -797,7 +796,7 @@ def apply_hom(h: LevelConjugation, x: FieldElement) -> FieldElement:
     Level conjugations act structurally on the coefficients: a numerator
     is negated when its index has an odd number of the levels' bits set.
     Whether the result is multiplicative depends on the tower (see
-    ``conjugation_is_automorphism``), and ``hom_check`` certifies it.
+    ``is_automorphism``), and ``hom_check`` certifies it.
     """
     if not h.levels:
         return x
@@ -816,30 +815,22 @@ def apply_hom(h: LevelConjugation, x: FieldElement) -> FieldElement:
     return FieldElement(k, TowerRep(tuple(map(operator.mul, nums, signs)), x.rep.den))
 
 
-def conjugation_is_automorphism(k: FieldTower, level: int) -> bool:
-    """Negating level ``level`` is multiplicative iff every radicand
-    adjoined above that level is fixed by the negation."""
-    if not 1 <= level <= k.depth:
-        raise InvalidLevel(f"level {level} not in 1..{k.depth} for {k}")
-    for layer in tower_levels(k):
-        if layer.level <= level:
-            continue
-        if layer.d.tower.depth >= level:
-            if apply_hom(LevelConjugation(level), layer.d) != layer.d:
-                return False
-    return True
+def is_automorphism(h: LevelConjugation, k: FieldTower) -> bool:
+    """Whether h is an automorphism of k.  It sends each radical r_L to
+    +-r_L, so it is multiplicative exactly when it fixes every radicand
+    d_L = r_L^2.  Levels outside 1..depth are refused: Q and GF(p) have
+    none to conjugate."""
+    return (all(1 <= L <= k.depth for L in h.levels)
+            and all(apply_hom(h, k(layer.d)) == k(layer.d) for layer in tower_levels(k)))
 
 
 def catalog_homomorphisms(k: FieldTower) -> list[LevelConjugation]:
-    """All homomorphisms in the catalog that are valid for k.
-
-    The identity first, then single conjugations by ascending level, then
-    larger compositions in subset order.
-    """
-    valid = [L for L in range(1, k.depth + 1) if conjugation_is_automorphism(k, L)]
-    return [LevelConjugation(*levels)
-            for n in range(len(valid) + 1)
-            for levels in itertools.combinations(valid, n)]
+    """Every level set that is an automorphism of k (``is_automorphism``):
+    the identity first, then by size, each size in lexicographic order."""
+    level_sets = (LevelConjugation(*levels)
+                  for n in range(k.depth + 1)
+                  for levels in itertools.combinations(range(1, k.depth + 1), n))
+    return [h for h in level_sets if is_automorphism(h, k)]
 
 
 def hom_check(h, k: FieldTower, domain: DomainSpec) -> Check:

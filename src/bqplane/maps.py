@@ -3,9 +3,11 @@ scans over them.
 
 Every expression map is a ``SemiAffineMap``: x -> M gamma(x) + t, where
 the ``AffineMap`` record (M, t) holds any invertible 2x2 ``Matrix2`` and
-gamma is a catalog ``LevelConjugation`` applied coordinatewise.  These are
-the semi-affine maps of the fundamental theorem of affine geometry, and
-the form the paper decomposes every unit-distance preserver into.
+gamma is a catalog ``LevelConjugation`` (a level set that fixes every
+radicand) applied coordinatewise; a run of adjacent ``hom`` atoms is one
+gamma.  These are the semi-affine maps of the fundamental theorem of
+affine geometry, and the form the paper decomposes every unit-distance
+preserver into.
 ``compose`` and ``invert`` are one formula each on it; orthogonality of M
 is a checked predicate, not a separate class.  ``MapTable`` carries a map
 of a finite plane as data.
@@ -13,6 +15,8 @@ of a finite plane as data.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -36,8 +40,8 @@ from .fields import (  # EXHAUSTIVE and sample_domain are re-exported
     Q,
     apply_hom,
     compose_homs,
-    conjugation_is_automorphism,
     imaginary_unit,
+    is_automorphism,
     random_element,
     sample_domain,
     sqrt_in_field,
@@ -390,11 +394,23 @@ def lorentz_case2_matrix(a: FieldElement, sigma: LevelConjugation, k: FieldTower
 # ------------------------------------------------- expression elaboration
 
 def map_from_expression(expr: MapExpression, k: FieldTower) -> SemiAffineMap:
-    """The normal form of a parsed expression over k."""
-    m = _atom_to_map(expr.parts[0], k)
-    for atom in expr.parts[1:]:
-        m = compose(m, _atom_to_map(atom, k))
-    return m
+    """The normal form of a parsed expression over k.  A run of adjacent
+    hom atoms is one gamma, checked whole: its parts need not be automorphisms."""
+    parts = []
+    for is_hom, run in itertools.groupby(expr.parts, lambda atom: atom.kind == "hom"):
+        parts += [_hom_run_map(list(run), k)] if is_hom else [_atom_to_map(a, k) for a in run]
+    return functools.reduce(compose, parts)
+
+
+def _hom_run_map(atoms: list[MapAtom], k: FieldTower) -> SemiAffineMap:
+    """The map of adjacent hom atoms: each level must exist in k, and
+    their composite must be an automorphism of k."""
+    levels = [level for atom in atoms for level in atom.args]
+    h = functools.reduce(compose_homs, map(LevelConjugation, levels), LevelConjugation())
+    if not all(1 <= level <= k.depth for level in levels) or not is_automorphism(h, k):
+        run = " . ".join(f"conj@{level}" for level in levels)
+        raise InvalidLevel(f"{run} is not a catalog automorphism of {k}")
+    return SemiAffineMap(identity_map(k), h)
 
 
 def _matrix_of(fn, k: FieldTower) -> Matrix2:
@@ -410,11 +426,6 @@ def _atom_to_map(atom: MapAtom, k: FieldTower) -> SemiAffineMap:
         return translation_map(k, *args)
     if kind == "swap":
         return swap_affine(k)
-    if kind == "hom":
-        for level in args:
-            if not (1 <= level <= k.depth and conjugation_is_automorphism(k, level)):
-                raise InvalidLevel(f"conj@{level} is not a catalog automorphism of {k}")
-        return SemiAffineMap(identity_map(k), LevelConjugation(*args))
     if kind == "rot":
         return linear_map(rotation_matrix(k(args[0]), k(args[1])))
     if kind == "refl":

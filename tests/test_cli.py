@@ -132,6 +132,20 @@ class TestPassingCommands:
                    if r["record"] == "decomposition")
         assert rec["gamma"] == "hom(conj@1)"
 
+    @pytest.mark.parametrize("command", ["decompose", "decompose-lorentz"])
+    def test_joint_conjugation_of_a_nested_radicand(self, run, command):
+        # neither conj@1 nor conj@2 fixes 5 + r1*r2 alone; together they do
+        code, out, err = run(command, "--field", "Q[sqrt 2][sqrt 3][sqrt 5 + r1*r2][i]",
+                             "--map", "rot(3/5, 4/5) . hom(conj@1) . hom(conj@2)",
+                             "--samples", "40")
+        assert (code, err) == (0, "")
+        assert "  gamma: hom(conj@1) . hom(conj@2)\n" in out
+
+    @pytest.mark.parametrize("command", ["decompose", "decompose-lorentz"])
+    def test_prime_field_decomposition_is_exhaustive_whatever_the_samples(self, run, command):
+        code, out, _ = run(command, "--field", "GF(13)", "--map", "swap", "--samples", "3")
+        assert code == 0 and "  verified on: exhaustive\n" in out
+
     def test_enumerate_ortho(self, run):
         code, out, _ = run("enumerate-ortho", "--field", "GF(13)",
                            "--format", "json")

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -28,11 +29,19 @@ from bqplane.fields import (
     Q,
     QuadExt,
     apply_hom,
+    coeff_vector,
     from_coeff_vector,
     hom_check,
     imaginary_unit,
+    tower_levels,
 )
-from bqplane.geometry import Point, all_points, point, verify_transform_identities
+from bqplane.geometry import (
+    Point,
+    all_points,
+    point,
+    random_point,
+    verify_transform_identities,
+)
 from bqplane.maps import (
     MapTable,
     SemiAffineMap,
@@ -46,10 +55,14 @@ from bqplane.maps import (
     sample_domain,
     translation_map,
 )
-from bqplane.parsing import parse_element, parse_map
+from bqplane.parsing import parse_element, parse_field, parse_map
 
 QI = QuadExt(Q, -1)
 QS2I = QuadExt(QuadExt(Q, 2), -1)
+# 5 + r1*r2 is fixed by conj@1 . conj@2, though by neither level alone
+NESTED = parse_field("Q[sqrt 2][sqrt 3][sqrt 5 + r1*r2][i]")
+# Q(2^(1/4), i), the splitting field of x^4 - 2
+QUARTIC = parse_field("Q[sqrt 2][sqrt r1][i]")
 
 
 def _expr(text, k):
@@ -302,6 +315,81 @@ class TestLorentzRoute:
             assert raw_image_table(frame.reconstruction(), gf13) == \
                 raw_image_table(lorentz.reconstruction(), gf13) == \
                 raw_image_table(f, gf13)
+
+
+def _radicals(k):
+    return [k(layer.radical) for layer in tower_levels(k)]
+
+
+def _substitute(images, x):
+    """x with each radical r_L replaced by images[L - 1]: the ring map
+    those generator images fix, evaluated monomial by monomial."""
+    k = x.tower
+    out = k.zero
+    for idx, c in enumerate(coeff_vector(x)):
+        if c:
+            term = k(c)
+            for bit, img in enumerate(images):
+                if idx >> bit & 1:
+                    term = term * img
+            out = out + term
+    return out
+
+
+@pytest.mark.parametrize("route", [decompose, decompose_lorentz])
+class TestGammaFromGeneratorSigns:
+    def test_joint_conjugation_round_trips(self, route):
+        r1, r2, r3, i = _radicals(NESTED)
+        sigma = functools.partial(_substitute, (-r1, -r2, r3, i))
+        assert hom_check(sigma, NESTED, sample_domain(40, seed=5)).ok
+        rot = _expr("rot(3/5, 4/5)", NESTED)
+
+        def f(x: Point) -> Point:
+            return rot(Point(sigma(x.x1), sigma(x.x2)))
+
+        res = route(f, NESTED, sample_domain(40, seed=5))
+        assert res.gamma == LevelConjugation(1, 2) and res.branch == "theta"
+        parsed = _expr("rot(3/5, 4/5) . hom(conj@1) . hom(conj@2)", NESTED)
+        assert route(parsed, NESTED, sample_domain(40, seed=5)).gamma == res.gamma
+        recon, rng = res.reconstruction(), random.Random(3)
+        for _ in range(10):
+            x = random_point(NESTED, rng)
+            assert recon(x) == f(x) == parsed(x)
+
+    def test_image_off_the_signs_of_r_is_refused_there(self, route):
+        # r1 -> -r1, r2 -> r2*i, i -> i is an automorphism of Q(2^(1/4), i),
+        # but r2*i is neither r2 nor -r2, so no level set is this gamma
+        r1, r2, i = _radicals(QUARTIC)
+        sigma = functools.partial(_substitute, (-r1, r2 * i, i))
+        assert hom_check(sigma, QUARTIC, sample_domain(40, seed=5)).ok
+        with pytest.raises(NotAHomomorphism,
+                           match="^generator images match no catalog homomorphism$") as info:
+            route(lambda x: Point(sigma(x.x1), sigma(x.x2)), QUARTIC, sample_domain(40, seed=5))
+        assert info.value.witness == r2
+
+    def test_small_sample_still_checks_every_basis_monomial(self, route):
+        # gamma fixes r1, r2 and i but negates r1*r2; one sample's probes are
+        # only 1, so the basis monomials are what refuse it
+        k = parse_field("Q[sqrt 2][sqrt 3][i]")
+
+        def gamma(x):
+            nums = list(x.rep.nums)
+            nums[3] = -nums[3]
+            return fields.FieldElement(k, fields.TowerRep(tuple(nums), x.rep.den))
+
+        with pytest.raises(NotAHomomorphism, match="^disagrees at r1\\*r2 ") as info:
+            route(lambda x: Point(gamma(x.x1), gamma(x.x2)), k, sample_domain(1))
+        assert info.value.witness == parse_element("r1*r2", k)
+
+    def test_sign_set_that_moves_a_radicand_is_refused(self, route):
+        # one sample checks the laws on (1, 1) alone, so the signs r1 -> -r1,
+        # r2 -> r2 reach the automorphism test, which 1 + r1 fails
+        k = parse_field("Q[sqrt 2][sqrt 1 + r1][i]")
+        f = SemiAffineMap(identity_map(k), LevelConjugation(1))
+        with pytest.raises(NotAHomomorphism,
+                           match="^generator images match no catalog homomorphism$") as info:
+            route(f, k, sample_domain(1))
+        assert info.value.witness == parse_element("1 + r1", k)
 
 
 class TestPreserverSearch:

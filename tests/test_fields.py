@@ -29,16 +29,17 @@ from bqplane.fields import (
     QuadExt,
     TowerRep,
     apply_hom,
+    basis_monomials,
     catalog_homomorphisms,
     coeff_vector,
     compose_homs,
-    conjugation_is_automorphism,
     embed,
     ensure_sqrt,
     format_element,
     from_coeff_vector,
     hom_check,
     imaginary_unit,
+    is_automorphism,
     is_f_of_i,
     probe_elements,
     random_element,
@@ -434,10 +435,21 @@ def _old_apply_hom(h, x):
     return FieldElement(k, rep)
 
 
+def _old_conjugation_is_automorphism(k, level):
+    """The rule of one level at a time: negating ``level`` is kept iff
+    every radicand adjoined above it is fixed by the negation."""
+    for layer in tower_levels(k):
+        if layer.level > level and layer.d.tower.depth >= level:
+            if apply_hom(LevelConjugation(level), layer.d) != layer.d:
+                return False
+    return True
+
+
 def _old_catalog(k):
+    """Compositions of the levels that are valid alone."""
     if not isinstance(k, QuadExt):
         return [_OldIdentity()]
-    valid = [L for L in range(1, k.depth + 1) if conjugation_is_automorphism(k, L)]
+    valid = [L for L in range(1, k.depth + 1) if _old_conjugation_is_automorphism(k, L)]
     out = [_OldIdentity()]
     for mask in range(1, 1 << len(valid)):
         out.append(_old_hom_from_levels(
@@ -481,6 +493,52 @@ class TestLevelSetCatalog:
     def test_full_depth_four_catalog_size(self):
         k = parse_field("Q[sqrt 2][sqrt 3][sqrt 5][i]")
         assert len(catalog_homomorphisms(k)) == 16
+
+
+# ------------------------------------------- multiplicativity oracle
+#
+# A level set is an automorphism exactly when apply_hom is multiplicative
+# on every pair of basis monomials: apply_hom is Q-linear, so those
+# products decide it on all of k.  The oracle never asks which radicands
+# are fixed.
+
+def _multiplicative_on_monomials(h, k):
+    basis = basis_monomials(k)
+    return all(apply_hom(h, a * b) == apply_hom(h, a) * apply_hom(h, b)
+               for a in basis for b in basis)
+
+
+def _level_sets(k):
+    return [LevelConjugation(*(L for L in range(1, k.depth + 1) if mask >> (L - 1) & 1))
+            for mask in range(1 << k.depth)]
+
+
+def _oracle_catalog(k):
+    found = [h for h in _level_sets(k) if _multiplicative_on_monomials(h, k)]
+    return sorted(found, key=lambda h: (len(h.levels), sorted(h.levels)))
+
+
+class TestAutomorphismOracle:
+    # 5 + r1*r2 is fixed by conj@1 . conj@2 though by neither level alone,
+    # and r1 in Q(2^(1/4), i) is moved by conj@1
+    @pytest.mark.parametrize("spec, size", [(spec, None) for spec in HOM_TOWERS] + [
+        ("Q[sqrt 2][sqrt 3][sqrt 5 + r1*r2][i]", 8),
+        ("Q[sqrt 2][sqrt r1][i]", 4),
+    ])
+    def test_catalog_is_every_multiplicative_level_set(self, spec, size):
+        k = parse_field(spec)
+        cat = catalog_homomorphisms(k)
+        assert cat == _oracle_catalog(k)
+        assert size is None or len(cat) == size
+        for h in _level_sets(k):
+            assert is_automorphism(h, k) == (h in cat)
+
+    def test_levels_outside_the_tower_are_refused(self, gf13):
+        assert not is_automorphism(LevelConjugation(1), Q)
+        assert not is_automorphism(LevelConjugation(1), gf13)
+        assert not is_automorphism(LevelConjugation(1, 3), QS2I)
+        assert not is_automorphism(LevelConjugation(0), QS2I)
+        assert is_automorphism(LevelConjugation(), Q)
 
 
 # ---------------------------------------------------- Fraction-tree oracle

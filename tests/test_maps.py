@@ -415,8 +415,11 @@ class TestExpressionElaboration:
             map_from_expression(parse_map("lambda(0)", qi), qi)
 
     def test_conjugation_level_must_exist(self, qi):
-        with pytest.raises(InvalidLevel):
-            map_from_expression(parse_map("hom(conj@3)", qi), qi)
+        # each level is checked before a run merges: conj@3 . conj@3 would
+        # cancel to the identity
+        for text in ("hom(conj@3)", "hom(conj@3) . hom(conj@3)"):
+            with pytest.raises(InvalidLevel, match=r"^conj@3 .*is not a catalog automorphism"):
+                map_from_expression(parse_map(text, qi), qi)
 
     def test_conjugation_must_be_an_automorphism(self):
         # conj@1 sends the radicand 1 + sqrt 2 to 1 - sqrt 2, whose root
@@ -427,6 +430,17 @@ class TestExpressionElaboration:
                 map_from_expression(parse_map(text, k), k)
         assert map_from_expression(parse_map("hom(conj@2) . hom(conj@3)", k), k).gamma \
             == LevelConjugation(2, 3)
+
+    def test_adjacent_conjugations_are_checked_as_one(self):
+        # conj@1 and conj@2 each move 5 + r1*r2; together they fix it
+        k = parse_field("Q[sqrt 2][sqrt 3][sqrt 5 + r1*r2][i]")
+        m = map_from_expression(parse_map("rot(3/5, 4/5) . hom(conj@1) . hom(conj@2)", k), k)
+        assert m.gamma == LevelConjugation(1, 2)
+        with pytest.raises(InvalidLevel, match=r"^conj@1 is not a catalog automorphism"):
+            map_from_expression(parse_map("hom(conj@1)", k), k)
+        text = "hom(conj@1) . hom(conj@2) . hom(conj@4) . hom(conj@2)"
+        with pytest.raises(InvalidLevel, match=r"^conj@1 \. conj@2 \. conj@4 \. conj@2 is not"):
+            map_from_expression(parse_map(text, k), k)
 
     def test_xi_needs_imaginary_unit(self):
         with pytest.raises(NoImaginaryUnit):
