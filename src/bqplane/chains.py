@@ -32,6 +32,7 @@ from .fields import (
     FieldTower,
     Q,
     QuadExt,
+    _join,
     ensure_sqrt,
     is_f_of_i,
     is_real_tower,
@@ -384,7 +385,7 @@ def build_lemma3_chain(x: Point, *, budget: int = STEP_BUDGET
     i = top.radical
 
     def cx(re_part: FieldElement, im_part: FieldElement) -> FieldElement:
-        return top(re_part) + top(im_part) * i
+        return FieldElement(top, _join(re_part.rep, im_part.rep))
 
     pts = [Point(cx(a1, b1), cx(a2, b2)),
            Point(cx(a1 + s1, b1), top(a2))]

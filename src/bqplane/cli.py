@@ -144,15 +144,17 @@ def _run_chain(args, prepared) -> RunReport:
     rep = RunReport("chain")
     chain = build_real_chain(s, t, mode=mode, budget=args.budget)
     verdict = verify_chain(chain)
-    rep.add({"record": "run", "command": rep.command, "field": str(k),
-             "from": format_point(s), "to": format_point(t), "mode": args.mode},
-            f"chain {format_point(s)} -> {format_point(t)} over {k}, mode {args.mode}")
-    rep.add({"record": "chain", "field": str(chain.field),
+    field_text, src, dst = str(k), format_point(s), format_point(t)
+    rep.add({"record": "run", "command": rep.command, "field": field_text,
+             "from": src, "to": dst, "mode": args.mode},
+            f"chain {src} -> {dst} over {field_text}, mode {args.mode}")
+    chain_field = str(chain.field)
+    rep.add({"record": "chain", "field": chain_field,
              "points": [format_point(p) for p in chain.points],
              "edge_bound": chain.reported_edge_bound},
             f"  {len(chain.points)} points, {len(chain.points) - 1} edges"
             f" (reported bound {chain.reported_edge_bound})"
-            f" in {chain.field}")
+            f" in {chain_field}")
     bad = [e for e in verdict.edges if not e.phi_ok]
     rep.add({"record": "chain_verify", "ok": verdict.ok,
              "edges": [{"index": e.index, "phi": str(e.phi_value),
@@ -175,22 +177,22 @@ def _run_lemma3(args, prepared) -> RunReport:
     rep = RunReport("lemma3-chain")
     chain, certs = build_lemma3_chain(x, budget=args.budget)
     verdict = ChainReport(certs, require_psi=True)
-    rep.add({"record": "run", "command": rep.command, "field": str(k),
-             "point": format_point(x)},
-            f"lemma3-chain from {format_point(x)} over {k}")
-    rep.add({"record": "chain", "field": str(chain.field),
-             "points": [format_point(p) for p in chain.points],
+    field_text, src = str(k), format_point(x)
+    rep.add({"record": "run", "command": rep.command, "field": field_text,
+             "point": src},
+            f"lemma3-chain from {src} over {field_text}")
+    chain_field = str(chain.field)
+    points = [format_point(p) for p in chain.points]
+    rep.add({"record": "chain", "field": chain_field, "points": points,
              "edge_bound": chain.reported_edge_bound},
-            f"  {len(chain.points)} points ending at {format_point(chain.points[-1])}"
-            f" in {chain.field}")
-    rep.add({"record": "psi_certificates",
-             "values": [format_element(c.psi_value) for c in certs]},
-            "  psi per edge: "
-            + ", ".join(format_element(c.psi_value) for c in certs))
+            f"  {len(points)} points ending at {points[-1]} in {chain_field}")
+    psi = [format_element(c.psi_value) for c in certs]
+    rep.add({"record": "psi_certificates", "values": psi},
+            "  psi per edge: " + ", ".join(psi))
     rep.add({"record": "chain_verify", "ok": verdict.ok,
              "edges": [{"index": e.index, "phi": str(e.phi_value),
-                        "phi_ok": e.phi_ok, "psi": str(e.psi_value),
-                        "psi_ok": e.psi_ok} for e in verdict.edges]},
+                        "phi_ok": e.phi_ok, "psi": text,
+                        "psi_ok": e.psi_ok} for e, text in zip(verdict.edges, psi)]},
             "  every edge phi = 1 with psi != 0" if verdict.ok
             else "  chain verification failed")
     rep.ok = verdict.ok

@@ -45,6 +45,11 @@ class InvalidLevel(BQError):
     """Conjugation level outside the tower's adjunction range."""
 
 
+class DigitLimitExceeded(BQError):
+    """A coefficient has more decimal digits than the interpreter will
+    print (``sys.get_int_max_str_digits``)."""
+
+
 # -------------------------------------------------------------- geometry
 
 class ZeroScale(BQError):

@@ -31,15 +31,18 @@ seeded sample) and reports a ``Check``: the cases covered and up to
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
     AlreadySquare,
+    DigitLimitExceeded,
     DivisionByZero,
     FieldMismatch,
     FieldNotFinite,
@@ -343,6 +346,7 @@ class FlatTower(FieldTower):
     _pad = ()
     _prod_scale = 1
     _weights = (1,)  # Q's monomial weights; see QuadExt.__init__
+    _monos = ("",)  # Q's printed monomials; see QuadExt._monos
 
     def _coerce(self, v):
         if not isinstance(v, (int, Fraction)):
@@ -486,6 +490,16 @@ class QuadExt(FlatTower):
         w, e = inv.nums, inv.den
         nums = w + (0,) * h if conj is None else self._imul(conj, w + (0,) * h)
         return _reduced([a.den * n for n in nums], e)
+
+    @functools.cached_property
+    def _monos(self) -> tuple[str, ...]:
+        """The printed monomial of each coefficient index, built on first
+        use: towers that are never printed build none."""
+        monos = [""]
+        for layer in tower_levels(self):
+            name = "i" if layer.d == -1 else f"r{layer.level}"
+            monos += [f"{m}*{name}" if m else name for m in monos]
+        return tuple(monos)
 
     @property
     def radical(self) -> FieldElement:
@@ -648,10 +662,10 @@ def re_im(x: FieldElement) -> tuple[FieldElement, FieldElement]:
 def rational_value(x: FieldElement) -> Fraction:
     if isinstance(x.tower, PrimeField):
         raise FieldMismatch("prime-field element has no rational value")
-    vec = coeff_vector(x)
-    if any(vec[1:]):
+    nums = x.rep.nums
+    if any(nums[1:]):
         raise FieldMismatch(f"{x} is not rational")
-    return vec[0]
+    return Fraction(nums[0], x.rep.den)
 
 
 def is_real_tower(k: FieldTower) -> bool:
@@ -913,38 +927,28 @@ def probe_elements(k: FieldTower, rng: random.Random, count: int) -> list[FieldE
 
 # ------------------------------------------------------------ formatting
 
-def radical_names(k: FieldTower) -> list[str]:
-    names = []
-    for layer in tower_levels(k):
-        names.append("i" if layer.d == -1 else f"r{layer.level}")
-    return names
-
-
-def _format_coeff_term(c: Fraction, mono: str) -> str:
-    if not mono:
-        return str(c)
-    if c == 1:
-        return mono
-    if c == -1:
-        return f"-{mono}"
-    return f"{c}*{mono}"
-
-
 def format_element(x: FieldElement) -> str:
     """Canonical text form, parseable by parsing.parse_element."""
-    k = x.tower
-    if isinstance(k, PrimeField):
+    if isinstance(x.tower, PrimeField):
         return str(x.rep)
-    names = radical_names(k)
-    terms = []
-    for idx, c in enumerate(coeff_vector(x)):
-        if c == 0:
-            continue
-        mono = "*".join(names[L] for L in range(k.depth) if idx >> L & 1)
-        terms.append(_format_coeff_term(c, mono))
-    if not terms:
-        return "0"
-    out = terms[0]
-    for t in terms[1:]:
-        out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-    return out
+    den, out = x.rep.den, ""
+    try:
+        for n, mono in zip(x.rep.nums, x.tower._monos):
+            if n:
+                g = math.gcd(n, den)
+                c = str(abs(n) // g) if g == den else f"{abs(n) // g}/{den // g}"
+                if mono:
+                    c = mono if c == "1" else f"{c}*{mono}"
+                out += f" - {c}" if n < 0 else f" + {c}"
+    except ValueError:  # beyond sys.get_int_max_str_digits()
+        raise DigitLimitExceeded(_digit_limit_message(x)) from None
+    return out[3:] if out[1:2] == "+" else f"-{out[3:]}" if out else "0"
+
+
+def _digit_limit_message(x: FieldElement) -> str:
+    den = x.rep.den
+    top = max(max(abs(n), den) // math.gcd(n, den) for n in x.rep.nums if n)
+    digits = int((top.bit_length() - 1) * math.log10(2)) + 1  # at most one short
+    digits += top >= 10 ** digits
+    return (f"cannot print a coefficient of {digits} digits: integers print"
+            f" with at most {sys.get_int_max_str_digits()} digits")

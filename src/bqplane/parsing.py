@@ -48,8 +48,8 @@ from .fields import (
     PrimeField,
     Q,
     QuadExt,
+    embed,
     format_element,
-    from_coeff_vector,
     tower_levels,
 )
 from .geometry import Point
@@ -152,19 +152,13 @@ def _radical_element(k: FieldTower, name: str, pos: int) -> FieldElement:
     if name == "i":
         for layer in levels:
             if layer.d == -1:
-                return _level_monomial(k, layer.level)
+                return embed(layer.radical, k)
         raise ParseError(f"'i' is not a radical of {k}", pos)
     level = _int_value(name[1:], pos)
     for layer in levels:
         if layer.level == level:
-            return _level_monomial(k, level)
+            return embed(layer.radical, k)
     raise ParseError(f"radical {name!r} is not a level of {k}", pos)
-
-
-def _level_monomial(k: FieldTower, level: int) -> FieldElement:
-    vec = [Fraction(0)] * (1 << k.depth)
-    vec[1 << (level - 1)] = Fraction(1)
-    return from_coeff_vector(k, vec)
 
 
 def _parse_rational(p: _Parser) -> Fraction:

@@ -18,6 +18,7 @@ from bqplane.errors import (
     SearchExhausted,
 )
 from bqplane.fields import (
+    FieldElement,
     Q,
     QuadExt,
     from_coeff_vector,
@@ -309,3 +310,28 @@ class TestConnectorChain:
         x = Point(from_coeff_vector(qi, [1, 2]), from_coeff_vector(qi, [3, 1]))
         chain, _ = build_lemma3_chain(x)
         assert len(chain.points) - 1 <= chain.reported_edge_bound
+
+    @pytest.mark.parametrize("coords", [
+        ([1, 2], [3, 1]),
+        ([3, 0], [0, 2]),  # swapped fallback
+        ([0, Fraction(1, 2)], [Fraction(1, 2), Fraction(7, 2)]),  # depth 6
+    ])
+    def test_points_join_halves_as_arithmetic_would(self, qi, monkeypatch, coords):
+        # every point coordinate put together from real and imaginary
+        # halves equals top(re) + top(im) * i built by field arithmetic
+        joined = []
+        join = chains._join
+
+        def spy(a, b):
+            joined.append((a, b, join(a, b)))
+            return joined[-1][2]
+
+        monkeypatch.setattr(chains, "_join", spy)
+        x = Point(from_coeff_vector(qi, coords[0]), from_coeff_vector(qi, coords[1]))
+        chain, _ = build_lemma3_chain(x)
+        top = chain.field
+        real, i = top.base, top.radical
+        assert len(joined) == len(chain.points)
+        for a, b, rep in joined:
+            old = top(FieldElement(real, a)) + top(FieldElement(real, b)) * i
+            assert FieldElement(top, rep) == old and hash(old) == hash(FieldElement(top, rep))

@@ -1,10 +1,13 @@
 import json
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import bqplane
 from bqplane.cli import MAX_SEARCH_P, run_command
 from bqplane.geometry import all_points
 from bqplane.errors import ProductFormViolation
@@ -108,6 +111,18 @@ class TestPassingCommands:
         recs = _json_records(out)
         certs = next(r for r in recs if r["record"] == "psi_certificates")
         assert certs["values"][:2] == ["4", "2"]
+
+    def test_depth_six_lemma3_chain_text(self, run):
+        code, out, _ = run("lemma3-chain", "--field", "Q[i]",
+                           "--point", "(1/2*i, 1/2 + 7/2*i)")
+        assert code == 0
+        assert out == (
+            "lemma3-chain from (1/2*i, 1/2 + 7/2*i) over Q[i]\n"
+            "  7 points ending at (i, i) in Q[sqrt 53/4][sqrt 5/4][sqrt 2]"
+            "[sqrt 67/4 + r2 - 2*r1*r3][sqrt -55/16 - 1/4*r2 + 1/2*r1*r3 + 1/2*r4][i]\n"
+            "  psi per edge: 1/4, 1/2, 1, 1, 1, 1\n"
+            "  every edge phi = 1 with psi != 0\n"
+            "PASS\n")
 
     def test_decompose_routes_agree(self, run):
         argv = ("--field", "GF(13)", "--map", "translate(2,3) . rot(0,1)",
@@ -388,6 +403,52 @@ class TestUsageErrors:
         code, out, err = run("search-preservers", "--p", "73", "--budget", "0")
         assert code == 2 and out == ""
         assert f"p <= {MAX_SEARCH_P}" in err
+
+
+# N, 3,000 sevens, and N/M below parse under the default limit of 4,300
+# digits, but N*N has 6,000 digits and the chain field built from N/M a
+# radicand coefficient of 5,002.
+SEVENS = "7" * 3000
+OVER_LIMIT = "7" * 2501 + "/" + "3" * 2500 + "1"
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not 3000 <= DIGIT_LIMIT < 5002,
+                    reason="this Python's digit limit refuses other inputs")
+class TestDigitLimit:
+    """Coefficients beyond the interpreter's int-to-str digit limit are
+    refused like any other toolkit error: exit 2 while the input is
+    prepared, a failure record and exit 1 while the command runs."""
+
+    @pytest.mark.parametrize("argv, code, digits", [
+        (("decompose", "--field", "Q[i]", "--map", f"translate({SEVENS}*{SEVENS}, 0)"),
+         1, 6000),
+        (("verify-identities", "--field", f"Q[sqrt {SEVENS}*{SEVENS}+1][i]",
+          "--samples", "2"), 1, 6000),
+        (("lemma3-chain", "--field", "Q[i]", "--point", f"({OVER_LIMIT} + {OVER_LIMIT}*i, 0)"),
+         1, 5002),
+        # the AlreadySquare refusal names the radicand N*N
+        (("verify-identities", "--field", f"Q[sqrt {SEVENS}*{SEVENS}][i]"), 2, 6000),
+    ], ids=["decompose", "verify-identities", "lemma3-chain", "prepare"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_refused_without_traceback(self, argv, code, digits, fmt):
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(bqplane.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "bqplane.cli", *argv, "--format", fmt],
+            env=env, capture_output=True, text=True, timeout=120)
+        message = (f"cannot print a coefficient of {digits} digits:"
+                   f" integers print with at most {DIGIT_LIMIT} digits")
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        if code == 2:
+            assert proc.stdout == "" and proc.stderr == f"bq: error: {message}\n"
+        elif fmt == "json":
+            failure = _json_records(proc.stdout)[-2]
+            assert failure == {"record": "failure", "error": "DigitLimitExceeded",
+                               "detail": message}
+        else:
+            assert proc.stdout.endswith(f"FAILURE DigitLimitExceeded: {message}\nFAIL\n")
 
 
 class TestMapMixes:

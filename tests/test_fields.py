@@ -49,7 +49,7 @@ from bqplane.fields import (
     sqrt_in_field,
     tower_levels,
 )
-from bqplane.parsing import parse_field
+from bqplane.parsing import parse_element, parse_field
 
 QI = QuadExt(Q, -1)
 QS2 = QuadExt(Q, 2)
@@ -874,6 +874,94 @@ class TestSparseKernel:
         assert a2 == a and hash(a2) == hash(a)
         assert a2 * b == a * b2 and hash(a2 * b) == hash(a * b2)
         _assert_same(a2 * b2, a * b)
+
+
+
+# The Fraction formatter that format_element replaced, kept as the
+# oracle for its output.
+def _old_radical_names(k):
+    return ["i" if layer.d == -1 else f"r{layer.level}" for layer in tower_levels(k)]
+
+
+def _old_format_coeff_term(c, mono):
+    if not mono:
+        return str(c)
+    if c == 1:
+        return mono
+    if c == -1:
+        return f"-{mono}"
+    return f"{c}*{mono}"
+
+
+def _old_format_element(x):
+    k = x.tower
+    if isinstance(k, PrimeField):
+        return str(x.rep)
+    names = _old_radical_names(k)
+    terms = []
+    for idx, c in enumerate(coeff_vector(x)):
+        if c == 0:
+            continue
+        mono = "*".join(names[L] for L in range(k.depth) if idx >> L & 1)
+        terms.append(_old_format_coeff_term(c, mono))
+    if not terms:
+        return "0"
+    out = terms[0]
+    for t in terms[1:]:
+        out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
+    return out
+
+
+def _old_describe(k):
+    if not isinstance(k, QuadExt):
+        return k.describe()
+    if k.d == -1:
+        return f"{_old_describe(k.base)}[i]"
+    return f"{_old_describe(k.base)}[sqrt {_old_format_element(k.d)}]"
+
+
+FORMAT_TOWERS = KERNEL_TOWERS + ["Q[sqrt -3/7][sqrt 5]"]
+
+# zero, +-1, small fractions and huge denominators
+format_coefficients = st.one_of(
+    st.just(Fraction(0)),
+    st.sampled_from([Fraction(1), Fraction(-1)]),
+    fractions,
+    st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30), st.integers(10 ** 20, 10 ** 25)),
+)
+
+
+class TestFormatOracle:
+    @pytest.mark.parametrize("spec", FORMAT_TOWERS)
+    @given(data=st.data())
+    def test_matches_fraction_formatter(self, spec, data):
+        k = _built_once(spec)
+        width = 1 << k.depth
+        vec = data.draw(st.lists(format_coefficients, min_size=width, max_size=width))
+        x = from_coeff_vector(k, vec)
+        text = format_element(x)
+        assert text == _old_format_element(x)
+        assert parse_element(text, k) == x
+        assert format_element(-x) == _old_format_element(-x)
+
+    @pytest.mark.parametrize("spec", FORMAT_TOWERS)
+    def test_basis_and_edge_values(self, spec):
+        k = _built_once(spec)
+        values = basis_monomials(k) + [k.zero, k.one, -k.one, k(Fraction(-7, 10 ** 21))]
+        for b in basis_monomials(k):
+            values += [-b, 3 * b, b / -5, b + Fraction(1, 2)]
+        for x in values:
+            assert format_element(x) == _old_format_element(x)
+            assert parse_element(format_element(x), k) == x
+
+    @pytest.mark.parametrize("spec", FORMAT_TOWERS)
+    def test_describe_unchanged(self, spec):
+        k = _built_once(spec)
+        assert k.describe() == _old_describe(k) == spec
+
+    def test_prime_field_prints_the_residue(self):
+        k = PrimeField(13)
+        assert [format_element(k(v)) for v in (0, 1, 12, -1)] == ["0", "1", "12", "12"]
 
 
 def real_value(x: FieldElement) -> float:

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from bqplane.errors import (
     BQError,
+    DigitLimitExceeded,
     DivisionByZero,
     FieldMismatch,
     FieldNotFinite,
@@ -37,6 +39,7 @@ from bqplane.parsing import (
 )
 from bqplane.parsing import _parse_pair
 
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 QS2I = QuadExt(QuadExt(Q, 2), -1)
 
 fractions = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
@@ -121,6 +124,28 @@ class TestElements:
         assert format_element(QS2I.zero) == "0"
         assert format_element(QS2I(-1) / QS2I(2)) == "-1/2"
         assert format_element(from_coeff_vector(QS2I, [0, 0, 0, 1])) == "r1*i"
+
+    @pytest.mark.skipif(not DIGIT_LIMIT, reason="this Python prints integers of any length")
+    def test_coefficient_over_the_digit_limit_is_refused(self):
+        n = DIGIT_LIMIT
+        assert format_element(QS2I(10 ** n - 1)) == "9" * n
+        for x, digits in [
+            (QS2I(10 ** n), n + 1),
+            (QS2I(Fraction(-1, 10 ** (n + 4))), n + 5),
+            (from_coeff_vector(QS2I, [1, 0, 0, 7 * 10 ** (n + 2) + 3]), n + 3),
+        ]:
+            with pytest.raises(DigitLimitExceeded) as info:
+                format_element(x)
+            assert str(info.value) == (f"cannot print a coefficient of {digits} digits:"
+                                       f" integers print with at most {n} digits")
+
+    @pytest.mark.skipif(not DIGIT_LIMIT, reason="this Python prints integers of any length")
+    def test_each_coefficient_prints_in_lowest_terms(self):
+        # the joint denominator 2^a 5^b is over the limit, each coefficient's is not
+        a, b = 3 * DIGIT_LIMIT, 13 * DIGIT_LIMIT // 10
+        x = from_coeff_vector(QS2I, [Fraction(1, 2 ** a), Fraction(-1, 5 ** b), 0, 0])
+        assert x.rep.den == 2 ** a * 5 ** b
+        assert format_element(x) == f"1/{2 ** a} - 1/{5 ** b}*r1"
 
 
 class TestPoints:
