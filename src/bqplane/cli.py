@@ -67,8 +67,9 @@ from .parsing import (
 DEFAULT_SEED = 1729
 DEFAULT_SAMPLES = 200
 # Largest p a command that scans all of GF(p)^2 accepts: search-preservers
-# builds unit-neighbour tables that grow as p^4 before the first node is
-# visited (about 0.8 s at p = 61 on a 2-core Xeon), and the identity scan,
+# builds unit-neighbour masks of p^4 bits in all, its heap-ordered static
+# order and p - 1 rotation tables before the first node is visited (about
+# 0.35 s at p = 61 on a 2-core Xeon), and the identity scan,
 # the decompositions and the orthogonal census grow with p too, so the
 # bound keeps every such command bounded and cheap to start.
 MAX_SEARCH_P = 61

@@ -33,6 +33,7 @@ library's documented evidence standard.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 
@@ -395,7 +396,8 @@ class SearchCensus:
     found: list[MapTable]
     anomalies: list[Anomaly]
     complete: bool
-    nodes: int
+    nodes: int    # nodes of the search tree up to the end or the budget
+    visited: int  # of those, the nodes the DFS walked one by one
 
     @property
     def total_found(self) -> int:
@@ -428,30 +430,146 @@ def _search_order(neigh: list[list[int]]
                   ) -> tuple[list[int], list[list[int]]]:
     """Static assignment order for the backtracking search: (0,0) first,
     then always the point with the most already-ordered unit-neighbors
-    (ties by point index).  Also returns, per position, the positions of
-    each point's earlier-ordered neighbors, which is exactly the set of
+    (ties by point index), popped from a lazy heap of the keys
+    -score * n + idx.  Also returns, per position, the positions of each
+    point's earlier-ordered neighbors, which is exactly the set of
     constraints available when that position gets its image."""
     n = len(neigh)
-    order = [0]
-    placed = [False] * n
-    placed[0] = True
     score = [0] * n
-    for v in neigh[0]:
-        score[v] += 1
-    for _ in range(n - 1):
-        best = -1
-        for idx in range(n):
-            if not placed[idx] and (best < 0 or score[idx] > score[best]):
-                best = idx
-        order.append(best)
-        placed[best] = True
-        for v in neigh[best]:
-            if not placed[v]:
-                score[v] += 1
-    pos_of = {v: i for i, v in enumerate(order)}
+    placed = [False] * n
+    heap = list(range(n))  # every key at score 0, sorted, so a heap
+    order: list[int] = []
+    while heap:
+        neg, v = divmod(heapq.heappop(heap), n)
+        if placed[v] or -neg != score[v]:
+            continue  # placed, or a stale key: scores only grow
+        placed[v] = True
+        order.append(v)
+        for w in neigh[v]:
+            if not placed[w]:
+                score[w] += 1
+                heapq.heappush(heap, w - score[w] * n)
+    pos_of = [0] * n
+    for i, v in enumerate(order):
+        pos_of[v] = i
     earlier = [sorted(pos_of[w] for w in neigh[v] if pos_of[w] < i)
                for i, v in enumerate(order)]
     return order, earlier
+
+
+def _rotations(p: int, offs: list[tuple[int, int]]
+               ) -> dict[tuple[int, int], list[int]]:
+    """For each unit offset u, the point permutation x -> R x with
+    R = rot(u) rot(u0)^-1, where u0 is the lowest-index unit offset and
+    rot(c, s) = [[c, -s], [s, c]]; so R u0 = u.  An R that does not map
+    the unit offsets onto themselves is left out.  One that does is
+    invertible, as a line meets the unit circle in at most 2 of its
+    p - 1 >= 12 points."""
+    unit = {c * p + s for c, s in offs}
+    c0, s0 = divmod(min(unit), p)
+    rots = {}
+    for c, s in offs:
+        rc, rs = (c * c0 + s * s0) % p, (s * c0 - c * s0) % p
+        rot = [((rc * x - rs * y) % p) * p + (rs * x + rc * y) % p
+               for x in range(p) for y in range(p)]
+        if {rot[o] for o in unit} == unit:
+            rots[(c, s)] = rot
+    return rots
+
+
+def _walk(img: list[int], masks: list[int], seed: list[int],
+          more: list[tuple[int, ...]], stop: int
+          ) -> tuple[int, list[list[int]], bool]:
+    """The static-order DFS below the pair img[0], img[1] of images of
+    positions 0 and 1: (nodes, finds by position in the order found,
+    whether the walk stopped at its node number stop; 0 never stops).
+
+    Position pos + 1 takes the AND of the masks of its earlier
+    neighbours' images, seed[pos] and more[pos]; each position after 0
+    has one, as (1, 0) and (0, 1) make the unit graph connected."""
+    n = len(masks)
+    mpos = [0] * n   # per position: the mask of the image's unit circle
+    mpos[0], mpos[1] = masks[img[0]], masks[img[1]]
+    stack = [0] * n  # untried candidates of the positions below pos
+    finds: list[list[int]] = []
+    nodes = 0
+    last = n - 1
+    pos = 2
+    cm = mpos[seed[1]]  # untried candidates of pos, never pushed empty
+    for e in more[1]:
+        cm &= mpos[e]
+    while True:
+        if not cm:
+            pos -= 1
+            if pos < 2:
+                return nodes, finds, False
+            cm = stack[pos]
+            continue
+        low = cm & -cm
+        cm ^= low
+        nodes += 1
+        if nodes == stop:
+            return nodes, finds, True
+        v = low.bit_length() - 1
+        img[pos] = v
+        if pos == last:
+            finds.append(img[:])
+            continue
+        mpos[pos] = masks[v]
+        nxt = mpos[seed[pos]]
+        for e in more[pos]:
+            nxt &= mpos[e]
+        if nxt:
+            stack[pos] = cm
+            pos += 1
+            cm = nxt
+
+
+def _pair_census(p: int, offs: list[tuple[int, int]], neigh: list[list[int]],
+                 earlier: list[list[int]], stop: int
+                 ) -> tuple[list[list[int]], int, int, bool]:
+    """The DFS over every pair of images of positions 0 and 1, walking
+    the first pair subtree and any the budget cuts, and mapping the rest
+    onto the first (see ``search_unit_preservers``): (finds by position in
+    DFS order, nodes, nodes walked, complete)."""
+    n = p * p
+    # distinct offsets give distinct neighbours, so the sum is their union
+    masks = [sum(1 << v for v in row) for row in neigh]
+    seed = [e[0] for e in earlier[1:]] + [0]
+    more = [tuple(e[1:]) for e in earlier[1:]] + [()]
+    rots = _rotations(p, offs)
+    img = [0] * n
+    first: tuple[int, list[list[int]]] | None = None  # below (0, u0)
+    finds: list[list[int]] = []
+    nodes = mapped = 0
+    for a in range(n):
+        nodes += 1
+        if nodes == stop:
+            return finds, nodes, nodes - mapped, False
+        a1, a2 = divmod(a, p)
+        for b, u in sorted(zip(neigh[a], offs)):  # the DFS order of b
+            nodes += 1
+            if nodes == stop:
+                return finds, nodes, nodes - mapped, False
+            rot = rots.get(u)
+            if (first is not None and rot is not None
+                    and (not stop or nodes + first[0] < stop)):
+                finds.extend(sorted(
+                    [((rot[x] // p + a1) % p) * p + (rot[x] + a2) % p
+                     for x in f] for f in first[1]))
+                nodes += first[0]
+                mapped += first[0]
+                continue
+            img[0], img[1] = a, b
+            sub, walked, cut = _walk(img, masks, seed, more,
+                                     stop - nodes if stop else 0)
+            finds.extend(walked)
+            nodes += sub
+            if cut:
+                return finds, nodes, nodes - mapped, False
+            if first is None:
+                first = (sub, walked)
+    return finds, nodes, nodes - mapped, True
 
 
 def search_unit_preservers(p: int, budget: int | None = None
@@ -467,55 +585,30 @@ def search_unit_preservers(p: int, budget: int | None = None
     node budget stops the search early with the census marked
     incomplete; whatever was found is still decomposed, and any find
     that fails to decompose becomes an anomaly entry.
+
+    Positions 0 and 1 are (0,0) and its unit neighbour (0,1); they take
+    every pair of images (a, b) with b - a a unit vector, in DFS order.
+    Only the first pair subtree, (0, u0) with u0 the lowest-index unit
+    vector, and a subtree that the budget cuts are walked.  Every other
+    subtree is the image of the first under J(x) = a + R x, with
+    R = rot(b - a) rot(u0)^-1 a rotation that keeps the unit circle:
+    J is a bijection with J(circle(y)) = circle(J(y)), so J o f is a
+    preserver exactly when f is, and J maps the first subtree node for
+    node onto the subtree of (a, b).  That subtree has the same node
+    count, and its finds are the images of the first subtree's, sorted:
+    lexicographic order of the images by position is the DFS leaf order.
+    So ``nodes``, ``complete`` and the finds in order are those of the
+    full walk; ``visited`` counts the nodes walked one by one.  Each find,
+    walked or mapped, is decomposed.
     """
     k = PrimeField(p)
     n = p * p
     offs = [(u.x1.rep, u.x2.rep) for u in unit_circle(k)]
     neigh = _neighbors(p, offs)
-    # distinct offsets give distinct neighbours, so the sum is their union
-    masks = [sum(1 << v for v in row) for row in neigh]
     order, earlier = _search_order(neigh)
-    # Position pos + 1 may take the AND of the masks of its earlier
-    # neighbours' images, seed[pos] and more[pos]; each position after 0
-    # has one, as (1, 0) and (0, 1) make the unit graph connected.
-    seed = [e[0] for e in earlier[1:]] + [0]
-    more = [tuple(e[1:]) for e in earlier[1:]] + [()]
-    img = [0] * n    # per position: the image's point index
-    mpos = [0] * n   # and the mask of the image's unit circle
-    stack = [0] * n  # untried candidates of the positions below pos
-    found_pos: list[list[int]] = []
-    nodes = 0
     stop = 0 if budget is None else budget + 1  # nodes never equals 0
-    complete = True
-    last = n - 1
-    pos = 0
-    cm = (1 << n) - 1  # untried candidates of pos, never pushed empty
-    while True:
-        if not cm:
-            pos -= 1
-            if pos < 0:
-                break
-            cm = stack[pos]
-            continue
-        low = cm & -cm
-        cm ^= low
-        nodes += 1
-        if nodes == stop:
-            complete = False
-            break
-        v = low.bit_length() - 1
-        img[pos] = v
-        if pos == last:
-            found_pos.append(img[:])
-            continue
-        mpos[pos] = masks[v]
-        nxt = mpos[seed[pos]]
-        for e in more[pos]:
-            nxt &= mpos[e]
-        if nxt:
-            stack[pos] = cm
-            pos += 1
-            cm = nxt
+    found_pos, nodes, visited, complete = _pair_census(p, offs, neigh,
+                                                       earlier, stop)
     expected = n * 2 * (p - 1)
     found: list[MapTable] = []
     anomalies: list[Anomaly] = []
@@ -527,4 +620,5 @@ def search_unit_preservers(p: int, budget: int | None = None
             decompose(table, k)
         except BQError as exc:
             anomalies.append(Anomaly(table, f"{type(exc).__name__}: {exc}"))
-    return SearchCensus(p, expected, found, anomalies, complete, nodes)
+    return SearchCensus(p, expected, found, anomalies, complete, nodes,
+                        visited)

@@ -46,6 +46,7 @@ from bqplane.maps import (
     MapTable,
     SemiAffineMap,
     compose,
+    enumerate_orthogonal_group,
     identity_map,
     map_from_expression,
     preserves_phi,
@@ -419,3 +420,26 @@ class TestPreserverSearch:
     def test_expected_count_formula(self):
         census = search_unit_preservers(17, budget=1)
         assert census.expected == 17 * 17 * 2 * 16
+
+    def test_visited_counts_only_the_walked_nodes(self):
+        # the first pair subtree and the one the budget cuts are walked;
+        # the 26 or so between them are mapped onto the first
+        census = search_unit_preservers(13, budget=1_000_000)
+        assert census.nodes == 1_000_001
+        assert census.visited < 100_000
+
+    def test_complete_census_of_gf17_is_the_canonical_maps(self, gf17):
+        census = search_unit_preservers(17)
+        assert census.complete and census.ok
+        assert census.total_found == census.expected == 9_248
+        assert census.anomalies == []
+        assert census.nodes == 8_012_250_161
+        p = 17
+        canonical = {
+            tuple(((q.q11.rep * x + q.q12.rep * y + t1) % p) * p
+                  + (q.q21.rep * x + q.q22.rep * y + t2) % p
+                  for x in range(p) for y in range(p))
+            for q in enumerate_orthogonal_group(gf17)
+            for t1 in range(p) for t2 in range(p)}
+        assert len(canonical) == 9_248
+        assert {t.raw for t in census.found} == canonical

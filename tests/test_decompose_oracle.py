@@ -10,8 +10,12 @@ one image away from a canonical map both must refuse with the same
 exception type and message.
 
 The preserver search loop was rewritten to keep per-position image
-masks and to skip empty domains; its previous loop is kept here as an
-oracle for the node count, the completeness flag and the finds in order.
+masks and to skip empty domains, and then to walk only the first subtree
+of the images of positions 0 and 1 and map the others onto it; its loop
+from before both changes is kept here as an oracle for the node count,
+the completeness flag and the finds in order.  The O(n^2) scan that built
+the static order before it became a heap is kept as the oracle of the
+order.
 """
 
 import random
@@ -175,6 +179,33 @@ def _lorentz_prime_raw(raw, k):
                                lorentz_case=case, lorentz_scale=k(a))
 
 
+def _search_order_scan(neigh):
+    """The static order as it was built before the heap: (0,0) first,
+    then a scan of every point for the most already-ordered neighbours,
+    ties by index; and each position's earlier-neighbour positions."""
+    n = len(neigh)
+    order = [0]
+    placed = [False] * n
+    placed[0] = True
+    score = [0] * n
+    for v in neigh[0]:
+        score[v] += 1
+    for _ in range(n - 1):
+        best = -1
+        for idx in range(n):
+            if not placed[idx] and (best < 0 or score[idx] > score[best]):
+                best = idx
+        order.append(best)
+        placed[best] = True
+        for v in neigh[best]:
+            if not placed[v]:
+                score[v] += 1
+    pos_of = {v: i for i, v in enumerate(order)}
+    earlier = [sorted(pos_of[w] for w in neigh[v] if pos_of[w] < i)
+               for i, v in enumerate(order)]
+    return order, earlier
+
+
 def _search_prime_raw(p, budget):
     """The preserver search loop as it was before per-position masks:
     (nodes, complete, raw finds in the order found)."""
@@ -183,7 +214,7 @@ def _search_prime_raw(p, budget):
     offs = [(u.x1.rep, u.x2.rep) for u in unit_circle(k)]
     neigh = _neighbors(p, offs)
     masks = [sum(1 << v for v in row) for row in neigh]
-    order, earlier = _search_order(neigh)
+    order, earlier = _search_order_scan(neigh)
     full = (1 << n) - 1
     img = [0] * n
     stack = [0] * n
@@ -316,10 +347,29 @@ def test_decompose_uses_the_frame_scan_wording(gf13):
     assert info.value.witness == point(gf13, 0, 5)
 
 
-@pytest.mark.parametrize("p", [13, 17, 29, 37])
-@pytest.mark.parametrize("budget", [0, 1, 1_000, 40_000, 200_000])
+# At p = 13 the first pair subtree, (0,0) -> (0,0) and (0,1) -> (0,1),
+# holds nodes 3 to 37,050: the budgets around 37,050 cut its last node,
+# the next pair's node and the first node of the next subtree, which the
+# search walks instead of mapping.  74,098 cuts the last node of that
+# next subtree, which must be walked too, and 1,000,000 crosses about 26
+# mapped subtrees.
+SEARCH_CASES = ([(p, budget) for p in (13, 17, 29, 37)
+                 for budget in (0, 1, 1_000, 40_000, 200_000)]
+                + [(13, budget) for budget in (37_049, 37_050, 37_051, 74_098,
+                                               1_000_000)])
+
+
+@pytest.mark.parametrize("p, budget", SEARCH_CASES,
+                         ids=[f"{budget}-{p}" for p, budget in SEARCH_CASES])
 def test_search_visits_the_oracle_nodes(p, budget):
     census = search_unit_preservers(p, budget=budget)
     nodes, complete, found = _search_prime_raw(p, budget)
     assert (census.nodes, census.complete) == (nodes, complete)
     assert [t.raw for t in census.found] == found
+
+
+@pytest.mark.parametrize("p", [13, 17, 29, 37, 41, 53, 61])
+def test_heap_order_is_the_scan_order(p):
+    offs = [(u.x1.rep, u.x2.rep) for u in unit_circle(PrimeField(p))]
+    neigh = _neighbors(p, offs)
+    assert _search_order(neigh) == _search_order_scan(neigh)
