@@ -6,6 +6,7 @@ import pytest
 
 from bqplane import fields
 from bqplane.decompose import (
+    _rotations,
     decompose,
     decompose_lorentz,
     detect_branch,
@@ -55,6 +56,7 @@ from bqplane.maps import (
     rotation_matrix,
     sample_domain,
     translation_map,
+    unit_circle,
 )
 from bqplane.parsing import parse_element, parse_field, parse_map
 
@@ -427,6 +429,21 @@ class TestPreserverSearch:
         census = search_unit_preservers(13, budget=1_000_000)
         assert census.nodes == 1_000_001
         assert census.visited < 100_000
+
+    @pytest.mark.parametrize("p", [13, 17, 29, 37, 41, 53, 61])
+    def test_census_rotations_keep_the_unit_circle(self, p):
+        # the census maps its first pair subtree through each table
+        # unchecked: each must be a permutation of the points taking the
+        # lowest unit offset to its own offset and the unit offsets onto
+        # themselves
+        offs = [(u.x1.rep, u.x2.rep) for u in unit_circle(PrimeField(p))]
+        unit = sorted(c * p + s for c, s in offs)
+        rots = _rotations(p, offs)
+        assert len(rots) == len(offs)
+        for (c, s), rot in zip(offs, rots):
+            assert sorted(rot) == list(range(p * p))
+            assert rot[unit[0]] == c * p + s
+            assert sorted(rot[o] for o in unit) == unit
 
     def test_complete_census_of_gf17_is_the_canonical_maps(self, gf17):
         census = search_unit_preservers(17)

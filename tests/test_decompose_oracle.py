@@ -25,6 +25,7 @@ import pytest
 from bqplane.decompose import (
     DecompositionResult,
     _neighbors,
+    _read_gamma,
     _search_order,
     decompose,
     decompose_lorentz,
@@ -335,6 +336,51 @@ def test_two_moved_images_report_the_first_in_row_major_order():
             for route, oracle in ROUTES:
                 assert _outcome(route, f, k) == _outcome(oracle, raw, k), \
                     (text, raw, route.__name__)
+
+
+@pytest.mark.parametrize("p", [13, 29])
+def test_one_pass_gamma_read_refuses_as_the_law_scan(p):
+    # every first unfixed residue m: m = 0 is gamma(0) != 0 and m = 1 is
+    # gamma(1) != 1; each with several wrong values, before the identity
+    # tail or a seeded random one
+    k = PrimeField(p)
+    rng = random.Random(p)
+
+    def want(table):
+        try:
+            _check_prime_hom_table(table, k)
+        except NotAHomomorphism as exc:
+            return type(exc), str(exc), exc.witness
+        return None
+
+    def got(table):
+        calls = []
+
+        def gamma_eval(x):
+            calls.append(x)
+            return k(table[x.rep])
+
+        try:
+            assert _read_gamma(gamma_eval, k, EXHAUSTIVE) == LevelConjugation()
+            outcome = None
+        except BQError as exc:
+            outcome = type(exc), str(exc), getattr(exc, "witness", None)
+        assert len(calls) == p
+        return outcome
+
+    tables = [list(range(p))]
+    for m in range(p):
+        for wrong in rng.sample([v for v in range(p) if v != m], 3):
+            head = list(range(m)) + [wrong]
+            tables.append(head + list(range(m + 1, p)))
+            tables.append(head + [rng.randrange(p) for _ in range(m + 1, p)])
+    messages = set()
+    for table in tables:
+        outcome = want(table)
+        assert got(table) == outcome, table
+        messages.add(outcome and outcome[1])
+    # the identity, gamma(1) != 1, and additivity at (0, 0) and (1, m - 1)
+    assert len(messages) == p + 1
 
 
 def test_decompose_uses_the_frame_scan_wording(gf13):
