@@ -19,17 +19,15 @@ the decomposition.  A find that fails to decompose would falsify the
 canonical-form claim at that prime; it is reported as an anomaly with a
 full witness table, never discarded.
 
-Both routes end in the same two verification steps, shared over every
-field: one reader certifies gamma's laws (``_read_gamma``), and one scan
-checks that f equals the rebuilt normal form (``_first_disagreement``).
-Only the verified domain picks how they run.  GF(p) is verified
-exhaustively in machine integers: gamma must fix each of the p residues,
-as additivity and gamma(1) = 1 force gamma(n) = n, then the raw index
-tables (idx = x1*p + x2) of f and the normal form are compared in
-row-major order.  Over infinite towers "verified" means: on the
+Over GF(p) each route reads f once, as its image table of point indices
+(idx = x1*p + x2), and decomposes it in residues: every point is
+verified, gamma must fix each of the p residues (additivity and
+gamma(1) = 1 force gamma(n) = n), and the rebuilt normal form's table
+must equal f's.  Over infinite towers each route evaluates f on the
 seeded probe set described by the DomainSpec (basis monomials, their
 pairwise sums and products, then random elements), which is this
-library's documented evidence standard.
+library's documented evidence standard.  One reader certifies gamma's
+laws on both (``_read_gamma``).
 """
 
 from __future__ import annotations
@@ -71,6 +69,7 @@ from .maps import (
     MapTable,
     Matrix2,
     SemiAffineMap,
+    index_table,
     invert,
     lorentz_case1_matrix,
     lorentz_case2_matrix,
@@ -231,19 +230,6 @@ def _read_gamma(gamma_eval, k: FieldTower, domain: DomainSpec) -> LevelConjugati
     return match
 
 
-def _first_disagreement(want, got, k: FieldTower, domain: DomainSpec, draw
-                        ) -> Point | None:
-    """The first point of a verified domain where the maps ``want`` and
-    ``got`` differ, or None: over GF(p) in row-major order of their raw
-    index tables, over a tower among the points ``draw()`` yields (each
-    route seeds its own)."""
-    if domain == EXHAUSTIVE:
-        pairs = zip(raw_image_table(want, k), raw_image_table(got, k))
-        return next((point(k, *divmod(idx, k.p))
-                     for idx, (w, g) in enumerate(pairs) if w != g), None)
-    return next((x for x in draw() if want(x) != got(x)), None)
-
-
 # ------------------------------------------------------- branch probe
 
 def detect_branch(g, k: FieldTower) -> str:
@@ -272,6 +258,8 @@ def decompose(f, k: FieldTower, domain: DomainSpec = EXHAUSTIVE
     presents i.  Prime fields are verified exhaustively regardless of the
     requested domain."""
     domain = _verified_domain(domain, k)
+    if domain == EXHAUSTIVE:
+        return _frame_on_table(raw_image_table(_oracle(f), k), k)
     ev = _oracle(f)
     normalizer = normalizer_from_images(
         ev(point(k, 0, 0)), ev(point(k, 1, 0)), ev(point(k, 0, 1)))
@@ -289,7 +277,7 @@ def decompose(f, k: FieldTower, domain: DomainSpec = EXHAUSTIVE
                 for _ in range(domain.samples))
 
     recon = SemiAffineMap(invert(normalizer).outer, gamma)
-    x = _first_disagreement(recon, ev, k, domain, draw)
+    x = next((x for x in draw() if recon(x) != ev(x)), None)
     if x is not None:
         y = g(x)
         raise ProductFormViolation(
@@ -320,6 +308,8 @@ def decompose_lorentz(f, k: FieldTower, domain: DomainSpec = EXHAUSTIVE
     i0 = imaginary_unit(k)
     if i0 is None:
         raise NoImaginaryUnit(f"{k} has no i; the Lorentz route needs one")
+    if domain == EXHAUSTIVE:
+        return _lorentz_on_table(raw_image_table(_oracle(f), k), k)
     ev = _oracle(f)
     t0 = ev(point(k, 0, 0))
 
@@ -363,17 +353,79 @@ def decompose_lorentz(f, k: FieldTower, domain: DomainSpec = EXHAUSTIVE
         rng = random.Random(domain.seed + 2)
         return (random_point(k, rng) for _ in range(domain.samples))
 
-    x = _first_disagreement(SemiAffineMap(outer, sigma), ev, k, domain, draw)
+    recon = SemiAffineMap(outer, sigma)
+    x = next((x for x in draw() if recon(x) != ev(x)), None)
     if x is not None:
         raise ProductFormViolation(
             f"case-{case} reconstruction disagrees at ({x.x1}, {x.x2})",
             witness=x)
-    branch = "not_applicable"
-    if is_f_of_i(k):
-        branch = "theta" if apply_hom(sigma, i0) == i0 else "zeta"
+    branch = "theta" if apply_hom(sigma, i0) == i0 else "zeta"  # a tower with i is F(i)
     return DecompositionResult(invert(SemiAffineMap(outer)), sigma, branch, domain, k,
                                route="lorentz", lorentz_case=case,
                                lorentz_scale=a)
+
+
+# ------------------------------------------------------ GF(p) tables
+
+def _frame_on_table(raw: tuple[int, ...], k: PrimeField) -> DecompositionResult:
+    """The frame route on a GF(p) image table, in residues: J is
+    x -> Q (x - f(0)) with rows u = f(1,0) - f(0), v = f(0,1) - f(0); the
+    frame distances make Q orthogonal, so invert(J) is y -> Q^T y + f(0)."""
+    p = k.p
+    (a0, b0), (a1, b1), (a2, b2) = (divmod(raw[idx], p) for idx in (0, p, 1))
+    u1, u2, v1, v2 = a1 - a0, b1 - b0, a2 - a0, b2 - b0
+    dist = ((u1 * u1 + u2 * u2) % p, (v1 * v1 + v2 * v2) % p,
+            ((a2 - a1) ** 2 + (b2 - b1) ** 2) % p)
+    if dist != (1, 1, 2):
+        raise FrameNotOrthonormal(f"frame image distances {dist} differ from (1, 1, 2)")
+
+    def g(idx: int) -> tuple[int, int]:  # J(f(x)) for the point x of index idx
+        fa, fb = raw[idx] // p - a0, raw[idx] % p - b0
+        return (u1 * fa + u2 * fb) % p, (v1 * fa + v2 * fb) % p
+
+    gamma = _read_gamma(lambda x: k(g(x.rep * p)[0]), k, EXHAUSTIVE)
+    recon = index_table(p, u1, v1, u2, v2, a0, b0)
+    if recon != raw:
+        x1, x2 = divmod(next(idx for idx, img in enumerate(recon) if img != raw[idx]), p)
+        y1, y2 = g(x1 * p + x2)
+        raise ProductFormViolation(f"normalized map sends ({x1}, {x2}) to ({y1}, {y2}), "
+                                   "not coordinatewise", witness=point(k, x1, x2))
+    j = AffineMap(Matrix2(k(u1), k(u2), k(v1), k(v2)),
+                  point(k, -(u1 * a0 + u2 * b0), -(v1 * a0 + v2 * b0)))
+    return DecompositionResult(SemiAffineMap(j), gamma, "not_applicable", EXHAUSTIVE, k)
+
+
+def _lorentz_on_table(raw: tuple[int, ...], k: PrimeField) -> DecompositionResult:
+    """The Lorentz route on a GF(p) image table, in residues, with its
+    own xi and eta on the residues i and 1/2; it never builds J."""
+    p, i, half = k.p, imaginary_unit(k).rep, (k.p + 1) // 2
+    t0a, t0b = divmod(raw[0], p)
+
+    def big_g(x1: int, x2: int, a: int = 1, a_inv: int = 1) -> tuple[int, int]:
+        # lambda(a) o xi o (f - f(0)) o eta, as residues
+        img = raw[(x1 + x2) * half % p * p + (x2 - x1) * i * half % p]
+        fa, fb = img // p - t0a, img % p - t0b
+        return (fa + i * fb) * a_inv % p, (fa - i * fb) * a % p
+
+    a, b = big_g(1, 1)
+    if a * b % p != 1:
+        raise LorentzNormalizationFailed(
+            f"normalized image of (1,1) gives a*b = {a * b % p}, not 1")
+    a_inv = pow(a, -1, p)
+    case = {(2, 0): 1, (0, 2): 2}.get(probe := big_g(2, 0, a, a_inv))
+    if case is None:
+        raise CaseUndetermined(f"rescaled map sends (2, 0) to ({probe[0]}, {probe[1]}), "
+                               "matching neither product form")
+    sigma = _read_gamma(lambda x: k(big_g(x.rep, 0, a, a_inv)[case - 1]), k, EXHAUSTIVE)
+    case_matrix = (lorentz_case1_matrix if case == 1 else lorentz_case2_matrix)(k(a), sigma, k)
+    outer = SemiAffineMap(AffineMap(case_matrix, point(k, t0a, t0b)))
+    recon = raw_image_table(outer, k)
+    if recon != raw:
+        x1, x2 = divmod(next(idx for idx, img in enumerate(recon) if img != raw[idx]), p)
+        raise ProductFormViolation(f"case-{case} reconstruction disagrees at ({x1}, {x2})",
+                                   witness=point(k, x1, x2))
+    return DecompositionResult(invert(outer), sigma, "not_applicable", EXHAUSTIVE, k,
+                               route="lorentz", lorentz_case=case, lorentz_scale=k(a))
 
 
 # ------------------------------------------------------ preserver search

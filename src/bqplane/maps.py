@@ -193,7 +193,7 @@ class MapTable:
         k = self.field
         if x.tower is not k and x.tower != k:
             raise FieldMismatch(f"point {x} is not in the table's field {k}")
-        return all_points(k)[self.raw[x.x1.rep * k.p + x.x2.rep]]
+        return point(k, *divmod(self.raw[x.x1.rep * k.p + x.x2.rep], k.p))
 
     def inverse(self) -> "MapTable":
         inv = [None] * len(self.raw)
@@ -440,17 +440,28 @@ def _atom_to_map(atom: MapAtom, k: FieldTower) -> SemiAffineMap:
 
 # ---------------------------------------------------- raw prime tables
 
+def index_table(p: int, a: int, b: int, c: int, d: int, tx: int, ty: int
+                ) -> tuple[int, ...]:
+    """The image table of x -> [[a, b], [c, d]] x + (tx, ty) over GF(p): row
+    x1 = x slices hi and lo at a*x and c*x, which adds those terms mod p."""
+    hi, lo = [v % p * p for v in range(2 * p)], [v % p for v in range(2 * p)]
+    steps = [((b * y + tx) % p, (d * y + ty) % p) for y in range(p)]
+    return tuple(itertools.chain.from_iterable(
+        [h[u] + l[w] for u, w in steps]
+        for h, l in ((hi[a * x % p:], lo[c * x % p:]) for x in range(p))))
+
+
 def raw_image_table(m, k: PrimeField) -> tuple[int, ...]:
     """Image table as point indices (idx = x1*p + x2): a table's own
     indices, in machine integers for a normal form with gamma = id, by
-    applying m point by point for anything else."""
+    applying m point by point (p^2 calls, each image in k) for anything else."""
     if isinstance(m, MapTable) and m.field == k:
         return m.raw
     p = k.p
     if isinstance(m, SemiAffineMap) and not m.gamma.levels:
-        a, b, c, d = (e.rep for e in m.outer.linear.entries())
-        tx, ty = m.outer.translation.x1.rep, m.outer.translation.x2.rep
-        return tuple(((a * x + b * y + tx) % p) * p + (c * x + d * y + ty) % p
-                     for x in range(p) for y in range(p))
-    return tuple(img.x1.rep * p + img.x2.rep
-                 for img in (m(pt) for pt in all_points(k)))
+        t = m.outer.translation
+        return index_table(p, *(e.rep for e in m.outer.linear.entries()), t.x1.rep, t.x2.rep)
+    images = [m(pt) for pt in all_points(k)]
+    if any(img.tower is not k and img.tower != k for img in images):
+        raise FieldMismatch(f"map images leave {k}")
+    return tuple(img.x1.rep * p + img.x2.rep for img in images)

@@ -16,6 +16,7 @@ from bqplane.decompose import (
 from bqplane.errors import (
     BQError,
     BranchUndetermined,
+    FieldMismatch,
     FieldNotFinite,
     FrameNotOrthonormal,
     NoImaginaryPresentation,
@@ -393,6 +394,48 @@ class TestGammaFromGeneratorSigns:
                            match="^generator images match no catalog homomorphism$") as info:
             route(f, k, sample_domain(1))
         assert info.value.witness == parse_element("1 + r1", k)
+
+
+class TestPrimeTablesReadOnce:
+    """Over GF(p) each route reads the map once, as its image table."""
+
+    ROUTES = [decompose, decompose_lorentz]
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("p", [13, 29])
+    def test_a_callable_is_called_p_squared_times(self, route, p):
+        k = PrimeField(p)
+        f = _expr("translate(3, 5) . refl(0, 1)", k)
+        calls = []
+
+        def counted(x: Point) -> Point:
+            calls.append(x)
+            return f(x)
+
+        assert route(counted, k).to_record() == route(f, k).to_record()
+        assert len(calls) == p * p
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("p", [13, 29])
+    def test_a_table_is_never_evaluated_point_by_point(self, route, p):
+        class Untouchable(MapTable):
+            def __call__(self, x):
+                raise AssertionError(f"table evaluated at {x}")
+
+        k = PrimeField(p)
+        f = _expr("translate(1, 2) . rot(0, 1)", k)
+        table = Untouchable(k, raw_image_table(f, k))
+        assert route(table, k).to_record() == route(f, k).to_record()
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_images_in_another_field_are_refused(self, route, gf13, gf17):
+        with pytest.raises(FieldMismatch, match=r"map images leave GF\(13\)"):
+            route(lambda x: point(gf17, x.x1.rep + 4, x.x2.rep), gf13)
+
+    def test_the_submodule_is_not_shadowed(self):
+        import bqplane.decompose as module
+        assert module.search_unit_preservers is search_unit_preservers
+        assert module.decompose is decompose
 
 
 class TestPreserverSearch:

@@ -1,13 +1,13 @@
 """Differential tests of the GF(p) decomposition routes and of the
 preserver search against the code they replaced.
 
-Over GF(p) both routes used to compute their normal form in machine
-integers, apart from the code they share with towers.  They now run the
-same normal-form code as over towers and keep machine integers only for
-the exhaustive scans.  The old pipelines are kept here, test-local, as
-oracles: on canonical maps the records must be equal, and on every table
-one image away from a canonical map both must refuse with the same
-exception type and message.
+Over GF(p) both routes decompose the map's image table in residues.
+The machine-integer pipelines they had before they shared the tower
+code are kept here, test-local, as oracles that share no code with the
+routes: on canonical maps the records must be equal, and on every table
+one image away from a canonical map (and on a sample of tables with one
+or two moved images at p = 29) both must refuse with the same exception
+type, message and witness.
 
 The preserver search loop was rewritten to keep per-position image
 masks and to skip empty domains, and then to walk only the first subtree
@@ -46,7 +46,7 @@ from bqplane.fields import (
     imaginary_unit,
     sample_domain,
 )
-from bqplane.geometry import Point, all_points, point
+from bqplane.geometry import Point, all_points, eta, point
 from bqplane.maps import (
     AffineMap,
     MapTable,
@@ -381,6 +381,34 @@ def test_one_pass_gamma_read_refuses_as_the_law_scan(p):
         messages.add(outcome and outcome[1])
     # the identity, gamma(1) != 1, and additivity at (0, 0) and (1, m - 1)
     assert len(messages) == p + 1
+
+
+def test_moved_images_at_29_refused_as_by_oracle():
+    # at p = 29, i and 1/2 are other residues than at 13; half of the
+    # moved points are those the routes read before their final scan:
+    # the frame, the x1 axis, and eta of (1, 1), (2, 0) and the x1 axis
+    k = PrimeField(29)
+    p, n = k.p, k.p * k.p
+    rng = random.Random(29)
+    read = sorted({0, 1, p} | {m * p for m in range(p)}
+                  | {(e.x1.rep * p + e.x2.rep)
+                     for e in (eta(point(k, x, y))
+                               for x, y in [(1, 1)] + [(m, 0) for m in range(p)])})
+    kinds = set()
+    for text in _canonical_expressions(k, 6, seed=11):
+        base = raw_image_table(map_from_expression(parse_map(text, k), k), k)
+        for moved in [1] * 30 + [2] * 15:
+            raw = list(base)
+            for idx in rng.sample(read if rng.random() < 0.5 else range(n), moved):
+                raw[idx] = rng.choice([v for v in range(n) if v != base[idx]])
+            f = _raw_oracle(raw, k)
+            for route, oracle in ROUTES:
+                want = _outcome(oracle, raw, k)
+                assert isinstance(want, tuple), (text, raw, route.__name__)
+                assert _outcome(route, f, k) == want, (text, raw, route.__name__)
+                kinds.add(want[0].__name__)
+    assert kinds == {"FrameNotOrthonormal", "NotAHomomorphism", "ProductFormViolation",
+                     "LorentzNormalizationFailed", "CaseUndetermined"}
 
 
 def test_decompose_uses_the_frame_scan_wording(gf13):
