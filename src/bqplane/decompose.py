@@ -524,11 +524,11 @@ def _rotations(p: int, offs: list[tuple[int, int]]) -> list[list[int]]:
 
 
 def _walk(img: list[int], masks: list[int], seed: list[int],
-          more: list[tuple[int, ...]], stop: int
+          more: list[tuple[int, ...]], cm: int, stop: int
           ) -> tuple[int, list[list[int]], bool]:
-    """The static-order DFS below the pair img[0], img[1] of images of
-    positions 0 and 1: (nodes, finds by position in the order found,
-    whether the walk stopped at its node number stop; 0 never stops).
+    """The static-order DFS below images img[0], img[1] of positions 0, 1
+    and the position-2 candidates cm: (nodes, finds by position in the
+    order found, whether it stopped at its node number stop, never at 0).
 
     Position pos + 1 takes the AND of the masks of its earlier
     neighbours' images, seed[pos] and more[pos]; each position after 0
@@ -540,10 +540,7 @@ def _walk(img: list[int], masks: list[int], seed: list[int],
     finds: list[list[int]] = []
     nodes = 0
     last = n - 1
-    pos = 2
-    cm = mpos[seed[1]]  # untried candidates of pos, never pushed empty
-    for e in more[1]:
-        cm &= mpos[e]
+    pos = 2  # cm: the untried candidates of pos, never pushed empty
     while True:
         if not cm:
             pos -= 1
@@ -571,21 +568,31 @@ def _walk(img: list[int], masks: list[int], seed: list[int],
             cm = nxt
 
 
+def _mirror(p: int, offs: list[tuple[int, int]]) -> list[int]:
+    """x -> 2<x, u0> u0 - x, u0 the lowest-index unit offset: the
+    reflection (<u0, u0> = 1) that fixes (0,0) and u0."""
+    c, s = min(offs)
+    return [(2 * (x * c + y * s) * c - x) % p * p + (2 * (x * c + y * s) * s - y) % p
+            for x in range(p) for y in range(p)]
+
+
 def _pair_census(p: int, offs: list[tuple[int, int]], neigh: list[list[int]],
                  earlier: list[list[int]], stop: int
                  ) -> tuple[list[list[int]], int, int, bool]:
-    """The DFS over every pair of images of positions 0 and 1, walking
-    the first pair subtree and any the budget cuts, and mapping the rest
-    onto the first (see ``search_unit_preservers``): (finds by position in
-    DFS order, nodes, nodes walked, complete)."""
+    """The DFS over every pair of images of positions 0 and 1, one child
+    (image of position 2) at a time, walking only the children that no
+    earlier child maps onto (see ``search_unit_preservers``): (finds by
+    position in DFS order, nodes, nodes walked, complete)."""
     n = p * p
     # distinct offsets give distinct neighbours, so the sum is their union
     masks = [sum(1 << v for v in row) for row in neigh]
     seed = [e[0] for e in earlier[1:]] + [0]
     more = [tuple(e[1:]) for e in earlier[1:]] + [()]
     rots = _rotations(p, offs)
+    sigma = _mirror(p, offs)
     img = [0] * n
-    first: tuple[int, list[list[int]]] | None = None  # below (0, u0)
+    kids: dict[int, tuple[int, list[list[int]]]] = {}  # first pair: v -> child
+    first: tuple[int, list[list[int]]] | None = None  # the first pair subtree
     finds: list[list[int]] = []
     nodes = mapped = 0
     for a in range(n):
@@ -597,22 +604,36 @@ def _pair_census(p: int, offs: list[tuple[int, int]], neigh: list[list[int]],
             nodes += 1
             if nodes == stop:
                 return finds, nodes, nodes - mapped, False
-            if first is not None and (not stop or nodes + first[0] < stop):
-                finds.extend(sorted(
-                    [((rot[x] // p + a1) % p) * p + (rot[x] + a2) % p
-                     for x in f] for f in first[1]))
-                nodes += first[0]
-                mapped += first[0]
-                continue
             img[0], img[1] = a, b
-            sub, walked, cut = _walk(img, masks, seed, more,
-                                     stop - nodes if stop else 0)
-            finds.extend(walked)
-            nodes += sub
-            if cut:
-                return finds, nodes, nodes - mapped, False
-            if first is None:
-                first = (sub, walked)
+            if first is None:  # child w is the mirror of child sigma[w]
+                table, plan = sigma, [
+                    (w, sigma[w]) for w in range(n)
+                    if all(masks[img[e]] >> w & 1 for e in earlier[2])]
+            else:  # J maps the first pair's child v onto the child J(v)
+                table = [((r // p + a1) % p) * p + (r + a2) % p for r in rot]
+                if not stop or nodes + first[0] < stop:
+                    finds.extend(sorted([table[x] for x in f] for f in first[1]))
+                    nodes += first[0]
+                    mapped += first[0]
+                    continue
+                plan = sorted((table[v], v) for v in kids)
+            for w, v in plan:
+                src = kids.get(v)
+                if src is not None and (not stop or nodes + src[0] < stop):
+                    sub, got, cut = src[0], sorted(
+                        [table[x] for x in f] for f in src[1]), False
+                    mapped += sub
+                else:
+                    sub, got, cut = _walk(img, masks, seed, more, 1 << w,
+                                          stop - nodes if stop else 0)
+                finds.extend(got)
+                nodes += sub
+                if cut:
+                    return finds, nodes, nodes - mapped, False
+                if first is None:
+                    kids[w] = (sub, got)
+            if first is None:  # below its nodes 1 and 2; no find precedes
+                first = (nodes - 2, finds[:])
     return finds, nodes, nodes - mapped, True
 
 
@@ -632,18 +653,21 @@ def search_unit_preservers(p: int, budget: int | None = None
 
     Positions 0 and 1 are (0,0) and its unit neighbour (0,1); they take
     every pair of images (a, b) with b - a a unit vector, in DFS order.
-    Only the first pair subtree, (0, u0) with u0 the lowest-index unit
-    vector, and a subtree that the budget cuts are walked.  Every other
-    subtree is the image of the first under J(x) = a + R x, with
-    R = rot(b - a) rot(u0)^-1 a rotation that keeps the unit circle:
-    J is a bijection with J(circle(y)) = circle(J(y)), so J o f is a
-    preserver exactly when f is, and J maps the first subtree node for
-    node onto the subtree of (a, b).  That subtree has the same node
-    count, and its finds are the images of the first subtree's, sorted:
-    lexicographic order of the images by position is the DFS leaf order.
-    So ``nodes``, ``complete`` and the finds in order are those of the
-    full walk; ``visited`` counts the nodes walked one by one.  Each find,
-    walked or mapped, is decomposed.
+    A bijection J with J(circle(y)) = circle(J(y)) makes J o f a
+    preserver exactly when f is, so J maps a subtree node for node onto
+    another, with the same node count and the finds mapped through J and
+    sorted (lexicographic order of the images by position is the DFS
+    leaf order).  J(x) = a + R x, with R = rot(b - a) rot(u0)^-1 a
+    rotation that keeps the unit circle and u0 the lowest-index unit
+    vector, maps the first pair subtree, (0, u0), onto that of (a, b),
+    and its child v (image v of position 2) onto the child J(v); the
+    reflection sigma(x) = 2<x, u0> u0 - x fixes 0 and u0 and maps the
+    first pair's child v onto its child sigma(v).  So only the first
+    pair's children with v <= sigma(v) are walked, and of the pair the
+    budget cuts, child by child in the order of J(v), only the one where
+    the stop falls.  ``nodes``, ``complete`` and the finds in order are
+    those of the full walk; ``visited`` counts the nodes walked one by
+    one.  Each find, walked or mapped, is decomposed.
     """
     k = PrimeField(p)
     n = p * p

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import FieldMismatch, NoImaginaryUnit, ZeroScale
 from .fields import (
@@ -188,41 +189,46 @@ def _residue_identity_checks(k: PrimeField) -> list[Check]:
     point indices a*p + b of ``all_points(k)``.
 
     xi and eta are called once per point, and phi and lm_distance once
-    per difference vector d = x - y (both forms read only x - y), so the
-    p^4 pair scan is index arithmetic mod p.  Counts, witnesses and
-    witness order are those of ``_identity_checks`` over all pairs.
+    per difference vector d = x - y (both forms read only x - y).  A
+    form's row over all y is one tuple slice and a row read after xi or
+    eta is that row permuted, so each of the 2p^2 row pairs of the p^4
+    pair scan is one tuple compare.  Counts, witnesses and witness order
+    are those of ``_identity_checks`` over all pairs.
     """
     p = k.p
     pts = all_points(k)
     origin = pts[0]
 
-    def index(x: Point) -> int:
-        return x.x1.rep * p + x.x2.rep
+    xi_at, eta_at = ([y.x1.rep * p + y.x2.rep for y in map(f, pts)]
+                     for f in (xi, eta))
 
-    xi_at = [index(xi(x)) for x in pts]
-    eta_at = [index(eta(x)) for x in pts]
-    phi_of = [phi(d, origin).rep for d in pts]
-    lm_of = [lm_distance(d, origin).rep for d in pts]
-    coords = [divmod(i, p) for i in range(len(pts))]
-    xi_coords = [coords[j] for j in xi_at]
-    eta_coords = [coords[j] for j in eta_at]
+    def rows(form):  # per x2: form(d1, x2 - y2), d1 = p-1..0, y2 = 0..p-1
+        of = [form(d, origin).rep for d in pts]
+        seq = [tuple(of[d1 * p + (x2 - y2) % p] for _ in (0, 1)
+                     for d1 in range(p - 1, -1, -1) for y2 in range(p))
+               for x2 in range(p)]
+
+        def row(i: int) -> tuple:  # twice over, so one slice per x1
+            start = (p - 1 - i // p) * p
+            return seq[i % p][start:start + p * p]
+        return row
+
+    phi_row, lm_row = rows(phi), rows(lm_distance)
+    by_xi, by_eta = itemgetter(*xi_at), itemgetter(*eta_at)
 
     checks = [Check(name, EXHAUSTIVE) for name in _IDENTITY_NAMES]
     phi_lm, lm_phi, eta_xi, xi_eta = checks
 
-    def note_row(check: Check, x: Point, got: list, want: list):
+    def note_row(check: Check, x: Point, got: tuple, want: tuple):
         if got == want or len(check.witnesses) >= MAX_WITNESSES:
             return
         for y, g, w in zip(pts, got, want):
             if g != w and check.note(str(x), str(y)):
                 return
 
-    for x, (a1, a2), (c1, c2), (e1, e2) in zip(pts, coords, xi_coords, eta_coords):
-        diff = [(a1 - b1) % p * p + (a2 - b2) % p for b1, b2 in coords]
-        xi_diff = [(c1 - b1) % p * p + (c2 - b2) % p for b1, b2 in xi_coords]
-        eta_diff = [(e1 - b1) % p * p + (e2 - b2) % p for b1, b2 in eta_coords]
-        note_row(phi_lm, x, [phi_of[d] for d in diff], [lm_of[d] for d in xi_diff])
-        note_row(lm_phi, x, [lm_of[d] for d in diff], [phi_of[d] for d in eta_diff])
+    for i, x in enumerate(pts):
+        note_row(phi_lm, x, phi_row(i), by_xi(lm_row(xi_at[i])))
+        note_row(lm_phi, x, lm_row(i), by_eta(phi_row(eta_at[i])))
     phi_lm.checked = lm_phi.checked = len(pts) ** 2
     for i, x in enumerate(pts):
         if eta_at[xi_at[i]] != i:

@@ -378,36 +378,41 @@ def format_map(expr: MapExpression) -> str:
 
 # ------------------------------------------------------- map table files
 
-# An integer pair as tables over GF(p) write it; at most 18 digits each,
-# so int() stays cheap and within the str-digit limit.
-_INT_PAIR = re.compile(r"\s*(-?[0-9]{1,18})\s*,\s*(-?[0-9]{1,18})\s*")
+# An all-integer line as tables over GF(p) write it; at most 18 digits per
+# integer, so int() stays cheap and within the str-digit limit.
+_INT = r"\s*(-?[0-9]{1,18})\s*"
+_INT_LINE = re.compile(f"{_INT},{_INT}->{_INT},{_INT}")
 
 
 def parse_table_lines(text: str, k: FieldTower) -> list[int | None]:
     """Parse ``x1,x2 -> y1,y2`` lines over GF(p) into the raw images of a
     ``MapTable``, None where no line maps the point; a source point given
-    twice is rejected, and every error names its line.  Integer-pair
-    sides are read directly, any other side by the element parser."""
+    twice is rejected, and every error names its line.  All-integer
+    lines are read by one match, any other by the element parser."""
     if not isinstance(k, PrimeField):
         raise FieldNotFinite("map tables need a finite field")
-    n = k.p * k.p
-    raw: list[int | None] = [None] * n
-    line_of = [0] * n
+    p = k.p
+    raw: list[int | None] = [None] * (p * p)
+    line_of = [0] * (p * p)
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        if "->" not in line:
+        m = _INT_LINE.fullmatch(line)
+        if m is not None:  # one match reads an all-integer line
+            src = int(m[1]) % p * p + int(m[2]) % p
+            dst = int(m[3]) % p * p + int(m[4]) % p
+        elif "->" not in line:
             raise ParseError(f"line {lineno}: missing '->'")
-        lhs, rhs = line.split("->", 1)
-        try:
-            src = _read_index(lhs, k)
-            dst = _read_index(rhs, k)
-        except BQError as exc:
-            exc.args = (f"line {lineno}: {exc}",)
-            raise
+        else:
+            lhs, rhs = line.split("->", 1)
+            try:
+                src, dst = _read_index(lhs, k), _read_index(rhs, k)
+            except BQError as exc:
+                exc.args = (f"line {lineno}: {exc}",)
+                raise
         if line_of[src]:
-            raise ParseError(f"line {lineno}: point ({src // k.p}, {src % k.p})"
+            raise ParseError(f"line {lineno}: point ({src // p}, {src % p})"
                              f" already mapped on line {line_of[src]}")
         line_of[src] = lineno
         raw[src] = dst
@@ -416,12 +421,8 @@ def parse_table_lines(text: str, k: FieldTower) -> list[int | None]:
 
 def _read_index(s: str, k: PrimeField) -> int:
     """The point index x1*p + x2 of one side of a table line."""
-    p = k.p
-    m = _INT_PAIR.fullmatch(s)
-    if m is not None:
-        return int(m[1]) % p * p + int(m[2]) % p
     pt = _parse_pair(s, k)
-    return pt.x1.rep * p + pt.x2.rep
+    return pt.x1.rep * k.p + pt.x2.rep
 
 
 def _parse_pair(s: str, k: FieldTower) -> Point:

@@ -6,7 +6,11 @@ import pytest
 
 from bqplane import fields
 from bqplane.decompose import (
+    _mirror,
+    _neighbors,
+    _pair_census,
     _rotations,
+    _search_order,
     decompose,
     decompose_lorentz,
     detect_branch,
@@ -467,11 +471,36 @@ class TestPreserverSearch:
         assert census.expected == 17 * 17 * 2 * 16
 
     def test_visited_counts_only_the_walked_nodes(self):
-        # the first pair subtree and the one the budget cuts are walked;
-        # the 26 or so between them are mapped onto the first
+        # one child of the first pair subtree and the part of the child
+        # the budget cuts are walked; the mirrored child, the 26 or so
+        # subtrees between and the cut pair's earlier children are mapped
         census = search_unit_preservers(13, budget=1_000_000)
         assert census.nodes == 1_000_001
-        assert census.visited < 100_000
+        assert census.visited < 40_000
+
+    def test_complete_census_walks_one_child_of_each_mirror_pair(self):
+        census = search_unit_preservers(13)
+        assert census.complete and census.nodes == 75_135_541
+        assert census.visited <= 21_000
+        p = 17
+        offs = [(u.x1.rep, u.x2.rep) for u in unit_circle(PrimeField(p))]
+        neigh = _neighbors(p, offs)
+        _, nodes, visited, complete = _pair_census(
+            p, offs, neigh, _search_order(neigh)[1], 0)
+        assert complete and nodes == 8_012_250_161
+        assert visited <= 1_000_000
+
+    @pytest.mark.parametrize("p", [13, 17, 29, 37, 41, 53, 61])
+    def test_census_mirror_keeps_the_first_pair(self, p):
+        # the census maps a child of the first pair subtree through this
+        # table unchecked: it must be an involution of the points fixing
+        # (0,0) and the lowest unit offset, and keep the unit offsets
+        offs = [(u.x1.rep, u.x2.rep) for u in unit_circle(PrimeField(p))]
+        unit = sorted(c * p + s for c, s in offs)
+        sigma = _mirror(p, offs)
+        assert [sigma[v] for v in sigma] == list(range(p * p))
+        assert sigma[0] == 0 and sigma[unit[0]] == unit[0]
+        assert sorted(sigma[o] for o in unit) == unit
 
     @pytest.mark.parametrize("p", [13, 17, 29, 37, 41, 53, 61])
     def test_census_rotations_keep_the_unit_circle(self, p):

@@ -424,13 +424,24 @@ def test_decompose_uses_the_frame_scan_wording(gf13):
 # At p = 13 the first pair subtree, (0,0) -> (0,0) and (0,1) -> (0,1),
 # holds nodes 3 to 37,050: the budgets around 37,050 cut its last node,
 # the next pair's node and the first node of the next subtree, which the
-# search walks instead of mapping.  74,098 cuts the last node of that
-# next subtree, which must be walked too, and 1,000,000 crosses about 26
-# mapped subtrees.
+# search maps child by child up to the child it walks.  74,098 cuts the
+# last node of that next subtree, which must be walked too, and 1,000,000
+# crosses about 26 mapped subtrees.  The first pair subtree has two
+# children (images of position 2), nodes 3 to 18,526 and 18,527 to
+# 37,050, each the mirror of the other: 18,525 to 18,527 cut the last
+# node of the walked child and the first two of the mirrored one, and
+# 55,574 the last node of the cut pair's first child.  At p = 17 the 16
+# children of the first pair subtree start at nodes 3, 35,028, 121,827,
+# ...: the budgets cut the second child, the fifth (292,038 to 471,722),
+# the first node of the first mirrored child (927,291) and a later
+# mirrored child (1,264,480 to 1,382,858).
 SEARCH_CASES = ([(p, budget) for p in (13, 17, 29, 37)
                  for budget in (0, 1, 1_000, 40_000, 200_000)]
                 + [(13, budget) for budget in (37_049, 37_050, 37_051, 74_098,
-                                               1_000_000)])
+                                               1_000_000)]
+                + [(13, budget) for budget in (18_525, 18_526, 18_527, 55_574)]
+                + [(17, budget) for budget in (100_000, 300_000, 927_290,
+                                               1_300_000)])
 
 
 @pytest.mark.parametrize("p, budget", SEARCH_CASES,

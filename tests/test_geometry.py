@@ -222,3 +222,71 @@ class TestScanAgainstReference:
         assert got == want
         assert [len(v) for _, _, v in got] == [0, 10, 10, 10]
         assert [n for _, n, _ in got] == [169 * 169, 169 * 169, 169, 169]
+
+
+# ------------------------ the row-compare scan against the pair-by-pair scan
+
+def _residue_scan_oracle(k):
+    """The exhaustive scan as it was before whole-row compares: every row
+    built pair by pair from difference indices, through geometry.xi/eta;
+    (name, checked, witnesses) per check."""
+    xi, eta = geometry.xi, geometry.eta
+    p = k.p
+    pts = all_points(k)
+    origin = pts[0]
+    xi_at = [xi(x).x1.rep * p + xi(x).x2.rep for x in pts]
+    eta_at = [eta(x).x1.rep * p + eta(x).x2.rep for x in pts]
+    phi_of = [phi(d, origin).rep for d in pts]
+    lm_of = [lm_distance(d, origin).rep for d in pts]
+    coords = [divmod(i, p) for i in range(len(pts))]
+    xi_coords = [coords[j] for j in xi_at]
+    eta_coords = [coords[j] for j in eta_at]
+    wit = [[], [], [], []]
+
+    def note_row(w, x, got, want):
+        if got == want or len(w) >= 10:
+            return
+        for y, g, v in zip(pts, got, want):
+            if g != v:
+                w.append((str(x), str(y)))
+                if len(w) >= 10:
+                    return
+
+    for x, (a1, a2), (c1, c2), (e1, e2) in zip(pts, coords, xi_coords, eta_coords):
+        diff = [(a1 - b1) % p * p + (a2 - b2) % p for b1, b2 in coords]
+        xi_diff = [(c1 - b1) % p * p + (c2 - b2) % p for b1, b2 in xi_coords]
+        eta_diff = [(e1 - b1) % p * p + (e2 - b2) % p for b1, b2 in eta_coords]
+        note_row(wit[0], x, [phi_of[d] for d in diff], [lm_of[d] for d in xi_diff])
+        note_row(wit[1], x, [lm_of[d] for d in diff], [phi_of[d] for d in eta_diff])
+    for i, x in enumerate(pts):
+        if eta_at[xi_at[i]] != i and len(wit[2]) < 10:
+            wit[2].append((str(x),))
+        if xi_at[eta_at[i]] != i and len(wit[3]) < 10:
+            wit[3].append((str(x),))
+    n = len(pts)
+    return list(zip(geometry._IDENTITY_NAMES, [n * n, n * n, n, n], wit))
+
+
+@pytest.mark.parametrize("p, name, broken", [
+    (13, "xi", (0,)),
+    (13, "eta", (7, 168)),
+    (29, "xi", (5, 100, 700)),
+    (29, "eta", (840,)),
+])
+def test_row_scan_reports_as_the_pair_scan(p, name, broken, monkeypatch):
+    # xi or eta moved by one step in x1 on a few points: every count and
+    # witness, in order, must be the pair-by-pair scan's
+    k = PrimeField(p)
+    good = getattr(geometry, name)
+
+    def moved(x):
+        y = good(x)
+        if x.x1.rep * p + x.x2.rep in broken:
+            return Point(y.x1 + k.one, y.x2)
+        return y
+
+    monkeypatch.setattr(geometry, name, moved)
+    rep = verify_transform_identities(k, "exhaustive")
+    got = [(c.name, c.checked, c.witnesses) for c in rep.checks]
+    assert not rep.ok
+    assert got == _residue_scan_oracle(k)

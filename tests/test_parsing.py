@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -346,6 +347,77 @@ class TestIntegerTableLines:
         line = f"{sides[0]},{sides[1]} ->{sides[2]},{sides[3]}"
         _same_reading(line, k)
         _same_reading(f"{line}\n{line}\n", k)  # a duplicate on line 2
+
+
+
+_INT_PAIR = re.compile(r"\s*(-?[0-9]{1,18})\s*,\s*(-?[0-9]{1,18})\s*")
+
+
+def _side_index(s, k):
+    p = k.p
+    m = _INT_PAIR.fullmatch(s)
+    if m is not None:
+        return int(m[1]) % p * p + int(m[2]) % p
+    pt = _parse_pair(s, k)
+    return pt.x1.rep * p + pt.x2.rep
+
+
+def _table_by_sides(text, k):
+    """The table reader as it was before one match per line: every line
+    split at '->', an integer-pair side read by a match of its own and
+    any other side by the element parser."""
+    p = k.p
+    raw, line_of = [None] * (p * p), [0] * (p * p)
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "->" not in line:
+            raise ParseError(f"line {lineno}: missing '->'")
+        lhs, rhs = line.split("->", 1)
+        try:
+            src, dst = _side_index(lhs, k), _side_index(rhs, k)
+        except BQError as exc:
+            exc.args = (f"line {lineno}: {exc}",)
+            raise
+        if line_of[src]:
+            raise ParseError(f"line {lineno}: point ({src // p}, {src % p})"
+                             f" already mapped on line {line_of[src]}")
+        line_of[src] = lineno
+        raw[src] = dst
+    return raw
+
+
+class TestOneMatchPerLine:
+    @pytest.mark.parametrize("text", [
+        "0,0 -> 1,2 # trailing\n1,1 -> 2,2#x -> y\n",
+        "-1,-2 -> -14,-27\n13,40 -> 26,100\n-13,-0 -> 99,-99\n",
+        "\t3 ,\t4->  5 ,6\t\n 4, 4 ->5,5\n\t\n5 , 5\t->\t6 , 6\n",
+        "1,2 -> 3,4\n14,15 -> 0,0\n",         # a duplicate, both integer
+        "1,2 -> 3,4\n1/1,2 -> 0,0\n",         # integer, then the parser's
+        "1, 2 -> (3), 4\n14,2 -> 0,0\n",      # the parser's, then integer
+        "0,0 -> 1,2\n1/2,0 -> 3,4\n2,2 -> -1,-1\n1, 5 -> 2*3, 1\n",
+        "0,0 -> 1,2\n2,2 -> -1,-1\n3,r1 -> 0,0\n",
+        "0,0 -> 1,2\n3,3 -> 4\n",
+        "0,0 -> 1,2\n0,1 - > 1,1\n",
+        "0,0 -> 1,2 -> 3,4\n",
+        "0,0 -> 1,2\n0,1 -> 1/13,1\n",
+    ])
+    def test_same_table_or_error_as_reading_by_sides(self, gf13, text):
+        got = _same_reading(text, gf13)
+        assert got == _reading(_table_by_sides, text, gf13)
+
+    def test_mixed_full_file(self):
+        k = PrimeField(29)
+        raw = [(5 * i + 3) % 841 for i in range(841)]
+        lines = format_table_lines(MapTable(k, raw)).splitlines()
+        for j in range(0, len(lines), 3):  # every third line in element syntax
+            lhs, rhs = lines[j].split(" -> ")
+            a, b = rhs.split(",")
+            lines[j] = f"{lhs} -> {a} + 29, 2*{b} - {b}  # moved to the parser"
+        text = "\n".join(lines) + "\n"
+        assert _same_reading(text, k) == raw
+        assert _reading(_table_by_sides, text, k) == raw
 
 
 # ------------------------------------------ any text: a value or a BQError
