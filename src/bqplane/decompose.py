@@ -20,14 +20,16 @@ canonical-form claim at that prime; it is reported as an anomaly with a
 full witness table, never discarded.
 
 Over GF(p) each route reads f once, as its image table of point indices
-(idx = x1*p + x2), and decomposes it in residues: every point is
+(``geometry.point_index``), and decomposes it in residues: every point is
 verified, gamma must fix each of the p residues (additivity and
-gamma(1) = 1 force gamma(n) = n), and the rebuilt normal form's table
-must equal f's.  Over infinite towers each route evaluates f on the
-seeded probe set described by the DomainSpec (basis monomials, their
-pairwise sums and products, then random elements), which is this
-library's documented evidence standard.  One reader certifies gamma's
-laws on both (``_read_gamma``).
+gamma(1) = 1 force gamma(n) = n; ``_read_prime_gamma``), and the rebuilt
+normal form's table must equal f's.  Over infinite towers each route
+evaluates f on the seeded probe set described by the DomainSpec (basis
+monomials, their pairwise sums and products, then random elements),
+which is this library's documented evidence standard, and
+``_read_gamma`` certifies gamma's laws there.  Every affine table over
+GF(p), the rebuilt normal form's and the census's translations,
+rotations and mirror alike, is one ``maps.index_table``.
 """
 
 from __future__ import annotations
@@ -158,31 +160,34 @@ def _verified_domain(domain: DomainSpec, k: FieldTower) -> DomainSpec:
     return EXHAUSTIVE if isinstance(k, PrimeField) else domain
 
 
-def _read_gamma(gamma_eval, k: FieldTower, domain: DomainSpec) -> LevelConjugation:
-    """Read the homomorphism gamma off one coordinate map and certify its
-    laws on a verified domain.
+def _read_prime_gamma(table: list[int], k: PrimeField) -> LevelConjugation:
+    """Certify gamma over GF(p) from its p residues, table[x] = gamma(x).
 
-    Over GF(p) gamma is lawful exactly when it is the identity, since
-    additivity and gamma(1) = 1 force gamma(n) = n * gamma(1) = n; so the
-    p residues are read once and the first unfixed one, m, names the
-    first pair of the row-major law scan that fails: (0, 0) when m = 0,
-    else (1, m - 1), as gamma(m) != 1 + gamma(m - 1).  Over a tower the
-    laws are spot-checked on the seeded probe set with genuine
+    gamma is lawful exactly when it is the identity, since additivity and
+    gamma(1) = 1 force gamma(n) = n * gamma(1) = n; so the first unfixed
+    residue m names the first pair of the row-major law scan that fails:
+    (0, 0) when m = 0, else (1, m - 1), as gamma(m) != 1 + gamma(m - 1).
+    """
+    if table[1] != 1:
+        raise NotAHomomorphism("gamma(1) != 1", witness=k.one)
+    m = next((x for x, gx in enumerate(table) if gx != x), None)
+    if m is not None:
+        x, y = (0, 0) if m == 0 else (1, m - 1)
+        raise NotAHomomorphism(
+            f"additivity fails at ({x}, {y})", witness=(k(x), k(y)))
+    return LevelConjugation()
+
+
+def _read_gamma(gamma_eval, k: FieldTower, domain: DomainSpec) -> LevelConjugation:
+    """Read the homomorphism gamma off one coordinate map over a tower and
+    certify its laws on a sampled domain.
+
+    The laws are spot-checked on the seeded probe set with genuine
     witnesses, then gamma is read off the generators (r_L -> -r_L
     conjugates level L, r_L -> r_L fixes it), must be an automorphism,
     and is re-verified on every basis monomial (which a small sample's
     probes leave out) and every probe.
     """
-    if domain == EXHAUSTIVE:
-        table = [gamma_eval(k(x)).rep for x in range(k.p)]
-        if table[1] != 1:
-            raise NotAHomomorphism("gamma(1) != 1", witness=k.one)
-        m = next((x for x, gx in enumerate(table) if gx != x), None)
-        if m is not None:
-            x, y = (0, 0) if m == 0 else (1, m - 1)
-            raise NotAHomomorphism(
-                f"additivity fails at ({x}, {y})", witness=(k(x), k(y)))
-        return LevelConjugation()
     count = domain.samples
     rng = random.Random(domain.seed)
     probes = probe_elements(k, rng, count)
@@ -383,11 +388,11 @@ def _frame_on_table(raw: tuple[int, ...], k: PrimeField) -> DecompositionResult:
         fa, fb = raw[idx] // p - a0, raw[idx] % p - b0
         return (u1 * fa + u2 * fb) % p, (v1 * fa + v2 * fb) % p
 
-    gamma = _read_gamma(lambda x: k(g(x.rep * p)[0]), k, EXHAUSTIVE)
+    gamma = _read_prime_gamma([g(x * p)[0] for x in range(p)], k)
     recon = index_table(p, u1, v1, u2, v2, a0, b0)
     if recon != raw:
-        x1, x2 = divmod(next(idx for idx, img in enumerate(recon) if img != raw[idx]), p)
-        y1, y2 = g(x1 * p + x2)
+        idx = next(idx for idx, img in enumerate(recon) if img != raw[idx])
+        (x1, x2), (y1, y2) = divmod(idx, p), g(idx)
         raise ProductFormViolation(f"normalized map sends ({x1}, {x2}) to ({y1}, {y2}), "
                                    "not coordinatewise", witness=point(k, x1, x2))
     j = AffineMap(Matrix2(k(u1), k(u2), k(v1), k(v2)),
@@ -416,7 +421,7 @@ def _lorentz_on_table(raw: tuple[int, ...], k: PrimeField) -> DecompositionResul
     if case is None:
         raise CaseUndetermined(f"rescaled map sends (2, 0) to ({probe[0]}, {probe[1]}), "
                                "matching neither product form")
-    sigma = _read_gamma(lambda x: k(big_g(x.rep, 0, a, a_inv)[case - 1]), k, EXHAUSTIVE)
+    sigma = _read_prime_gamma([big_g(x, 0, a, a_inv)[case - 1] for x in range(p)], k)
     case_matrix = (lorentz_case1_matrix if case == 1 else lorentz_case2_matrix)(k(a), sigma, k)
     outer = SemiAffineMap(AffineMap(case_matrix, point(k, t0a, t0b)))
     recon = raw_image_table(outer, k)
@@ -465,18 +470,12 @@ class SearchCensus:
         return self.total_found > 0
 
 
-def _neighbors(p: int, offs: list[tuple[int, int]]) -> list[list[int]]:
-    n = p * p
-    neigh: list[list[int]] = [[] for _ in range(n)]
-    for x1 in range(p):
-        for x2 in range(p):
-            idx = x1 * p + x2
-            for dx, dy in offs:
-                neigh[idx].append(((x1 + dx) % p) * p + (x2 + dy) % p)
-    return neigh
+def _neighbors(p: int, offs: list[tuple[int, int]]) -> list[tuple[int, ...]]:
+    """Each point's unit neighbours x + u, in the order of offs."""
+    return list(zip(*(index_table(p, 1, 0, 0, 1, dx, dy) for dx, dy in offs)))
 
 
-def _search_order(neigh: list[list[int]]
+def _search_order(neigh: list[tuple[int, ...]]
                   ) -> tuple[list[int], list[list[int]]]:
     """Static assignment order for the backtracking search: (0,0) first,
     then always the point with the most already-ordered unit-neighbors
@@ -507,20 +506,15 @@ def _search_order(neigh: list[list[int]]
     return order, earlier
 
 
-def _rotations(p: int, offs: list[tuple[int, int]]) -> list[list[int]]:
-    """For each unit offset u, in the order of offs, the point
-    permutation x -> R x with R = rot(u) rot(u0)^-1, where u0 is the
-    lowest-index unit offset and rot(c, s) = [[c, -s], [s, c]]; so
-    R u0 = u.  R = rot(rc, rs) with rc + i rs = (c + i s)(c0 - i s0), hence
-    rc^2 + rs^2 = 1: R has determinant 1 and keeps x1^2 + x2^2, so it
-    permutes the points and maps the unit circle onto itself."""
+def _rotations(p: int, offs: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """For each unit offset u, in the order of offs, the (rc, rs) of
+    R = rot(u) rot(u0)^-1 = rot(rc, rs), where u0 is the lowest-index unit
+    offset and rot(c, s) = [[c, -s], [s, c]]; so R u0 = u.  As
+    rc + i rs = (c + i s)(c0 - i s0), rc^2 + rs^2 = 1: R has determinant 1
+    and keeps x1^2 + x2^2, so it permutes the points and maps the unit
+    circle onto itself."""
     c0, s0 = min(offs)
-    rots = []
-    for c, s in offs:
-        rc, rs = (c * c0 + s * s0) % p, (s * c0 - c * s0) % p
-        rots.append([((rc * x - rs * y) % p) * p + (rs * x + rc * y) % p
-                     for x in range(p) for y in range(p)])
-    return rots
+    return [((c * c0 + s * s0) % p, (s * c0 - c * s0) % p) for c, s in offs]
 
 
 def _walk(img: list[int], masks: list[int], seed: list[int],
@@ -568,15 +562,14 @@ def _walk(img: list[int], masks: list[int], seed: list[int],
             cm = nxt
 
 
-def _mirror(p: int, offs: list[tuple[int, int]]) -> list[int]:
-    """x -> 2<x, u0> u0 - x, u0 the lowest-index unit offset: the
+def _mirror(p: int, offs: list[tuple[int, int]]) -> tuple[int, ...]:
+    """x -> 2<x, u0> u0 - x, u0 = (c, s) the lowest-index unit offset: the
     reflection (<u0, u0> = 1) that fixes (0,0) and u0."""
     c, s = min(offs)
-    return [(2 * (x * c + y * s) * c - x) % p * p + (2 * (x * c + y * s) * s - y) % p
-            for x in range(p) for y in range(p)]
+    return index_table(p, 2 * c * c - 1, 2 * c * s, 2 * c * s, 2 * s * s - 1, 0, 0)
 
 
-def _pair_census(p: int, offs: list[tuple[int, int]], neigh: list[list[int]],
+def _pair_census(p: int, offs: list[tuple[int, int]], neigh: list[tuple[int, ...]],
                  earlier: list[list[int]], stop: int
                  ) -> tuple[list[list[int]], int, int, bool]:
     """The DFS over every pair of images of positions 0 and 1, one child
@@ -600,7 +593,7 @@ def _pair_census(p: int, offs: list[tuple[int, int]], neigh: list[list[int]],
         if nodes == stop:
             return finds, nodes, nodes - mapped, False
         a1, a2 = divmod(a, p)
-        for b, rot in sorted(zip(neigh[a], rots)):  # the DFS order of b
+        for b, (rc, rs) in sorted(zip(neigh[a], rots)):  # the DFS order of b
             nodes += 1
             if nodes == stop:
                 return finds, nodes, nodes - mapped, False
@@ -610,7 +603,7 @@ def _pair_census(p: int, offs: list[tuple[int, int]], neigh: list[list[int]],
                     (w, sigma[w]) for w in range(n)
                     if all(masks[img[e]] >> w & 1 for e in earlier[2])]
             else:  # J maps the first pair's child v onto the child J(v)
-                table = [((r // p + a1) % p) * p + (r + a2) % p for r in rot]
+                table = index_table(p, rc, -rs, rs, rc, a1, a2)
                 if not stop or nodes + first[0] < stop:
                     finds.extend(sorted([table[x] for x in f] for f in first[1]))
                     nodes += first[0]

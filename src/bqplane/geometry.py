@@ -117,12 +117,19 @@ def lambda_map(z: FieldElement, x: Point) -> Point:
 # --------------------------------------------------------- enumerations
 
 def all_points(k: PrimeField) -> list[Point]:
-    """All p^2 points of GF(p)^2 in row-major order, cached on the field."""
+    """All p^2 points of GF(p)^2 in row-major order, cached on the field:
+    ``all_points(k)[idx]`` is the point of index idx (see ``point_index``)."""
     cache = getattr(k, "_point_cache", None)
     if cache is None:
         cache = [Point(k(a), k(b)) for a in range(k.p) for b in range(k.p)]
         k._point_cache = cache
     return cache
+
+
+def point_index(x: Point) -> int:
+    """The index x1*p + x2 of a point of GF(p)^2, the format of every GF(p)
+    table; ``all_points`` is its inverse."""
+    return x.x1.rep * x.x1.tower.p + x.x2.rep
 
 
 def random_point(k: FieldTower, rng: random.Random) -> Point:
@@ -186,7 +193,7 @@ def _identity_checks(domain: DomainSpec, pairs, pts) -> list[Check]:
 
 def _residue_identity_checks(k: PrimeField) -> list[Check]:
     """The same four checks over every pair and point of GF(p)^2, on
-    point indices a*p + b of ``all_points(k)``.
+    ``point_index`` indices.
 
     xi and eta are called once per point, and phi and lm_distance once
     per difference vector d = x - y (both forms read only x - y).  A
@@ -199,8 +206,7 @@ def _residue_identity_checks(k: PrimeField) -> list[Check]:
     pts = all_points(k)
     origin = pts[0]
 
-    xi_at, eta_at = ([y.x1.rep * p + y.x2.rep for y in map(f, pts)]
-                     for f in (xi, eta))
+    xi_at, eta_at = ([point_index(f(x)) for x in pts] for f in (xi, eta))
 
     def rows(form):  # per x2: form(d1, x2 - y2), d1 = p-1..0, y2 = 0..p-1
         of = [form(d, origin).rep for d in pts]

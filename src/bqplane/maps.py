@@ -46,7 +46,7 @@ from .fields import (  # EXHAUSTIVE and sample_domain are re-exported
     sample_domain,
     sqrt_in_field,
 )
-from .geometry import Point, all_points, eta, lambda_map, phi, point, random_point, xi
+from .geometry import Point, all_points, eta, lambda_map, phi, point, point_index, random_point, xi
 from .parsing import MapAtom, MapExpression
 
 
@@ -172,7 +172,7 @@ def swap_affine(k: FieldTower) -> SemiAffineMap:
 
 @dataclass
 class MapTable:
-    """Total image table over GF(p)^2 as point indices, idx = x1*p + x2:
+    """Total image table over GF(p)^2 as point indices (``point_index``):
     ``raw[idx]`` is the index of the image of the point idx names."""
 
     field: PrimeField
@@ -193,7 +193,7 @@ class MapTable:
         k = self.field
         if x.tower is not k and x.tower != k:
             raise FieldMismatch(f"point {x} is not in the table's field {k}")
-        return point(k, *divmod(self.raw[x.x1.rep * k.p + x.x2.rep], k.p))
+        return all_points(k)[self.raw[point_index(x)]]
 
     def inverse(self) -> "MapTable":
         inv = [None] * len(self.raw)
@@ -452,7 +452,7 @@ def index_table(p: int, a: int, b: int, c: int, d: int, tx: int, ty: int
 
 
 def raw_image_table(m, k: PrimeField) -> tuple[int, ...]:
-    """Image table as point indices (idx = x1*p + x2): a table's own
+    """Image table as point indices (``point_index``): a table's own
     indices, in machine integers for a normal form with gamma = id, by
     applying m point by point (p^2 calls, each image in k) for anything else."""
     if isinstance(m, MapTable) and m.field == k:
@@ -464,4 +464,4 @@ def raw_image_table(m, k: PrimeField) -> tuple[int, ...]:
     images = [m(pt) for pt in all_points(k)]
     if any(img.tower is not k and img.tower != k for img in images):
         raise FieldMismatch(f"map images leave {k}")
-    return tuple(img.x1.rep * p + img.x2.rep for img in images)
+    return tuple(map(point_index, images))

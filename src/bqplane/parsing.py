@@ -52,7 +52,7 @@ from .fields import (
     format_element,
     tower_levels,
 )
-from .geometry import Point
+from .geometry import Point, point_index
 
 _SYMBOLS = "+-*/()[],.@"
 _DIGITS = "0123456789"  # str.isdigit would also take '²' or '١'
@@ -405,9 +405,8 @@ def parse_table_lines(text: str, k: FieldTower) -> list[int | None]:
         elif "->" not in line:
             raise ParseError(f"line {lineno}: missing '->'")
         else:
-            lhs, rhs = line.split("->", 1)
             try:
-                src, dst = _read_index(lhs, k), _read_index(rhs, k)
+                src, dst = (point_index(_parse_pair(side, k)) for side in line.split("->", 1))
             except BQError as exc:
                 exc.args = (f"line {lineno}: {exc}",)
                 raise
@@ -417,12 +416,6 @@ def parse_table_lines(text: str, k: FieldTower) -> list[int | None]:
         line_of[src] = lineno
         raw[src] = dst
     return raw
-
-
-def _read_index(s: str, k: PrimeField) -> int:
-    """The point index x1*p + x2 of one side of a table line."""
-    pt = _parse_pair(s, k)
-    return pt.x1.rep * k.p + pt.x2.rep
 
 
 def _parse_pair(s: str, k: FieldTower) -> Point:

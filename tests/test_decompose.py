@@ -54,6 +54,7 @@ from bqplane.maps import (
     compose,
     enumerate_orthogonal_group,
     identity_map,
+    index_table,
     map_from_expression,
     preserves_phi,
     preserves_unit_distance,
@@ -504,15 +505,16 @@ class TestPreserverSearch:
 
     @pytest.mark.parametrize("p", [13, 17, 29, 37, 41, 53, 61])
     def test_census_rotations_keep_the_unit_circle(self, p):
-        # the census maps its first pair subtree through each table
-        # unchecked: each must be a permutation of the points taking the
-        # lowest unit offset to its own offset and the unit offsets onto
-        # themselves
+        # the census maps its first pair subtree through the table of each
+        # (rc, rs) unchecked: each must be a permutation of the points
+        # taking the lowest unit offset to its own offset and the unit
+        # offsets onto themselves
         offs = [(u.x1.rep, u.x2.rep) for u in unit_circle(PrimeField(p))]
         unit = sorted(c * p + s for c, s in offs)
         rots = _rotations(p, offs)
         assert len(rots) == len(offs)
-        for (c, s), rot in zip(offs, rots):
+        for (c, s), (rc, rs) in zip(offs, rots):
+            rot = index_table(p, rc, -rs, rs, rc, 0, 0)
             assert sorted(rot) == list(range(p * p))
             assert rot[unit[0]] == c * p + s
             assert sorted(rot[o] for o in unit) == unit

@@ -15,7 +15,9 @@ of the images of positions 0 and 1 and map the others onto it; its loop
 from before both changes is kept here as an oracle for the node count,
 the completeness flag and the finds in order.  The O(n^2) scan that built
 the static order before it became a heap is kept as the oracle of the
-order.
+order.  The census's neighbour, rotation, mirror and translated-rotation
+tables were written out index by index before they became
+``index_table`` calls; those expressions are kept as the tables' oracles.
 """
 
 import random
@@ -24,8 +26,10 @@ import pytest
 
 from bqplane.decompose import (
     DecompositionResult,
+    _mirror,
     _neighbors,
-    _read_gamma,
+    _read_prime_gamma,
+    _rotations,
     _search_order,
     decompose,
     decompose_lorentz,
@@ -53,6 +57,7 @@ from bqplane.maps import (
     Matrix2,
     SemiAffineMap,
     enumerate_orthogonal_group,
+    index_table,
     invert,
     map_from_expression,
     raw_image_table,
@@ -180,6 +185,39 @@ def _lorentz_prime_raw(raw, k):
                                lorentz_case=case, lorentz_scale=k(a))
 
 
+def _neighbors_written(p, offs):
+    """Each point's unit neighbours, index by index."""
+    neigh = [[] for _ in range(p * p)]
+    for x1 in range(p):
+        for x2 in range(p):
+            for dx, dy in offs:
+                neigh[x1 * p + x2].append(((x1 + dx) % p) * p + (x2 + dy) % p)
+    return neigh
+
+
+def _rotations_written(p, offs):
+    """Per unit offset u, the table of x -> R x with R u0 = u."""
+    c0, s0 = min(offs)
+    rots = []
+    for c, s in offs:
+        rc, rs = (c * c0 + s * s0) % p, (s * c0 - c * s0) % p
+        rots.append([((rc * x - rs * y) % p) * p + (rs * x + rc * y) % p
+                     for x in range(p) for y in range(p)])
+    return rots
+
+
+def _mirror_written(p, offs):
+    """x -> 2<x, u0> u0 - x."""
+    c, s = min(offs)
+    return [(2 * (x * c + y * s) * c - x) % p * p + (2 * (x * c + y * s) * s - y) % p
+            for x in range(p) for y in range(p)]
+
+
+def _translated_written(p, rot, a1, a2):
+    """J(x) = R x + (a1, a2) from the table of R."""
+    return [((r // p + a1) % p) * p + (r + a2) % p for r in rot]
+
+
 def _search_order_scan(neigh):
     """The static order as it was built before the heap: (0,0) first,
     then a scan of every point for the most already-ordered neighbours,
@@ -213,7 +251,7 @@ def _search_prime_raw(p, budget):
     k = PrimeField(p)
     n = p * p
     offs = [(u.x1.rep, u.x2.rep) for u in unit_circle(k)]
-    neigh = _neighbors(p, offs)
+    neigh = _neighbors_written(p, offs)
     masks = [sum(1 << v for v in row) for row in neigh]
     order, earlier = _search_order_scan(neigh)
     full = (1 << n) - 1
@@ -354,19 +392,11 @@ def test_one_pass_gamma_read_refuses_as_the_law_scan(p):
         return None
 
     def got(table):
-        calls = []
-
-        def gamma_eval(x):
-            calls.append(x)
-            return k(table[x.rep])
-
         try:
-            assert _read_gamma(gamma_eval, k, EXHAUSTIVE) == LevelConjugation()
-            outcome = None
+            assert _read_prime_gamma(table, k) == LevelConjugation()
+            return None
         except BQError as exc:
-            outcome = type(exc), str(exc), getattr(exc, "witness", None)
-        assert len(calls) == p
-        return outcome
+            return type(exc), str(exc), getattr(exc, "witness", None)
 
     tables = [list(range(p))]
     for m in range(p):
@@ -458,3 +488,18 @@ def test_heap_order_is_the_scan_order(p):
     offs = [(u.x1.rep, u.x2.rep) for u in unit_circle(PrimeField(p))]
     neigh = _neighbors(p, offs)
     assert _search_order(neigh) == _search_order_scan(neigh)
+
+
+@pytest.mark.parametrize("p", [13, 17, 29, 37, 41, 53, 61])
+def test_census_tables_are_the_written_tables(p):
+    offs = [(u.x1.rep, u.x2.rep) for u in unit_circle(PrimeField(p))]
+    assert [list(row) for row in _neighbors(p, offs)] == _neighbors_written(p, offs)
+    assert list(_mirror(p, offs)) == _mirror_written(p, offs)
+    rng = random.Random(p)
+    shifts = [(0, 0), (1, 0), (0, 1), (p - 1, p - 1)] + [
+        (rng.randrange(p), rng.randrange(p)) for _ in range(4)]
+    for (rc, rs), rot in zip(_rotations(p, offs), _rotations_written(p, offs)):
+        assert list(index_table(p, rc, -rs, rs, rc, 0, 0)) == rot
+        for a1, a2 in shifts:
+            assert (list(index_table(p, rc, -rs, rs, rc, a1, a2))
+                    == _translated_written(p, rot, a1, a2))

@@ -21,6 +21,7 @@ from bqplane.geometry import (
     lm_distance,
     phi,
     point,
+    point_index,
     psi,
     random_point,
     verify_transform_identities,
@@ -110,6 +111,14 @@ class TestPointEnumeration:
         assert pts[1] == point(gf13, 0, 1)
         assert pts[13] == point(gf13, 1, 0)
         assert all_points(gf13) is pts
+
+    @pytest.mark.parametrize("p", [13, 29])
+    def test_point_index_inverts_all_points(self, p):
+        k = PrimeField(p)
+        pts = all_points(k)
+        assert [point_index(x) for x in pts] == list(range(p * p))
+        assert all(pts[point_index(point(k, a, b))] == point(k, a, b)
+                   for a in range(p) for b in range(p))
 
     def test_random_point_deterministic(self, qi):
         a = random_point(qi, random.Random(7))

@@ -239,6 +239,12 @@ class TestMapTables:
             table(point(gf17, 0, 0))
         assert table(point(PrimeField(13), 2, 5)) == point(gf13, 2, 5)
 
+    def test_call_reads_the_raw_entry(self, gf13):
+        rng = random.Random(13)
+        table = MapTable(gf13, [rng.randrange(169) for _ in range(169)])
+        for idx, x in enumerate(all_points(gf13)):
+            assert table(x) == point(gf13, *divmod(table.raw[idx], 13))
+
     def test_invert_requires_injectivity(self, gf13):
         pts = all_points(gf13)
         collapsed = MapTable(gf13, [0] * 169)
