@@ -241,36 +241,28 @@ def _axis_plan(v: Fraction, factors: dict[int, int]
     return batches, remaining.numerator
 
 
+def _axis_steps(plan, whole: int) -> tuple[list, list]:
+    """An x-axis plan's unit steps (dx, dy): its rhombi, then its whole steps."""
+    rhombi = []
+    for count, leg_long, leg_short in plan:
+        leg = leg_long if count >= 0 else -leg_long
+        rhombi += [(leg, leg_short), (leg, -leg_short)] * abs(count)
+    return rhombi, [(Fraction(1 if whole >= 0 else -1), Fraction(0))] * abs(whole)
+
+
 def _rational_chain_steps(v1: Fraction, v2: Fraction, factors, budget: int
                           ) -> list[tuple[Fraction, Fraction]]:
     """Unit steps (as (dx, dy) pairs) summing exactly to (v1, v2), given
-    the factorizations of their denominators."""
+    the factorizations of their denominators; y's are x's, swapped."""
     plan_x, whole_x = _axis_plan(v1, factors[0])
     plan_y, whole_y = _axis_plan(v2, factors[1])
     cost = sum(2 * abs(n) for n, _, _ in plan_x + plan_y) + abs(whole_x) + abs(whole_y)
     if cost > budget:
         raise SearchExhausted(
             f"constructive chain needs {cost} steps, budget {budget}")
-    steps: list[tuple[Fraction, Fraction]] = []
-    for count, leg_long, leg_short in plan_x:
-        sign = 1 if count >= 0 else -1
-        for _ in range(abs(count)):
-            steps.append((sign * leg_long, leg_short))
-            steps.append((sign * leg_long, -leg_short))
-    for count, leg_long, leg_short in plan_y:
-        sign = 1 if count >= 0 else -1
-        for _ in range(abs(count)):
-            steps.append((leg_short, sign * leg_long))
-            steps.append((-leg_short, sign * leg_long))
-    one = Fraction(1)
-    zero = Fraction(0)
-    sx = one if whole_x >= 0 else -one
-    for _ in range(abs(whole_x)):
-        steps.append((sx, zero))
-    sy = one if whole_y >= 0 else -one
-    for _ in range(abs(whole_y)):
-        steps.append((zero, sy))
-    return steps
+    rhombi_x, steps_x = _axis_steps(plan_x, whole_x)
+    rhombi_y, steps_y = ([(dy, dx) for dx, dy in part] for part in _axis_steps(plan_y, whole_y))
+    return rhombi_x + rhombi_y + steps_x + steps_y
 
 
 def _rational_only_chain(s: Point, t: Point, budget: int) -> Chain:
@@ -367,15 +359,11 @@ def build_lemma3_chain(x: Point, *, budget: int = STEP_BUDGET
                 f"{x} has no imaginary part; no pairing-certified chain exists")
         a1, b1, a2, b2 = a2, b2, a1, b1
         swapped = True
-    base = k.base
-    f1, s1 = ensure_sqrt(base, base.one + b2 * b2)
-    a1, b1, a2, b2 = (f1(e) for e in (a1, b1, a2, b2))
-    f2, s2 = ensure_sqrt(f1, f1.one + (b1 - 1) * (b1 - 1))
-    a1, b1, a2, b2, s1 = (f2(e) for e in (a1, b1, a2, b2, s1))
-    f3, s3 = ensure_sqrt(f2, f2(2))
-    a1, b1, a2, b2, s1, s2 = (f3(e) for e in (a1, b1, a2, b2, s1, s2))
+    f1, s1 = ensure_sqrt(k.base, 1 + b2 * b2)
+    f2, s2 = ensure_sqrt(f1, 1 + (b1 - 1) * (b1 - 1))
+    f3, s3 = ensure_sqrt(f2, 2)
 
-    start = Point(a1 + s1, a2 + s2)
+    start = Point(f3(a1) + f3(s1), f3(a2) + f3(s2))
     goal = Point(s3, f3.zero)
     real_chain = _auto_extend_chain(start, goal, budget)
     f4 = real_chain.field

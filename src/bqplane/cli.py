@@ -33,6 +33,7 @@ from .errors import (
     InvalidField,
     NoImaginaryPresentation,
     NoImaginaryUnit,
+    ParseError,
 )
 from .fields import (
     LevelConjugation,
@@ -102,18 +103,18 @@ def _prep_verify_identities(args):
     k = parse_field(args.field)
     if args.samples is None and isinstance(k, PrimeField):
         _check_scan_size(k.p)
-    if imaginary_unit(k) is None:
-        raise NoImaginaryUnit(f"{k} has no canonical i with i*i = -1")
-    return k
-
-
-def _run_verify_identities(args, k) -> RunReport:
-    rep = RunReport("verify-identities")
-    if args.samples is None and isinstance(k, PrimeField):
         mode, samples = "exhaustive", 0
     else:
         mode = "samples"
         samples = DEFAULT_SAMPLES if args.samples is None else args.samples
+    if imaginary_unit(k) is None:
+        raise NoImaginaryUnit(f"{k} has no canonical i with i*i = -1")
+    return k, mode, samples
+
+
+def _run_verify_identities(args, prepared) -> RunReport:
+    k, mode, samples = prepared
+    rep = RunReport("verify-identities")
     result = verify_transform_identities(k, mode, samples=samples, seed=args.seed)
     rep.add({"record": "run", "command": rep.command, "field": str(k),
              "mode": result.mode},
@@ -210,17 +211,21 @@ def _prep_decompose(args):
         f = map_from_expression(parse_map(args.map, k), k)
         source = {"map": args.map}
     else:
-        with open(args.table, encoding="utf-8") as fh:
-            f = MapTable(k, parse_table_lines(fh.read(), k))
+        try:
+            with open(args.table, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{args.table}: not UTF-8 text ({exc.reason} at byte {exc.start})")
+        f = MapTable(k, parse_table_lines(text, k))
         source = {"table": args.table}
     samples = DEFAULT_SAMPLES if args.samples is None else args.samples
     return k, f, source, sample_domain(samples, args.seed)
 
 
-def _run_decompose(args, prepared, *, route) -> RunReport:
+def _run_decompose(args, prepared) -> RunReport:
     k, f, source, domain = prepared
-    rep = RunReport("decompose" if route is decompose else "decompose-lorentz")
-    result = route(f, k, domain)
+    rep = RunReport(args.command)
+    result = (decompose if args.command == "decompose" else decompose_lorentz)(f, k, domain)
     rec = result.to_record()
     rep.add({"record": "run", "command": rep.command, "field": str(k), **source},
             f"{rep.command} over {k}")
@@ -373,18 +378,15 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="most unit steps the real walk inside the chain may take")
     sp.set_defaults(prepare=_prep_lemma3, run=_run_lemma3)
 
-    for name, route in (("decompose", decompose),
-                        ("decompose-lorentz", decompose_lorentz)):
+    for name, route in (("decompose", "frame"), ("decompose-lorentz", "Lorentz")):
         sp = sub.add_parser(name, parents=[common],
-                            help=f"split a map into isometry and homomorphism"
-                                 f" ({'frame' if route is decompose else 'Lorentz'} route)")
+                            help=f"split a map into isometry and homomorphism ({route} route)")
         sp.add_argument("--field", required=True)
         src = sp.add_mutually_exclusive_group(required=True)
         src.add_argument("--map", help="map expression, e.g. 'translate(2,3) . rot(0,1)'")
         src.add_argument("--table", help="file of 'x1,x2 -> y1,y2' lines")
         sp.add_argument("--samples", type=_int_at_least(1))
-        sp.set_defaults(prepare=_prep_decompose,
-                        run=(lambda a, p, _r=route: _run_decompose(a, p, route=_r)))
+        sp.set_defaults(prepare=_prep_decompose, run=_run_decompose)
 
     sp = sub.add_parser("enumerate-ortho", parents=[common],
                         help="deterministic census of the orthogonal group over GF(p)")

@@ -220,17 +220,7 @@ class PrimeField(FieldTower):
         self.characteristic = p
         self.zero_rep = 0
         self.one_rep = 1 % p
-        self._elements: dict[int, FieldElement] = {}
         self._i = FieldElement(self, sqrt_mod(p - 1, p))  # the smaller root of -1
-
-    def __call__(self, value) -> FieldElement:
-        if isinstance(value, int):
-            r = value % self.p
-            e = self._elements.get(r)
-            if e is None:
-                e = self._elements[r] = FieldElement(self, r)
-            return e
-        return super().__call__(value)
 
     def _coerce(self, v):
         if isinstance(v, int):

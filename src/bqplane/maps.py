@@ -81,8 +81,8 @@ class Matrix2:
         det = self.q11 * self.q22 - self.q12 * self.q21
         if det.is_zero:
             raise DivisionByZero(f"{self} is singular")
-        return Matrix2(self.q22 / det, -self.q12 / det,
-                       -self.q21 / det, self.q11 / det)
+        r = 1 / det
+        return Matrix2(self.q22 * r, -self.q12 * r, -self.q21 * r, self.q11 * r)
 
     def is_orthogonal(self) -> bool:
         """Exactly orthonormal columns."""
@@ -273,9 +273,9 @@ def enumerate_orthogonal_group(k: PrimeField) -> list[Matrix2]:
         raise FieldNotFinite("orthogonal group enumeration needs a finite field")
     mats = []
     for c in unit_circle(k):
-        a, b = c.x1, c.x2
-        mats.append((rotation_matrix(a, b), 0))
-        mats.append((reflection_matrix(a, b), 1))
+        a, b = c.x1, c.x2  # a^2 + b^2 = 1, so both matrices are orthogonal
+        mats.append((Matrix2(a, -b, b, a), 0))
+        mats.append((Matrix2(a, b, b, -a), 1))
     ident = identity_matrix(k)
     rest = [(m, flag) for m, flag in mats if m != ident]
     rest.sort(key=lambda pair: (pair[0].q11.rep, pair[0].q21.rep, pair[1]))
@@ -361,23 +361,18 @@ def preserves_phi(m, k: FieldTower, domain: DomainSpec) -> Check:
 
 # ------------------------------------------- Lorentz-route case matrices
 
-def _half_sum_terms(a: FieldElement):
-    k = a.tower
-    if a.is_zero:
-        raise ZeroParameter("case matrices need a != 0")
-    big = a / 2 + k.one / (2 * a)
-    small = a / 2 - k.one / (2 * a)
-    return big, small
-
-
 def _lorentz_case_matrix(a, sigma: LevelConjugation, k: FieldTower, s: int) -> Matrix2:
     a = k(a)
     i = imaginary_unit(k)
     if i is None:
         raise NoImaginaryUnit(f"{k} has no canonical i")
     si = apply_hom(sigma, i)
-    big, small = _half_sum_terms(a)
-    return orthogonal_matrix(big, s * small * si, -small * i, -s * big * i * si)
+    if a.is_zero:
+        raise ZeroParameter("case matrices need a != 0")
+    inv = 1 / a
+    big, small = (a + inv) / 2, (a - inv) / 2
+    # orthogonal: big^2 - small^2 = 1 and sigma(i)^2 = -1
+    return Matrix2(big, s * small * si, -small * i, -s * big * i * si)
 
 
 def lorentz_case1_matrix(a: FieldElement, sigma: LevelConjugation, k: FieldTower) -> Matrix2:

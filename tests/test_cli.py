@@ -383,12 +383,14 @@ class TestUsageErrors:
         assert "line 170" in err and "line 5" in err
 
     def test_table_errors_name_their_line(self, run, tmp_path):
-        for text, message in [
-            ("0,0 -> 1/13,0\n", "line 1: denominator divisible by 13"),
-            ("0,0 -> 0,0\n", "table must cover all 169 points of GF(13)^2"),
+        path = tmp_path / "table.txt"
+        for data, message in [
+            (b"0,0 -> 0,\xff\n",
+             f"{path}: not UTF-8 text (invalid start byte at byte 9)"),
+            (b"0,0 -> 1/13,0\n", "line 1: denominator divisible by 13"),
+            (b"0,0 -> 0,0\n", "table must cover all 169 points of GF(13)^2"),
         ]:
-            path = tmp_path / "table.txt"
-            path.write_text(text, encoding="utf-8")
+            path.write_bytes(data)
             code, out, err = run("decompose", "--field", "GF(13)", "--table", str(path))
             assert code == 2 and out == ""
             assert err == f"bq: error: {message}\n"

@@ -471,7 +471,7 @@ SEARCH_CASES = ([(p, budget) for p in (13, 17, 29, 37)
                                                1_000_000)]
                 + [(13, budget) for budget in (18_525, 18_526, 18_527, 55_574)]
                 + [(17, budget) for budget in (100_000, 300_000, 927_290,
-                                               1_300_000)])
+                                               1_300_000, 1_732_754, 1_800_000)])
 
 
 @pytest.mark.parametrize("p, budget", SEARCH_CASES,

@@ -21,6 +21,7 @@ from bqplane.fields import (
     Q,
     QuadExt,
     from_coeff_vector,
+    imaginary_unit,
 )
 from bqplane.geometry import Point, all_points, phi, point, random_point
 from bqplane.maps import (
@@ -379,13 +380,22 @@ class TestCaseMatrices:
             assert m2.matmul(_transpose(m2)) == _identity_matrix(gf13)
 
     def test_orthogonal_over_tower_with_conjugation(self, qi):
+        # conj@1 sends i to -i: case 1 is [[B, -S i], [-S i, -B]] and case
+        # 2 is [[B, S i], [-S i, B]] for B, S = (a +- 1/a) / 2
         rng = random.Random(9)
+        i = imaginary_unit(qi)
         for _ in range(10):
             num = rng.randint(1, 9)
             den = rng.randint(1, 9)
             a = qi(Fraction(num, den))
-            m = lorentz_case1_matrix(a, LevelConjugation(1), qi)
-            assert m.matmul(_transpose(m)) == _identity_matrix(qi)
+            big = qi(Fraction(num * num + den * den, 2 * num * den))
+            small = qi(Fraction(num * num - den * den, 2 * num * den))
+            m1 = lorentz_case1_matrix(a, LevelConjugation(1), qi)
+            m2 = lorentz_case2_matrix(a, LevelConjugation(1), qi)
+            assert m1 == Matrix2(big, -small * i, -small * i, -big)
+            assert m2 == Matrix2(big, small * i, -small * i, big)
+            for m in (m1, m2):
+                assert m.matmul(_transpose(m)) == _identity_matrix(qi)
 
     def test_zero_parameter_rejected(self, gf13):
         with pytest.raises(ZeroParameter):
