@@ -71,6 +71,7 @@ from .maps import (
     MapTable,
     Matrix2,
     SemiAffineMap,
+    affine_row,
     index_table,
     invert,
     lorentz_case1_matrix,
@@ -272,8 +273,10 @@ def decompose(f, k: FieldTower, domain: DomainSpec = EXHAUSTIVE
     def g(x: Point) -> Point:
         return normalizer(ev(x))
 
-    zero = k.zero
-    gamma = _read_gamma(lambda x: g(Point(x, zero)).x1, k, domain)
+    zero, q, t = k.zero, normalizer.outer.linear, normalizer.outer.translation
+    # gamma reads g((x, 0)).x1, so only J's first row is applied
+    gamma = _read_gamma(lambda x: affine_row(q.q11, q.q12, ev(Point(x, zero)), t.x1),
+                        k, domain)
 
     def draw():
         rng = random.Random(domain.seed + 1)
@@ -345,9 +348,9 @@ def decompose_lorentz(f, k: FieldTower, domain: DomainSpec = EXHAUSTIVE
             f"rescaled map sends (2, 0) to ({probe.x1}, {probe.x2}), "
             "matching neither product form")
 
-    def sigma_eval(x: FieldElement) -> FieldElement:
-        img = big_g(Point(x, zero))
-        return img.x1 if case == 1 else img.x2
+    def sigma_eval(x: FieldElement) -> FieldElement:  # big_g((x, 0)) where sigma reads it
+        y = big_f(Point(x, zero))
+        return y.x1 * a_inv if case == 1 else a * y.x2
 
     sigma = _read_gamma(sigma_eval, k, domain)
     case_matrix = (lorentz_case1_matrix if case == 1

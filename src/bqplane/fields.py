@@ -12,7 +12,9 @@ vectors in one pass, an XOR convolution over the monomials with one
 integer weight per level set.  From a level with a nested radicand (one
 with a radical part, such as sqrt(5 + r1*r2)) up, a product splits into
 halves over the level below, down to the rational levels beneath, which
-take the one-pass product again.
+take the one-pass product again.  A rational operand (zero included)
+only scales the other's numerators, and an affine image coordinate
+a*x + b*y + t is one row, ``_row``, with one reduction.
 Every geometric identity downstream is checked exactly; no floating
 point is used anywhere.  The real order of a real tower is the exact
 ``real_sign``.
@@ -244,6 +246,9 @@ class PrimeField(FieldTower):
     def _mul(self, a, b):
         return a * b % self.p
 
+    def _row(self, a, x, b, y, t):
+        return (a * x + b * y + t) % self.p
+
     def _inv(self, a):
         if a == 0:
             raise DivisionByZero(f"division by zero in GF({self.p})")
@@ -326,8 +331,8 @@ class FlatTower(FieldTower):
     """Q and the towers of quadratic extensions over it, whose elements
     are TowerReps: Q is the depth-0 tower of one numerator.
 
-    Subclasses supply ``_imul(x, y)``, the product of two numerator
-    vectors times ``_prod_scale``, and ``_inv``.
+    Subclasses supply ``_inv``, and ``_imul(x, y)`` for products with no
+    rational operand: x*y times ``_prod_scale`` for numerator vectors.
     """
 
     characteristic = 0
@@ -357,18 +362,32 @@ class FlatTower(FieldTower):
     def _neg(self, a):
         return TowerRep(tuple(-p for p in a.nums), a.den)
 
+    def _prod(self, a, b):
+        """a*b as unreduced (numerators, den): a rational operand (zero
+        included) scales the other's numerators; else ``_imul``."""
+        x, y, den = a.nums, b.nums, a.den * b.den
+        if not any(x[1:]):
+            return [x[0] * n for n in y], den
+        if not any(y[1:]):
+            return [y[0] * n for n in x], den
+        return self._imul(x, y), den * self._prod_scale
+
     def _mul(self, a, b):
-        return _reduced(self._imul(a.nums, b.nums), a.den * b.den * self._prod_scale)
+        return _reduced(*self._prod(a, b))
+
+    def _row(self, a, x, b, y, t):
+        """a*x + b*y + t with one reduction."""
+        (u, ud), (v, vd) = self._prod(a, x), self._prod(b, y)
+        den = math.lcm(ud, vd, t.den)
+        fu, fv, ft = den // ud, den // vd, den // t.den
+        return _reduced([p * fu + q * fv + s * ft for p, q, s in zip(u, v, t.nums)], den)
 
     def _is_zero(self, a):
         return not any(a.nums)
 
 
 class Rationals(FlatTower):
-    """The rational numbers, the depth-0 flat tower."""
-
-    def _imul(self, x, y) -> list[int]:
-        return [x[0] * y[0]]
+    """The rational numbers, the depth-0 flat tower, whose products all scale."""
 
     def _inv(self, a):
         (n,), d = a.nums, a.den
@@ -402,8 +421,13 @@ class QuadExt(FlatTower):
         d = base(d)
         if d.is_zero:
             raise ZeroRadicand("cannot adjoin sqrt(0)")
-        if sqrt_in_field(d) is not None:
+        # a real tower has no square root of a negative radicand to search for
+        if not (is_real_tower(base) and real_sign(d) < 0) and sqrt_in_field(d) is not None:
             raise AlreadySquare(f"{d} already has a square root in {base}")
+        self._adjoin(base, d)
+
+    def _adjoin(self, base: FieldTower, d: FieldElement) -> None:
+        """Build base(sqrt d) for a nonzero non-square d of base."""
         self.base = base
         self.d = d
         self.depth = base.depth + 1
@@ -490,6 +514,11 @@ class QuadExt(FlatTower):
             name = "i" if layer.d == -1 else f"r{layer.level}"
             monos += [f"{m}*{name}" if m else name for m in monos]
         return tuple(monos)
+
+    @functools.cached_property
+    def _real(self) -> bool:
+        """d > 0, found once (``real_sign`` raises for a base that is not real)."""
+        return real_sign(self.d) > 0
 
     @property
     def radical(self) -> FieldElement:
@@ -660,7 +689,7 @@ def rational_value(x: FieldElement) -> Fraction:
 
 def is_real_tower(k: FieldTower) -> bool:
     """True when every radicand is a positive real (so k orders into R)."""
-    return isinstance(k, FlatTower) and all(real_sign(layer.d) > 0 for layer in tower_levels(k))
+    return isinstance(k, FlatTower) and all(layer._real for layer in tower_levels(k))
 
 
 def real_sign(x: FieldElement) -> int:
@@ -672,13 +701,13 @@ def real_sign(x: FieldElement) -> int:
     if isinstance(k, Rationals):
         n = x.rep.nums[0]
         return (n > 0) - (n < 0)
-    if not (isinstance(k, QuadExt) and real_sign(k.d) > 0):
+    if not (isinstance(k, QuadExt) and k._real):
         raise FieldMismatch(f"{k} has no real embedding")
     a, b = (FieldElement(k.base, h) for h in _halves(x.rep))
+    if b.is_zero:
+        return real_sign(a)
     sa, sb = real_sign(a), real_sign(b)
-    if sa == sb or sb == 0:
-        return sa
-    if sa == 0:
+    if sa == sb or sa == 0:
         return sb
     return sa * real_sign(a * a - b * b * k.d)
 
@@ -695,7 +724,10 @@ def ensure_sqrt(k: FieldTower, x: FieldElement):
     r = sqrt_in_field(x)
     if r is not None:
         return k, -r if real_sign(r) < 0 else r
-    ext = QuadExt(k, x)
+    if k.characteristic != 0:
+        raise InvalidField("quadratic extensions of prime fields are out of scope")
+    ext = QuadExt.__new__(QuadExt)  # x was just found a non-square: no second test
+    ext._adjoin(k, x)
     return ext, ext.radical
 
 

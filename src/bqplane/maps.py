@@ -66,8 +66,9 @@ class Matrix2:
         return self.q11.tower
 
     def apply(self, x: Point) -> Point:
-        return Point(self.q11 * x.x1 + self.q12 * x.x2,
-                     self.q21 * x.x1 + self.q22 * x.x2)
+        zero = self.tower.zero
+        return Point(affine_row(self.q11, self.q12, x, zero),
+                     affine_row(self.q21, self.q22, x, zero))
 
     def matmul(self, other: "Matrix2") -> "Matrix2":
         return Matrix2(
@@ -96,6 +97,14 @@ class Matrix2:
 
     def __str__(self):
         return f"[[{self.q11}, {self.q12}], [{self.q21}, {self.q22}]]"
+
+
+def affine_row(a: FieldElement, b: FieldElement, x: Point, t: FieldElement) -> FieldElement:
+    """a*x1 + b*x2 + t over one field with one reduction: an affine image coordinate."""
+    k = a.tower
+    if x.tower is not k and x.tower != k:
+        raise FieldMismatch(f"operands from different fields: {k} vs {x.tower}")
+    return FieldElement(k, k._row(a.rep, x.x1.rep, b.rep, x.x2.rep, t.rep))
 
 
 def orthogonal_matrix(q11, q12, q21, q22) -> Matrix2:
@@ -132,7 +141,8 @@ class AffineMap:
             raise FieldMismatch("matrix and translation fields differ")
 
     def __call__(self, x: Point) -> Point:
-        return self.linear.apply(x) + self.translation
+        q, t = self.linear, self.translation
+        return Point(affine_row(q.q11, q.q12, x, t.x1), affine_row(q.q21, q.q22, x, t.x2))
 
 
 def identity_map(k: FieldTower) -> AffineMap:
@@ -216,7 +226,7 @@ def compose(m1: SemiAffineMap, m2: SemiAffineMap) -> SemiAffineMap:
     g1, q1 = m1.gamma, m1.outer.linear
     return SemiAffineMap(
         AffineMap(q1.matmul(_hom_matrix(g1, m2.outer.linear)),
-                  q1.apply(_hom_point(g1, m2.outer.translation)) + m1.outer.translation),
+                  m1.outer(_hom_point(g1, m2.outer.translation))),
         compose_homs(g1, m2.gamma))
 
 

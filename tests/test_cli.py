@@ -148,6 +148,23 @@ class TestPassingCommands:
         assert rec["gamma"] == "hom(conj@1)"
 
     @pytest.mark.parametrize("command", ["decompose", "decompose-lorentz"])
+    def test_routes_on_a_matrix_that_is_not_rational(self, run, command):
+        # entries 1/2*r1 send the affine rows through the full tower product
+        code, out, _ = run(command, "--field", "Q[sqrt 2][i]", "--map",
+                           "translate(r1, i) . rot(1/2*r1, 1/2*r1) . hom(conj@1)",
+                           "--format", "json")
+        assert code == 0
+        want = {"branch": "theta", "field": "Q[sqrt 2][i]", "gamma": "hom(conj@1)",
+                "normalizer_matrix": [["1/2*r1", "1/2*r1"], ["-1/2*r1", "1/2*r1"]],
+                "normalizer_translation": ["-1 - 1/2*r1*i", "1 - 1/2*r1*i"],
+                "record": "decomposition", "route": "frame",
+                "verified_on": "samples(200,seed=1729)"}
+        if command == "decompose-lorentz":
+            want.update(route="lorentz", lorentz_case=1, lorentz_scale="1/2*r1 + 1/2*r1*i")
+        assert _json_records(out)[1:] == [want, {"command": command, "ok": True,
+                                                 "record": "verdict"}]
+
+    @pytest.mark.parametrize("command", ["decompose", "decompose-lorentz"])
     def test_joint_conjugation_of_a_nested_radicand(self, run, command):
         # neither conj@1 nor conj@2 fixes 5 + r1*r2 alone; together they do
         code, out, err = run(command, "--field", "Q[sqrt 2][sqrt 3][sqrt 5 + r1*r2][i]",

@@ -159,6 +159,26 @@ class TestTowerConstruction:
         with pytest.raises(ZeroRadicand):
             QuadExt(Q, 0)
 
+    def test_negative_radicand_settled_only_over_real_towers(self):
+        # no negative element of a real tower is a square, so these adjoin
+        # without a square-root search; over Q[i] and Q[sqrt -2] the search
+        # still finds the roots of -1, -4 and -2
+        for base, d in ((Q, -1), (QS2, -2), (QS2, QS2(-3) + QS2.radical)):
+            assert QuadExt(base, d).d == d
+        for base, d in ((QI, -1), (QI, -4), (QuadExt(Q, -2), -2)):
+            with pytest.raises(AlreadySquare):
+                QuadExt(base, d)
+
+    def test_ensure_sqrt_extension_is_the_checked_one(self):
+        x = QS2(3) + QS2.radical
+        field, root = ensure_sqrt(QS2, x)
+        ext = QuadExt(QS2, x)
+        assert field == ext and field.depth == ext.depth == 2
+        assert field._weights == ext._weights and field.one_rep == ext.one_rep
+        assert root == field.radical and root * root == field(x)
+        with pytest.raises(InvalidField, match="prime fields are out of scope"):
+            ensure_sqrt(PrimeField(13), 2)
+
     def test_extension_embeds_base_elements(self):
         ext = QuadExt(Q, 3)
         x = ext(Q(Fraction(2, 5)))

@@ -7,7 +7,11 @@ radicand still multiply by halves.  Before, every tower multiplied by
 halves, recursing one level at a time.  That recursion is kept here,
 test-local, as the oracle: ``_imul`` (the scaled integer product), and
 through it ``_mul`` and ``_inv``, must give identical integers and reps
-on dense and sparse vectors.
+on dense and sparse vectors.  ``_prod`` now scales the other operand
+when one is rational (zero included), and ``_row`` (a*x + b*y + t) makes
+one reduction where three products and sums made one each; both must
+agree with the oracle's products and sums, integer for integer up to
+the oracle's product scale.
 
 ``random_element`` used to build each coefficient as a ``Fraction`` and
 join them with ``from_coeff_vector``; it now works on the integer pairs.
@@ -147,6 +151,20 @@ def reps(draw, k):
     return _reduced(draw(numerators(k)), draw(st.integers(1, 10**4)))
 
 
+@st.composite
+def operands(draw, k):
+    """Dense or sparse reps, or rational and zero ones."""
+    kind = draw(st.sampled_from(["vector", "rational", "zero"]))
+    if kind == "vector":
+        return draw(reps(k))
+    n = draw(st.integers(-10**6, 10**6)) if kind == "rational" else 0
+    return _reduced((n,) + (0,) * ((1 << k.depth) - 1), draw(st.integers(1, 10**4)))
+
+
+def _old_row(k, a, x, b, y, t):
+    return k._add(k._add(_old_mul(k, a, x), _old_mul(k, b, y)), t)
+
+
 class TestFlatMultiply:
     def test_weights_only_below_nested_levels(self):
         for spec in RATIONAL_TOWERS:
@@ -181,6 +199,40 @@ class TestFlatMultiply:
         else:
             with pytest.raises(DivisionByZero):
                 k._inv(b)
+
+
+class TestProductAndRow:
+    SPECS = ["Q"] + RATIONAL_TOWERS + NESTED_TOWERS
+
+    @pytest.mark.parametrize("spec", SPECS)
+    @given(data=st.data())
+    def test_prod_matches_recursion(self, spec, data):
+        k = parse_field(spec)
+        a, b = data.draw(operands(k)), data.draw(operands(k))
+        nums, den = k._prod(a, b)
+        old, scale = _old_imul(k, a.nums, b.nums), _old_scales(k)[2]
+        if any(a.nums[1:]) and any(b.nums[1:]):
+            assert (list(nums), den) == (old, a.den * b.den * scale)
+        else:  # a rational operand scales: the oracle's integers over its scale
+            assert ([n * scale for n in nums], den) == (old, a.den * b.den)
+        assert k._mul(a, b) == _reduced(nums, den) == _old_mul(k, a, b)
+
+    @pytest.mark.parametrize("spec", SPECS)
+    @given(data=st.data())
+    def test_row_matches_products_and_sums(self, spec, data):
+        k = parse_field(spec)
+        a, x, b, y, t = (data.draw(operands(k)) for _ in range(5))
+        got = k._row(a, x, b, y, t)
+        assert got == _old_row(k, a, x, b, y, t)
+        assert got.den > 0 and math.gcd(got.den, *got.nums) == 1
+
+    @pytest.mark.parametrize("p", [13, 61, 100000037])
+    @given(data=st.data())
+    def test_prime_row_is_the_residue_formula(self, p, data):
+        k = PrimeField(p)
+        a, x, b, y, t = (data.draw(st.integers(0, p - 1)) for _ in range(5))
+        assert k._row(a, x, b, y, t) == (a * x + b * y + t) % p
+        assert k._row(a, x, b, y, t) == k._add(k._add(k._mul(a, x), k._mul(b, y)), t)
 
 
 class TestRandomElement:

@@ -10,16 +10,24 @@ normal form x -> M gamma(x) + t.  The old classes, their ``compose``,
 oracle: on seeded expressions of every atom kind, using only catalog
 levels for ``hom``, the normal form must send seeded points where the
 oracle does, under evaluation, composition and inversion.
+
+An affine map used to apply its matrix as four products and two sums
+and then add its translation, with a reduction per operation; each
+image coordinate is now one row with one reduction.  That written
+formula is kept here too, and the rows must equal it, including the
+refusal of a point from another field.
 """
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 import pytest
 
 from bqplane import maps
 from bqplane.errors import (
     DivisionByZero,
+    FieldMismatch,
     InvalidLevel,
     NoImaginaryUnit,
     NotOrthogonal,
@@ -338,3 +346,51 @@ def test_fast_path_equals_generic_table_over_gf13():
             assert maps.raw_image_table(new, k) == tuple(generic), str(expr)
             assert generic == [img.x1.rep * 13 + img.x2.rep
                                for img in (old(x) for x in pts)], str(expr)
+
+
+# -------------------------------------------------------- affine rows
+
+ROW_FIELDS = ["Q[sqrt 2][i]", "Q[sqrt 2][sqrt 3][sqrt 5 + r1*r2][i]", "GF(13)"]
+
+
+def _written_affine(m, x):
+    q = m.linear
+    return Point(q.q11 * x.x1 + q.q12 * x.x2, q.q21 * x.x1 + q.q22 * x.x2) + m.translation
+
+
+def _entry(k, rng):
+    """A dense, rational or zero element."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return random_element(k, rng)
+    return k(Fraction(rng.randint(-9, 9), rng.randint(1, 9))) if kind == 1 else k.zero
+
+
+@pytest.mark.parametrize("spec", ROW_FIELDS)
+def test_affine_rows_match_the_written_formula(spec):
+    k = parse_field(spec)
+    rng = random.Random(6)
+    origin = point(k, 0, 0)
+    for _ in range(60):
+        m = maps.AffineMap(maps.Matrix2(*(_entry(k, rng) for _ in range(4))),
+                           Point(_entry(k, rng), _entry(k, rng)))
+        for _ in range(3):
+            x = Point(_entry(k, rng), _entry(k, rng))
+            got = m(x)
+            assert got == _written_affine(m, x) and got.tower is k
+            assert m.linear.apply(x) == _written_affine(maps.AffineMap(m.linear, origin), x)
+
+
+@pytest.mark.parametrize("spec", ROW_FIELDS)
+def test_point_from_another_field_is_refused_as_before(spec):
+    k = parse_field(spec)
+    m = maps.AffineMap(maps.rotation_matrix(k(Fraction(3, 5)), k(Fraction(4, 5))), point(k, 1, 2))
+    for other in (PrimeField(17), parse_field("Q[sqrt 2]")):
+        x = point(other, 1, 2)
+        with pytest.raises(FieldMismatch) as new:
+            m(x)
+        with pytest.raises(FieldMismatch) as old:
+            _written_affine(m, x)
+        assert str(new.value) == str(old.value) == f"operands from different fields: {k} vs {other}"
+        with pytest.raises(FieldMismatch, match="operands from different fields"):
+            m.linear.apply(x)
