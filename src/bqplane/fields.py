@@ -430,6 +430,7 @@ class QuadExt(FlatTower):
         """Build base(sqrt d) for a nonzero non-square d of base."""
         self.base = base
         self.d = d
+        self._imaginary = d == -1  # sqrt(-1): the tower is F(i)
         self.depth = base.depth + 1
         self.level = self.depth
         self._pad = (0,) * ((1 << self.depth) - 1)
@@ -511,7 +512,7 @@ class QuadExt(FlatTower):
         use: towers that are never printed build none."""
         monos = [""]
         for layer in tower_levels(self):
-            name = "i" if layer.d == -1 else f"r{layer.level}"
+            name = "i" if layer._imaginary else f"r{layer.level}"
             monos += [f"{m}*{name}" if m else name for m in monos]
         return tuple(monos)
 
@@ -520,14 +521,14 @@ class QuadExt(FlatTower):
         """d > 0, found once (``real_sign`` raises for a base that is not real)."""
         return real_sign(self.d) > 0
 
-    @property
+    @functools.cached_property
     def radical(self) -> FieldElement:
-        """The adjoined square root of d as an element of this tower."""
+        """The adjoined square root of d as an element of this tower, built once."""
         h = 1 << (self.depth - 1)
         return FieldElement(self, TowerRep(self._pad[:h] + (1,) + self._pad[h:], 1))
 
     def describe(self):
-        if self.d == -1:
+        if self._imaginary:
             return f"{self.base.describe()}[i]"
         return f"{self.base.describe()}[sqrt {format_element(self.d)}]"
 
@@ -666,7 +667,7 @@ def imaginary_unit(k: FieldTower) -> FieldElement | None:
 def is_f_of_i(k: FieldTower) -> bool:
     """True when k is presented as F(i): a tower whose top adjunction is
     sqrt(-1), over the real subfield F = k.base."""
-    return isinstance(k, QuadExt) and k.d == -1
+    return isinstance(k, QuadExt) and k._imaginary
 
 
 def re_im(x: FieldElement) -> tuple[FieldElement, FieldElement]:
@@ -832,7 +833,7 @@ def apply_hom(h: LevelConjugation, x: FieldElement) -> FieldElement:
     Level conjugations act structurally on the coefficients: a numerator
     is negated when its index has an odd number of the levels' bits set.
     Whether the result is multiplicative depends on the tower (see
-    ``is_automorphism``), and ``hom_check`` certifies it.
+    ``is_automorphism``).
     """
     if not h.levels:
         return x
@@ -869,39 +870,14 @@ def catalog_homomorphisms(k: FieldTower) -> list[LevelConjugation]:
     return [h for h in level_sets if is_automorphism(h, k)]
 
 
-def hom_check(h, k: FieldTower, domain: DomainSpec) -> Check:
-    """Certify additivity and multiplicativity of h on k.
-
-    ``h`` may be a catalog LevelConjugation or any callable on elements.
-    ``domain`` is EXHAUSTIVE (every pair of a finite field's elements) or
-    a seeded sample of pairs.  Witnesses are (x, y, law) triples; checking
-    stops at the MAX_WITNESSES-th, and ``checked`` counts the pairs
-    reached.
-    """
-    if isinstance(h, LevelConjugation):
-        fn = lambda e: apply_hom(h, e)
-    else:
-        fn = h
-    if domain.exhaustive_over(k):
-        elems = [k(v) for v in range(k.p)]
-        pairs = ((x, y) for x in elems for y in elems)
-    else:
-        rng = random.Random(domain.seed)
-        pairs = ((random_element(k, rng), random_element(k, rng))
-                 for _ in range(domain.samples))
-    check = Check("homomorphism_laws", domain)
-    for x, y in pairs:
-        check.checked += 1
-        if fn(x + y) != fn(x) + fn(y) and check.note(x, y, "additivity"):
-            break
-        if fn(x * y) != fn(x) * fn(y) and check.note(x, y, "multiplicativity"):
-            break
-    return check
-
-
 # ------------------------------------------------------ random elements
 
 RANDOM_SIZE = 9
+
+# The coefficients random_element can draw: 0 and +-n/d in lowest terms
+# with 1 <= n, d <= RANDOM_SIZE, 111 values.
+_DRAWABLE_COEFFS = 1 + 2 * sum(math.gcd(n, d) == 1 for n in range(1, RANDOM_SIZE + 1)
+                               for d in range(1, RANDOM_SIZE + 1))
 
 
 def random_element(k: FieldTower, rng: random.Random) -> FieldElement:
@@ -918,33 +894,43 @@ def random_element(k: FieldTower, rng: random.Random) -> FieldElement:
 def basis_monomials(k: FieldTower) -> list[FieldElement]:
     """1, each radical, and all products of radicals (char-0 towers)."""
     dim = 1 << k.depth
-    return [from_coeff_vector(k, [int(i == idx) for i in range(dim)]) for idx in range(dim)]
+    return [FieldElement(k, TowerRep(tuple(int(i == idx) for i in range(dim)), 1))
+            for idx in range(dim)]
+
+
+def _fixed_probes(k: FieldTower):
+    """The basis monomials, then the sum and the product of each pair."""
+    basis = basis_monomials(k)
+    yield from basis
+    for i, a in enumerate(basis):
+        for b in basis[i:]:
+            yield a + b
+            yield a * b
+
+
+def _drawable(x: FieldElement) -> bool:
+    """Whether random_element can return x: every coefficient, in lowest
+    terms, has numerator and denominator at most RANDOM_SIZE in size."""
+    den = x.rep.den
+    return all(max(abs(n), den) // math.gcd(n, den) <= RANDOM_SIZE for n in x.rep.nums)
 
 
 def probe_elements(k: FieldTower, rng: random.Random, count: int) -> list[FieldElement]:
-    """Deterministic probe set: basis monomials, their pairwise sums and
-    products, then seeded random elements up to ``count``."""
+    """Deterministic probe set, each value once: basis monomials, their
+    pairwise sums and products, then seeded random elements, up to
+    ``count`` or until ``random_element`` has no new value to give."""
     if isinstance(k, PrimeField):
         return [k(v) for v in range(min(count, k.p))]
-    probes: list[FieldElement] = []
-    seen = set()
-
-    def push(e):
-        key = (e.tower, e.rep)
-        if key not in seen:
-            seen.add(key)
-            probes.append(e)
-
-    basis = basis_monomials(k)
-    for e in basis:
-        push(e)
-    for i, a in enumerate(basis):
-        for b in basis[i:]:
-            push(a + b)
-            push(a * b)
-    while len(probes) < count:
-        push(random_element(k, rng))
-    return probes[:count]
+    stream = itertools.chain(_fixed_probes(k),
+                             iter(functools.partial(random_element, k, rng), None))
+    probes: dict[TowerRep, FieldElement] = {}
+    new = _DRAWABLE_COEFFS ** (1 << k.depth)  # drawable values not yet probed
+    while len(probes) < count and new:
+        e = next(stream)
+        if e.rep not in probes:
+            probes[e.rep] = e
+            new -= _drawable(e)
+    return list(probes.values())
 
 
 # ------------------------------------------------------------ formatting

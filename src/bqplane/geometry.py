@@ -92,8 +92,8 @@ def _unit(k: FieldTower) -> FieldElement:
 
 def xi(x: Point) -> Point:
     """Coordinate change (x1 + i x2, x1 - i x2); phi = lm after xi."""
-    i = _unit(x.tower)
-    return Point(x.x1 + i * x.x2, x.x1 - i * x.x2)
+    ix2 = _unit(x.tower) * x.x2
+    return Point(x.x1 + ix2, x.x1 - ix2)
 
 
 def eta(x: Point) -> Point:

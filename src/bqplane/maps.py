@@ -205,14 +205,6 @@ class MapTable:
             raise FieldMismatch(f"point {x} is not in the table's field {k}")
         return all_points(k)[self.raw[point_index(x)]]
 
-    def inverse(self) -> "MapTable":
-        inv = [None] * len(self.raw)
-        for src, img in enumerate(self.raw):
-            inv[img] = src
-        if None in inv:  # p^2 images miss a point exactly when two coincide
-            raise FieldMismatch("table is not injective")
-        return MapTable(self.field, inv)
-
 
 # -------------------------------------------------- compose and inverse
 #
@@ -246,11 +238,6 @@ def unit_from_parameter(k: FieldTower, t) -> Point:
     if denom.is_zero:
         raise ZeroParameter(f"1 + t^2 = 0 at t = {t}")
     return Point((k.one - t * t) / denom, (2 * t) / denom)
-
-
-def rational_unit_vector(t) -> Point:
-    """Pythagorean unit vector over Q from the half-angle parameter t."""
-    return unit_from_parameter(Q, t)
 
 
 def unit_circle(k: PrimeField) -> list[Point]:

@@ -266,10 +266,6 @@ def parse_field(s: str) -> FieldTower:
     return k
 
 
-def format_field(k: FieldTower) -> str:
-    return k.describe()
-
-
 # --------------------------------------------------------------- points
 
 def parse_point(s: str, k: FieldTower) -> Point:
@@ -370,10 +366,6 @@ def parse_map(s: str, k: FieldTower) -> MapExpression:
         parts.append(_parse_map_atom(p, k))
     p.done()
     return MapExpression(tuple(parts))
-
-
-def format_map(expr: MapExpression) -> str:
-    return str(expr)
 
 
 # ------------------------------------------------------- map table files

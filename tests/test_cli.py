@@ -470,6 +470,20 @@ class TestDigitLimit:
             assert proc.stdout.endswith(f"FAILURE DigitLimitExceeded: {message}\nFAIL\n")
 
 
+class TestRationalDecompose:
+    def test_default_samples_return(self):
+        # Q has only 111 probe values, fewer than the 200 default samples:
+        # the probe set stops at them instead of waiting for more
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(bqplane.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "bqplane.cli", "decompose", "--field", "Q",
+             "--map", "rot(3/5, 4/5)", "--format", "json"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0
+        assert '"verified_on": "samples(200,seed=1729)"' in proc.stdout
+
+
 class TestMapMixes:
     """Expressions mixing lambda, xi and eta with isometries and
     homomorphisms, over GF(13) and Q[sqrt 2][i]: stdout and exit codes

@@ -37,8 +37,8 @@ from bqplane.fields import (
     apply_hom,
     coeff_vector,
     from_coeff_vector,
-    hom_check,
     imaginary_unit,
+    random_element,
     tower_levels,
 )
 from bqplane.geometry import (
@@ -177,13 +177,12 @@ class TestZeroSampleDomain:
 
 class TestExhaustiveDomainOverTower:
     @pytest.mark.parametrize("scan", [
-        lambda f: hom_check(lambda e: f(Point(e, QI.zero)).x1, QI, EXHAUSTIVE),
         lambda f: verify_transform_identities(QI, "exhaustive"),
         lambda f: preserves_unit_distance(f, QI, EXHAUSTIVE),
         lambda f: preserves_phi(f, QI, EXHAUSTIVE),
         lambda f: decompose(f, QI, EXHAUSTIVE),
         lambda f: decompose_lorentz(f, QI, EXHAUSTIVE),
-    ], ids=["hom_check", "verify_transform_identities", "preserves_unit_distance",
+    ], ids=["verify_transform_identities", "preserves_unit_distance",
             "preserves_phi", "decompose", "decompose_lorentz"])
     def test_refused_before_any_probe(self, scan):
         f = _expr("translate(1, 0)", QI)
@@ -330,6 +329,16 @@ def _radicals(k):
     return [k(layer.radical) for layer in tower_levels(k)]
 
 
+def _obeys_laws(sigma, k, samples=40, seed=5):
+    """sigma is additive and multiplicative on seeded random pairs of k."""
+    rng = random.Random(seed)
+    for _ in range(samples):
+        x, y = random_element(k, rng), random_element(k, rng)
+        if sigma(x + y) != sigma(x) + sigma(y) or sigma(x * y) != sigma(x) * sigma(y):
+            return False
+    return True
+
+
 def _substitute(images, x):
     """x with each radical r_L replaced by images[L - 1]: the ring map
     those generator images fix, evaluated monomial by monomial."""
@@ -350,7 +359,7 @@ class TestGammaFromGeneratorSigns:
     def test_joint_conjugation_round_trips(self, route):
         r1, r2, r3, i = _radicals(NESTED)
         sigma = functools.partial(_substitute, (-r1, -r2, r3, i))
-        assert hom_check(sigma, NESTED, sample_domain(40, seed=5)).ok
+        assert _obeys_laws(sigma, NESTED)
         rot = _expr("rot(3/5, 4/5)", NESTED)
 
         def f(x: Point) -> Point:
@@ -370,7 +379,7 @@ class TestGammaFromGeneratorSigns:
         # but r2*i is neither r2 nor -r2, so no level set is this gamma
         r1, r2, i = _radicals(QUARTIC)
         sigma = functools.partial(_substitute, (-r1, r2 * i, i))
-        assert hom_check(sigma, QUARTIC, sample_domain(40, seed=5)).ok
+        assert _obeys_laws(sigma, QUARTIC)
         with pytest.raises(NotAHomomorphism,
                            match="^generator images match no catalog homomorphism$") as info:
             route(lambda x: Point(sigma(x.x1), sigma(x.x2)), QUARTIC, sample_domain(40, seed=5))

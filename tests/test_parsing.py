@@ -28,8 +28,6 @@ from bqplane.geometry import Point, all_points
 from bqplane.maps import MapTable
 from bqplane.parsing import (
     format_element,
-    format_field,
-    format_map,
     format_point,
     format_table_lines,
     parse_element,
@@ -60,7 +58,7 @@ class TestFieldDescriptors:
     ])
     def test_round_trip(self, text):
         k = parse_field(text)
-        assert parse_field(format_field(k)) == k
+        assert parse_field(k.describe()) == k
 
     def test_shorthand_i_is_sqrt_minus_one(self):
         assert parse_field("Q[i]") == parse_field("Q[sqrt -1]")
@@ -179,7 +177,7 @@ class TestMapExpressions:
     ])
     def test_print_parse_round_trip(self, text):
         expr = parse_map(text, QS2I)
-        assert parse_map(format_map(expr), QS2I) == expr
+        assert parse_map(str(expr), QS2I) == expr
 
     def test_xi_eta_atoms(self, qi):
         expr = parse_map("eta . swap . xi", qi)
