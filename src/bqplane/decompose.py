@@ -23,13 +23,14 @@ Over GF(p) each route reads f once, as its image table of point indices
 (``geometry.point_index``), and decomposes it in residues: every point is
 verified, gamma must fix each of the p residues (additivity and
 gamma(1) = 1 force gamma(n) = n; ``_read_prime_gamma``), and the rebuilt
-normal form's table must equal f's.  Over infinite towers each route
-evaluates f on the seeded probe set described by the DomainSpec (basis
-monomials, their pairwise sums and products, then random elements),
-which is this library's documented evidence standard, and
-``_read_gamma`` certifies gamma's laws there.  Every affine table over
-GF(p), the rebuilt normal form's and the census's translations,
-rotations and mirror alike, is one ``maps.index_table``.
+normal form's table must equal f's; matrix, table and J are residues.
+Over infinite towers each route evaluates f on the seeded probe set
+described by the DomainSpec (basis monomials, their pairwise sums and
+products, then random elements), which is this library's documented
+evidence standard, and ``_read_gamma`` certifies gamma's laws there; a
+law pair or rebuild point drawn twice is checked once.  Every affine
+table over GF(p), the rebuilt normal form's and the census's
+translations, rotations and mirror alike, is one ``maps.index_table``.
 """
 
 from __future__ import annotations
@@ -161,6 +162,13 @@ def _verified_domain(domain: DomainSpec, k: FieldTower) -> DomainSpec:
     return EXHAUSTIVE if isinstance(k, PrimeField) else domain
 
 
+def _first_seen(items):
+    """Each item once, lazily and in order: checking a deterministic
+    evaluation again cannot change its result, so a repeat is skipped."""
+    seen = set()
+    return (x for x in items if not (x in seen or seen.add(x)))
+
+
 def _read_prime_gamma(table: list[int], k: PrimeField) -> LevelConjugation:
     """Certify gamma over GF(p) from its p residues, table[x] = gamma(x).
 
@@ -206,8 +214,9 @@ def _read_gamma(gamma_eval, k: FieldTower, domain: DomainSpec) -> LevelConjugati
     one = k.one
     if ev(one) != one:
         raise NotAHomomorphism("gamma(1) != 1", witness=one)
-    for _ in range(count):
-        x, y = rng.choice(probes), rng.choice(probes)
+    ids = range(len(probes))  # the probes are distinct, so indices name their values
+    for u, v in _first_seen((rng.choice(ids), rng.choice(ids)) for _ in range(count)):
+        x, y = probes[u], probes[v]
         if ev(x + y) != ev(x) + ev(y):
             raise NotAHomomorphism(
                 f"additivity fails at ({x}, {y})", witness=(x, y))
@@ -282,8 +291,9 @@ def decompose(f, k: FieldTower, domain: DomainSpec = EXHAUSTIVE
     def draw():
         rng = random.Random(domain.seed + 1)
         probes = probe_elements(k, rng, domain.samples)
-        return (Point(rng.choice(probes), rng.choice(probes))
-                for _ in range(domain.samples))
+        ids = range(len(probes))
+        return (Point(probes[u], probes[v]) for u, v in _first_seen(
+            (rng.choice(ids), rng.choice(ids)) for _ in range(domain.samples)))
 
     recon = SemiAffineMap(invert(normalizer).outer, gamma)
     x = next((x for x in draw() if recon(x) != ev(x)), None)
@@ -349,11 +359,13 @@ def decompose_lorentz(f, k: FieldTower, domain: DomainSpec = EXHAUSTIVE
             f"rescaled map sends (2, 0) to ({probe.x1}, {probe.x2}), "
             "matching neither product form")
 
-    def sigma_eval(x: FieldElement) -> FieldElement:  # big_g((x, 0)) where sigma reads it
-        y = big_f(Point(x, zero))
-        return y.x1 * a_inv if case == 1 else a * y.x2
-
-    sigma = _read_gamma(sigma_eval, k, domain)
+    # sigma reads big_g((x, 0)) in one coordinate: the case's row (c1, c2) of
+    # lambda(a) o xi applied to f(eta((x, 0))) - t0, eta((x, 0)) = (x/2, -(i/2) x)
+    c1, c2 = (a_inv, i0 * a_inv) if case == 1 else (a, -i0 * a)
+    shift, half = -affine_row(c1, c2, t0, zero), k.one / 2
+    neg_i_half = -i0 * half
+    sigma = _read_gamma(lambda x: affine_row(c1, c2, ev(Point(half * x, neg_i_half * x)), shift),
+                        k, domain)
     case_matrix = (lorentz_case1_matrix if case == 1
                    else lorentz_case2_matrix)(a, sigma, k)
     outer = AffineMap(case_matrix, t0)
@@ -363,7 +375,7 @@ def decompose_lorentz(f, k: FieldTower, domain: DomainSpec = EXHAUSTIVE
         return (random_point(k, rng) for _ in range(domain.samples))
 
     recon = SemiAffineMap(outer, sigma)
-    x = next((x for x in draw() if recon(x) != ev(x)), None)
+    x = next((x for x in _first_seen(draw()) if recon(x) != ev(x)), None)
     if x is not None:
         raise ProductFormViolation(
             f"case-{case} reconstruction disagrees at ({x.x1}, {x.x2})",
@@ -406,7 +418,7 @@ def _frame_on_table(raw: tuple[int, ...], k: PrimeField) -> DecompositionResult:
 
 def _lorentz_on_table(raw: tuple[int, ...], k: PrimeField) -> DecompositionResult:
     """The Lorentz route on a GF(p) image table, in residues, with its
-    own xi and eta on the residues i and 1/2; it never builds J."""
+    own xi and eta on the residues i and 1/2, and J from its case matrix."""
     p, i, half = k.p, imaginary_unit(k).rep, (k.p + 1) // 2
     t0a, t0b = divmod(raw[0], p)
 
@@ -426,14 +438,19 @@ def _lorentz_on_table(raw: tuple[int, ...], k: PrimeField) -> DecompositionResul
         raise CaseUndetermined(f"rescaled map sends (2, 0) to ({probe[0]}, {probe[1]}), "
                                "matching neither product form")
     sigma = _read_prime_gamma([big_g(x, 0, a, a_inv)[case - 1] for x in range(p)], k)
-    case_matrix = (lorentz_case1_matrix if case == 1 else lorentz_case2_matrix)(k(a), sigma, k)
-    outer = SemiAffineMap(AffineMap(case_matrix, point(k, t0a, t0b)))
-    recon = raw_image_table(outer, k)
+    # the orthogonal case matrix M = [[big, s small i], [-small i, s big]] at
+    # sigma = id, so J = invert(x -> M x + t0) is x -> M^T (x - t0)
+    s = 1 if case == 1 else -1
+    big, small = (a + a_inv) * half % p, (a - a_inv) * half % p
+    m11, m12, m21, m22 = big, s * small * i % p, -small * i % p, s * big % p
+    recon = index_table(p, m11, m12, m21, m22, t0a, t0b)
     if recon != raw:
         x1, x2 = divmod(next(idx for idx, img in enumerate(recon) if img != raw[idx]), p)
         raise ProductFormViolation(f"case-{case} reconstruction disagrees at ({x1}, {x2})",
                                    witness=point(k, x1, x2))
-    return DecompositionResult(invert(outer), sigma, "not_applicable", EXHAUSTIVE, k,
+    j = AffineMap(Matrix2(k(m11), k(m21), k(m12), k(m22)),
+                  point(k, -(m11 * t0a + m21 * t0b), -(m12 * t0a + m22 * t0b)))
+    return DecompositionResult(SemiAffineMap(j), sigma, "not_applicable", EXHAUSTIVE, k,
                                route="lorentz", lorentz_case=case, lorentz_scale=k(a))
 
 

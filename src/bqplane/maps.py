@@ -234,10 +234,12 @@ def invert(m: SemiAffineMap) -> SemiAffineMap:
 def unit_from_parameter(k: FieldTower, t) -> Point:
     """The unit vector ((1-t^2)/(1+t^2), 2t/(1+t^2))."""
     t = k(t)
-    denom = k.one + t * t
+    t2 = t * t
+    denom = k.one + t2
     if denom.is_zero:
         raise ZeroParameter(f"1 + t^2 = 0 at t = {t}")
-    return Point((k.one - t * t) / denom, (2 * t) / denom)
+    inv = k.one / denom
+    return Point((k.one - t2) * inv, (2 * t) * inv)
 
 
 def unit_circle(k: PrimeField) -> list[Point]:

@@ -247,6 +247,21 @@ class TestFrameRoute:
         res = decompose(conj, qi, sample_domain(30))
         assert res.branch == "zeta" and res.gamma == LevelConjugation(1)
 
+    def test_repeated_checks_are_skipped(self):
+        # over Q only 111 probe values exist: at most 111^2 law pairs and
+        # 111^2 rebuild points are distinct, whatever the sample count
+        f = _expr("rot(3/5, 4/5)", Q)
+        calls = 0
+
+        def counted(x: Point) -> Point:
+            nonlocal calls
+            calls += 1
+            return f(x)
+
+        res = decompose(counted, Q, sample_domain(200_000))
+        assert res.gamma == LevelConjugation() and res.verified_on == sample_domain(200_000)
+        assert calls <= 2 * 111 ** 2
+
     def test_corrupted_table_rejected(self, gf13):
         raw = list(raw_image_table(identity_map(gf13), gf13))
         raw[17] = (raw[17] + 40) % 169

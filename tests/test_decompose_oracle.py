@@ -18,6 +18,15 @@ the static order before it became a heap is kept as the oracle of the
 order.  The census's neighbour, rotation, mirror and translated-rotation
 tables were written out index by index before they became
 ``index_table`` calls; those expressions are kept as the tables' oracles.
+
+The Lorentz route's sigma probe over towers used to evaluate the whole
+composite big_g((x, 0)): eta, f, the t0 shift, xi and lambda(a); it is
+now one affine row of f(eta((x, 0))).  Over GF(p) its rebuilt table and
+J were built from field elements, the case matrix and ``invert``; they
+are now residues and M^T.  Both former versions are kept here, and the
+new ones must equal them: the row on seeded probes of three towers, in
+both cases and at a rational and a non-rational scale, and the rebuild on
+every canonical GF(13) table and on perturbed ones.
 """
 
 import random
@@ -26,6 +35,7 @@ import pytest
 
 from bqplane.decompose import (
     DecompositionResult,
+    _lorentz_on_table,
     _mirror,
     _neighbors,
     _read_prime_gamma,
@@ -48,22 +58,27 @@ from bqplane.fields import (
     LevelConjugation,
     PrimeField,
     imaginary_unit,
+    probe_elements,
+    random_element,
     sample_domain,
 )
-from bqplane.geometry import Point, all_points, eta, point
+from bqplane.geometry import Point, all_points, eta, point, xi
 from bqplane.maps import (
     AffineMap,
     MapTable,
     Matrix2,
     SemiAffineMap,
+    enumerate_canonical_maps,
     enumerate_orthogonal_group,
     index_table,
     invert,
+    lorentz_case1_matrix,
+    lorentz_case2_matrix,
     map_from_expression,
     raw_image_table,
     unit_circle,
 )
-from bqplane.parsing import parse_map
+from bqplane.parsing import parse_field, parse_map
 
 
 # ------------------------------------------------------------- oracles
@@ -183,6 +198,60 @@ def _lorentz_prime_raw(raw, k):
     return DecompositionResult(invert(outer), LevelConjugation(), "not_applicable",
                                EXHAUSTIVE, k, route="lorentz",
                                lorentz_case=case, lorentz_scale=k(a))
+
+
+def _sigma_row_as_before(f, k):
+    """The Lorentz route's case and sigma probe over a tower as they were:
+    big_g((x, 0)) = lambda(a)(xi(f(eta((x, 0))) - t0)), read in the case's
+    coordinate."""
+    t0 = f(point(k, 0, 0))
+
+    def big_f(x):
+        img = f(eta(x))
+        return xi(Point(img.x1 - t0.x1, img.x2 - t0.x2))
+
+    a = big_f(point(k, 1, 1)).x1
+    a_inv = k.one / a
+
+    def big_g(x):
+        y = big_f(x)
+        return Point(y.x1 * a_inv, a * y.x2)
+
+    case = 1 if big_g(point(k, 2, 0)) == point(k, 2, 0) else 2
+    return case, lambda x: big_g(Point(x, k.zero)).x1 if case == 1 else big_g(Point(x, k.zero)).x2
+
+
+def _lorentz_rebuild_as_before(raw, k):
+    """The GF(p) Lorentz route as it was before its rebuild stayed in
+    residues: the case matrix, the rebuilt table and J from field
+    elements, J by ``invert``."""
+    p, i, half = k.p, imaginary_unit(k).rep, (k.p + 1) // 2
+    t0a, t0b = divmod(raw[0], p)
+
+    def big_g(x1, x2, a=1, a_inv=1):
+        img = raw[(x1 + x2) * half % p * p + (x2 - x1) * i * half % p]
+        fa, fb = img // p - t0a, img % p - t0b
+        return (fa + i * fb) * a_inv % p, (fa - i * fb) * a % p
+
+    a, b = big_g(1, 1)
+    if a * b % p != 1:
+        raise LorentzNormalizationFailed(
+            f"normalized image of (1,1) gives a*b = {a * b % p}, not 1")
+    a_inv = pow(a, -1, p)
+    case = {(2, 0): 1, (0, 2): 2}.get(probe := big_g(2, 0, a, a_inv))
+    if case is None:
+        raise CaseUndetermined(f"rescaled map sends (2, 0) to ({probe[0]}, {probe[1]}), "
+                               "matching neither product form")
+    sigma = _read_prime_gamma([big_g(x, 0, a, a_inv)[case - 1] for x in range(p)], k)
+    case_matrix = (lorentz_case1_matrix if case == 1 else lorentz_case2_matrix)(k(a), sigma, k)
+    outer = SemiAffineMap(AffineMap(case_matrix, point(k, t0a, t0b)))
+    recon = raw_image_table(outer, k)
+    if recon != raw:
+        x1, x2 = divmod(next(idx for idx, img in enumerate(recon) if img != raw[idx]), p)
+        raise ProductFormViolation(f"case-{case} reconstruction disagrees at ({x1}, {x2})",
+                                   witness=point(k, x1, x2))
+    return DecompositionResult(invert(outer), sigma, "not_applicable", EXHAUSTIVE, k,
+                               route="lorentz", lorentz_case=case, lorentz_scale=k(a))
 
 
 def _neighbors_written(p, offs):
@@ -503,3 +572,63 @@ def test_census_tables_are_the_written_tables(p):
         for a1, a2 in shifts:
             assert (list(index_table(p, rc, -rs, rs, rc, a1, a2))
                     == _translated_written(p, rot, a1, a2))
+
+
+# (field, map, case, scale): both cases at a rational and a non-rational
+# scale; every map's t0 has both coordinates nonzero
+LORENTZ_ROWS = [
+    (spec, text.format(L=L), case, scale)
+    for spec, L, hom in [("Q[sqrt 2][i]", 2, "hom(conj@1)"),
+                         ("Q[sqrt 2][sqrt 3][i]", 3, "hom(conj@2)"),
+                         ("Q[sqrt 2][sqrt 3][sqrt 5 + r1*r2][i]", 4,
+                          "hom(conj@1) . hom(conj@2)")]
+    for text, case, scale in [
+        ("translate(r1, 1/3) . rot(3/5, 4/5)", 1, "3/5 + 4/5*i"),
+        (f"translate(r1, 1/3) . refl(3/5, 4/5) . {hom}", 2, "3/5 + 4/5*i"),
+        ("translate(r1, i) . refl(1/2*r1, 1/2*r1) . hom(conj@{L})", 1, "1/2*r1 + 1/2*r1*i"),
+        ("translate(r1, i) . rot(1/2*r1, 1/2*r1) . hom(conj@{L})", 2, "1/2*r1 + 1/2*r1*i"),
+    ]]
+
+
+@pytest.mark.parametrize("spec, text, case, scale", LORENTZ_ROWS)
+def test_lorentz_sigma_row_is_the_composite(monkeypatch, spec, text, case, scale):
+    import bqplane.decompose as module
+
+    k = parse_field(spec)
+    f = map_from_expression(parse_map(text, k), k)
+    rows = []
+
+    def spy(gamma_eval, k, domain):
+        rows.append(gamma_eval)
+        return read_gamma(gamma_eval, k, domain)
+
+    read_gamma = module._read_gamma
+    monkeypatch.setattr(module, "_read_gamma", spy)
+    res = decompose_lorentz(f, k, sample_domain(20))
+    assert (res.lorentz_case, str(res.lorentz_scale)) == (case, scale)
+    old_case, old_row = _sigma_row_as_before(f, k)
+    assert old_case == case and len(rows) == 1
+    rng = random.Random(27)
+    for x in probe_elements(k, rng, 30) + [random_element(k, rng) for _ in range(10)]:
+        assert rows[0](x) == old_row(x), x
+
+
+def test_lorentz_rebuild_is_the_field_element_rebuild(gf13):
+    k = gf13
+    n = k.p * k.p
+    rng = random.Random(13)
+    canonical = [raw_image_table(m, k) for m in enumerate_canonical_maps(k)]
+    assert len(canonical) == 4056
+    for raw in canonical:
+        assert _lorentz_on_table(raw, k).to_record() == _lorentz_rebuild_as_before(raw, k).to_record()
+    kinds = set()
+    for raw in rng.sample(canonical, 60):
+        for _ in range(10):
+            moved = list(raw)
+            for idx in rng.sample(range(n), rng.choice((1, 1, 2))):
+                moved[idx] = rng.choice([v for v in range(n) if v != raw[idx]])
+            want = _outcome(_lorentz_rebuild_as_before, tuple(moved), k)
+            assert _outcome(_lorentz_on_table, tuple(moved), k) == want, moved
+            kinds.add(want[0].__name__ if isinstance(want, tuple) else "decomposed")
+    assert {"ProductFormViolation", "NotAHomomorphism", "LorentzNormalizationFailed",
+            "CaseUndetermined"} <= kinds

@@ -16,6 +16,10 @@ and then add its translation, with a reduction per operation; each
 image coordinate is now one row with one reduction.  That written
 formula is kept here too, and the rows must equal it, including the
 refusal of a point from another field.
+
+A unit vector from a parameter t used to divide both of its numerators
+by 1 + t^2; it now inverts 1 + t^2 once.  The two-division formula is
+kept here, and must agree with it, refusal of 1 + t^2 = 0 included.
 """
 
 import random
@@ -394,3 +398,37 @@ def test_point_from_another_field_is_refused_as_before(spec):
         assert str(new.value) == str(old.value) == f"operands from different fields: {k} vs {other}"
         with pytest.raises(FieldMismatch, match="operands from different fields"):
             m.linear.apply(x)
+
+
+# ------------------------------------------------- unit from parameter
+
+def _unit_two_divisions(k, t):
+    """The unit vector as it was computed, with one division per coordinate."""
+    t = k(t)
+    denom = k.one + t * t
+    if denom.is_zero:
+        raise ZeroParameter(f"1 + t^2 = 0 at t = {t}")
+    return Point((k.one - t * t) / denom, (2 * t) / denom)
+
+
+@pytest.mark.parametrize("spec", ["Q", "Q[sqrt 2][i]", "Q[sqrt 2][sqrt 3][sqrt 5 + r1*r2][i]"])
+def test_unit_from_parameter_matches_two_divisions(spec):
+    k = parse_field(spec)
+    rng = random.Random(8)
+    i = imaginary_unit(k)
+    params = [0, 1, -1, Fraction(1, 2), Fraction(-7, 3)] + [random_element(k, rng) for _ in range(40)]
+    params += [] if i is None else [i, -i]  # 1 + t^2 = 0
+    refused = 0
+    for t in params:
+        try:
+            want = _unit_two_divisions(k, t)
+        except ZeroParameter as exc:
+            with pytest.raises(ZeroParameter) as new:
+                maps.unit_from_parameter(k, t)
+            assert str(new.value) == str(exc)
+            refused += 1
+            continue
+        got = maps.unit_from_parameter(k, t)
+        assert got == want and got.tower is k
+        assert got.x1 * got.x1 + got.x2 * got.x2 == k.one
+    assert refused == (0 if i is None else 2)
