@@ -27,15 +27,16 @@ normal form's table must equal f's; matrix, table and J are residues.
 Over infinite towers each route evaluates f on the seeded probe set
 described by the DomainSpec (basis monomials, their pairwise sums and
 products, then random elements), which is this library's documented
-evidence standard, and ``_read_gamma`` certifies gamma's laws there; a
-law pair or rebuild point drawn twice is checked once.  Every affine
-table over GF(p), the rebuilt normal form's and the census's
-translations, rotations and mirror alike, is one ``maps.index_table``.
+evidence standard, and ``_read_gamma`` certifies gamma's laws there;
+with fewer probe pairs than samples, each law pair and frame rebuild
+point is checked once.  Every affine table over GF(p), the rebuilt
+normal form's and the census's alike, is one ``maps.index_table``.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -162,11 +163,14 @@ def _verified_domain(domain: DomainSpec, k: FieldTower) -> DomainSpec:
     return EXHAUSTIVE if isinstance(k, PrimeField) else domain
 
 
-def _first_seen(items):
-    """Each item once, lazily and in order: checking a deterministic
-    evaluation again cannot change its result, so a repeat is skipped."""
-    seen = set()
-    return (x for x in items if not (x in seen or seen.add(x)))
+def _index_pairs(rng: random.Random, n: int, count: int):
+    """``count`` seeded index pairs below n.  When fewer exist (n * n <
+    count, as over Q at a large sample), each comes once and the draws end
+    when all n * n are seen: a deterministic check repeated cannot differ."""
+    ids, seen = range(n), set()
+    pairs = ((rng.choice(ids), rng.choice(ids)) for _ in range(count))
+    return pairs if n * n >= count else itertools.islice(
+        (uv for uv in pairs if not (uv in seen or seen.add(uv))), n * n)
 
 
 def _read_prime_gamma(table: list[int], k: PrimeField) -> LevelConjugation:
@@ -214,8 +218,7 @@ def _read_gamma(gamma_eval, k: FieldTower, domain: DomainSpec) -> LevelConjugati
     one = k.one
     if ev(one) != one:
         raise NotAHomomorphism("gamma(1) != 1", witness=one)
-    ids = range(len(probes))  # the probes are distinct, so indices name their values
-    for u, v in _first_seen((rng.choice(ids), rng.choice(ids)) for _ in range(count)):
+    for u, v in _index_pairs(rng, len(probes), count):  # distinct probes: indices name values
         x, y = probes[u], probes[v]
         if ev(x + y) != ev(x) + ev(y):
             raise NotAHomomorphism(
@@ -291,9 +294,8 @@ def decompose(f, k: FieldTower, domain: DomainSpec = EXHAUSTIVE
     def draw():
         rng = random.Random(domain.seed + 1)
         probes = probe_elements(k, rng, domain.samples)
-        ids = range(len(probes))
-        return (Point(probes[u], probes[v]) for u, v in _first_seen(
-            (rng.choice(ids), rng.choice(ids)) for _ in range(domain.samples)))
+        return (Point(probes[u], probes[v])
+                for u, v in _index_pairs(rng, len(probes), domain.samples))
 
     recon = SemiAffineMap(invert(normalizer).outer, gamma)
     x = next((x for x in draw() if recon(x) != ev(x)), None)
@@ -360,11 +362,10 @@ def decompose_lorentz(f, k: FieldTower, domain: DomainSpec = EXHAUSTIVE
             "matching neither product form")
 
     # sigma reads big_g((x, 0)) in one coordinate: the case's row (c1, c2) of
-    # lambda(a) o xi applied to f(eta((x, 0))) - t0, eta((x, 0)) = (x/2, -(i/2) x)
+    # lambda(a) o xi on f(eta((x, 0))) - t0, with linear eta((x, 0)) = x * eta((1, 0))
     c1, c2 = (a_inv, i0 * a_inv) if case == 1 else (a, -i0 * a)
-    shift, half = -affine_row(c1, c2, t0, zero), k.one / 2
-    neg_i_half = -i0 * half
-    sigma = _read_gamma(lambda x: affine_row(c1, c2, ev(Point(half * x, neg_i_half * x)), shift),
+    shift, e1 = -affine_row(c1, c2, t0, zero), eta(point(k, 1, 0))
+    sigma = _read_gamma(lambda x: affine_row(c1, c2, ev(Point(e1.x1 * x, e1.x2 * x)), shift),
                         k, domain)
     case_matrix = (lorentz_case1_matrix if case == 1
                    else lorentz_case2_matrix)(a, sigma, k)
@@ -375,7 +376,7 @@ def decompose_lorentz(f, k: FieldTower, domain: DomainSpec = EXHAUSTIVE
         return (random_point(k, rng) for _ in range(domain.samples))
 
     recon = SemiAffineMap(outer, sigma)
-    x = next((x for x in _first_seen(draw()) if recon(x) != ev(x)), None)
+    x = next((x for x in draw() if recon(x) != ev(x)), None)
     if x is not None:
         raise ProductFormViolation(
             f"case-{case} reconstruction disagrees at ({x.x1}, {x.x2})",

@@ -6,6 +6,7 @@ import pytest
 
 from bqplane import fields
 from bqplane.decompose import (
+    _index_pairs,
     _mirror,
     _neighbors,
     _pair_census,
@@ -261,6 +262,24 @@ class TestFrameRoute:
         res = decompose(counted, Q, sample_domain(200_000))
         assert res.gamma == LevelConjugation() and res.verified_on == sample_domain(200_000)
         assert calls <= 2 * 111 ** 2
+
+    def test_many_pairs_are_drawn_as_before(self):
+        # 40 probes give 1,600 pairs, more than 40 samples: the plain draws
+        rng, before = random.Random(3), random.Random(3)
+        ids = range(40)
+        assert list(_index_pairs(rng, 40, 40)) == [
+            (before.choice(ids), before.choice(ids)) for _ in range(40)]
+        assert rng.getstate() == before.getstate()
+
+    def test_few_pairs_come_once_and_end_the_draws(self):
+        # 11 probes give 121 pairs, fewer than 10^6 samples: each pair once,
+        # in the order first drawn, and no rng draw after the last new one
+        rng, before = random.Random(3), random.Random(3)
+        ids, drawn = range(11), {}
+        while len(drawn) < 121:
+            drawn.setdefault((before.choice(ids), before.choice(ids)))
+        assert list(_index_pairs(rng, 11, 10 ** 6)) == list(drawn)
+        assert rng.getstate() == before.getstate()
 
     def test_corrupted_table_rejected(self, gf13):
         raw = list(raw_image_table(identity_map(gf13), gf13))
