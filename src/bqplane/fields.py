@@ -9,15 +9,14 @@ one positive denominator, and Q is the depth-0 tower, one numerator
 over a positive denominator, so Q and its towers share one kernel.
 A tower whose radicands are all rational multiplies its numerator
 vectors in one pass, an XOR convolution over the monomials with one
-integer weight per level set.  From a level with a nested radicand (one
-with a radical part, such as sqrt(5 + r1*r2)) up, a product splits into
-halves over the level below, down to the rational levels beneath, which
-take the one-pass product again.  A rational operand (zero included)
-only scales the other's numerators, and an affine image coordinate
-a*x + b*y + t is one row, ``_row``, with one reduction.
-Every geometric identity downstream is checked exactly; no floating
-point is used anywhere.  The real order of a real tower is the exact
-``real_sign``.
+integer weight per level set, written out at depths 1 and 2.  From a
+level with a nested radicand (such as sqrt(5 + r1*r2)) up, a product
+splits into halves over the level below, down to the rational levels
+beneath.  A rational operand (zero included) only scales the other's
+numerators.  An affine image coordinate a*x + b*y + t is one row,
+``_row``, with one reduction, and one pass when a and b are rational.
+Every geometric identity downstream is checked exactly, without floating
+point; the real order of a real tower is the exact ``real_sign``.
 
 The catalog homomorphisms of a tower are its "level conjugations": a
 set of levels, each radical r_L of which is sent to -r_L while the
@@ -377,9 +376,13 @@ class FlatTower(FieldTower):
 
     def _row(self, a, x, b, y, t):
         """a*x + b*y + t with one reduction."""
-        (u, ud), (v, vd) = self._prod(a, x), self._prod(b, y)
+        an, bn = a.nums, b.nums
+        if any(an[1:]) or any(bn[1:]):
+            (u, ud), (v, vd), ca, cb = self._prod(a, x), self._prod(b, y), 1, 1
+        else:  # rational a and b scale x and y in the one pass below
+            u, ud, v, vd, ca, cb = x.nums, a.den * x.den, y.nums, b.den * y.den, an[0], bn[0]
         den = math.lcm(ud, vd, t.den)
-        fu, fv, ft = den // ud, den // vd, den // t.den
+        fu, fv, ft = ca * (den // ud), cb * (den // vd), den // t.den
         return _reduced([p * fu + q * fv + s * ft for p, q, s in zip(u, v, t.nums)], den)
 
     def _is_zero(self, a):
@@ -466,6 +469,13 @@ class QuadExt(FlatTower):
             # (x0 + x1 r)(y0 + y1 r) = (x0 y0 + d x1 y1) + (x0 y1 + x1 y0) r
             (x0, x1), (y0, y1), (c, dn) = x, y, w
             return [c * x0 * y0 + dn * x1 * y1, c * (x0 * y1 + x1 * y0)]
+        if len(w) == 4:
+            # the loop below written out for the monomials 1, r1, r2, r1*r2
+            (x0, x1, x2, x3), (y0, y1, y2, y3), (c, w1, w2, w3) = x, y, w
+            return [c * x0 * y0 + w1 * x1 * y1 + w2 * x2 * y2 + w3 * x3 * y3,
+                    c * (x0 * y1 + x1 * y0) + w2 * (x2 * y3 + x3 * y2),
+                    c * (x0 * y2 + x2 * y0) + w1 * (x1 * y3 + x3 * y1),
+                    c * (x0 * y3 + x3 * y0 + x1 * y2 + x2 * y1)]
         out = [0] * len(x)
         ys = [(j, b) for j, b in enumerate(y) if b]
         for i, a in enumerate(x):
@@ -882,11 +892,18 @@ _DRAWABLE_COEFFS = 1 + 2 * sum(math.gcd(n, d) == 1 for n in range(1, RANDOM_SIZE
 
 def random_element(k: FieldTower, rng: random.Random) -> FieldElement:
     """A seeded random element with numerators/denominators up to
-    RANDOM_SIZE."""
+    RANDOM_SIZE, each drawn as rng.randint draws it: by the same getrandbits
+    calls and redraws, so with the same values and rng state."""
     if isinstance(k, PrimeField):
         return k(rng.randrange(k.p))
-    pairs = [(rng.randint(-RANDOM_SIZE, RANDOM_SIZE), rng.randint(1, RANDOM_SIZE))
-             for _ in range(1 << k.depth)]
+    bits, span, pairs = rng.getrandbits, 2 * RANDOM_SIZE + 1, []
+    nb, db = span.bit_length(), RANDOM_SIZE.bit_length()
+    for _ in range(1 << k.depth):
+        while (n := bits(nb)) >= span:
+            pass
+        while (d := bits(db)) >= RANDOM_SIZE:
+            pass
+        pairs.append((n - RANDOM_SIZE, d + 1))
     den = math.lcm(*(d for _, d in pairs))
     return FieldElement(k, _reduced([n * (den // d) for n, d in pairs], den))
 

@@ -9,7 +9,7 @@ are exact field elements.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from operator import itemgetter
 
@@ -28,17 +28,36 @@ from .fields import (
 )
 
 
-@dataclass(frozen=True)
 class Point:
     """A point (x1, x2) with both coordinates in one field."""
 
-    x1: FieldElement
-    x2: FieldElement
+    __slots__ = ("x1", "x2")
 
-    def __post_init__(self):
-        if self.x1.tower is not self.x2.tower and self.x1.tower != self.x2.tower:
+    def __init__(self, x1: FieldElement, x2: FieldElement):
+        if x1.tower is not x2.tower and x1.tower != x2.tower:
             raise FieldMismatch(
-                f"point coordinates in different fields: {self.x1.tower} vs {self.x2.tower}")
+                f"point coordinates in different fields: {x1.tower} vs {x2.tower}")
+        object.__setattr__(self, "x1", x1)
+        object.__setattr__(self, "x2", x2)
+
+    def __setattr__(self, name, value=None):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return Point, (self.x1, self.x2)
+
+    def __eq__(self, other):
+        if other.__class__ is Point:
+            return (self.x1, self.x2) == (other.x1, other.x2)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.x1, self.x2))
+
+    def __repr__(self):
+        return f"Point(x1={self.x1!r}, x2={self.x2!r})"
 
     @property
     def tower(self) -> FieldTower:
@@ -60,9 +79,9 @@ def point(k: FieldTower, a, b) -> Point:
 
 def phi(x: Point, y: Point) -> FieldElement:
     """Squared-distance form (x1-y1)^2 + (x2-y2)^2."""
-    d1 = x.x1 - y.x1
-    d2 = x.x2 - y.x2
-    return d1 * d1 + d2 * d2
+    d1, d2 = x.x1 - y.x1, x.x2 - y.x2
+    k = d1.tower
+    return FieldElement(k, k._row(d1.rep, d1.rep, d2.rep, d2.rep, k.zero_rep))
 
 
 def psi(x: Point, y: Point) -> FieldElement:

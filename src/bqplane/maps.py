@@ -142,7 +142,11 @@ class AffineMap:
 
     def __call__(self, x: Point) -> Point:
         q, t = self.linear, self.translation
-        return Point(affine_row(q.q11, q.q12, x, t.x1), affine_row(q.q21, q.q22, x, t.x2))
+        k = q.q11.tower
+        if x.x1.tower is not k and x.x1.tower != k:
+            raise FieldMismatch(f"operands from different fields: {k} vs {x.tower}")
+        return Point(FieldElement(k, k._row(q.q11.rep, x.x1.rep, q.q12.rep, x.x2.rep, t.x1.rep)),
+                     FieldElement(k, k._row(q.q21.rep, x.x1.rep, q.q22.rep, x.x2.rep, t.x2.rep)))
 
 
 def identity_map(k: FieldTower) -> AffineMap:
@@ -165,7 +169,7 @@ class SemiAffineMap:
     gamma: LevelConjugation = LevelConjugation()
 
     def __call__(self, x: Point) -> Point:
-        return self.outer(_hom_point(self.gamma, x))
+        return self.outer(_hom_point(self.gamma, x) if self.gamma.levels else x)
 
 
 def linear_map(m: Matrix2) -> SemiAffineMap:

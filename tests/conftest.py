@@ -23,6 +23,14 @@ settings.load_profile("exact")
 
 
 @pytest.fixture(scope="session")
+def mod3_zero_sums():
+    """The residue pairs (a, b) mod 3 with a^2 + b^2 = 0 mod 3, by brute
+    force: {(0, 0)} certifies that 3 divides no reduced denominator c of a
+    rational unit step (a/c, b/c), a^2 + b^2 = c^2, gcd(a, b, c) = 1."""
+    return {(a, b) for a in range(3) for b in range(3) if (a * a + b * b) % 3 == 0}
+
+
+@pytest.fixture(scope="session")
 def gf13():
     return PrimeField(13)
 

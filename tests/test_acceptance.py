@@ -190,7 +190,7 @@ def test_06_connector_chain_certificates(acceptance):
     assert ok, line
 
 
-def test_07_rational_chain_with_mixed_denominators(acceptance):
+def test_07_rational_chain_with_mixed_denominators(acceptance, mod3_zero_sums):
     """Rational-only chains across mixed denominators, on both sides of
     the feasibility boundary: (7/65, 22/25) is reached, (7/3, 22/5) is
     refused for good.
@@ -231,9 +231,7 @@ def test_07_rational_chain_with_mixed_denominators(acceptance):
         refused = False
 
     # the refusal's certificate, independent of the program's own test
-    zero_sums = {(a, b) for a in range(3) for b in range(3)
-                 if (a * a + b * b) % 3 == 0}
-    certified = zero_sums == {(0, 0)} and far[0].denominator % 3 == 0
+    certified = mod3_zero_sums == {(0, 0)} and far[0].denominator % 3 == 0
 
     ok = reached and refused and certified and elapsed < 60.0
     edges = "no" if chain is None else len(chain) - 1

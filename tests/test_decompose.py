@@ -577,3 +577,30 @@ class TestPreserverSearch:
             for t1 in range(p) for t2 in range(p)}
         assert len(canonical) == 9_248
         assert {t.raw for t in census.found} == canonical
+
+    @pytest.mark.slow
+    def test_complete_census_of_gf29_is_the_canonical_maps(self):
+        # about two minutes: 153,151,640 nodes walked
+        p = 29
+        census = search_unit_preservers(p)
+        assert census.complete and census.ok
+        assert census.total_found == census.expected == 47_096
+        assert census.anomalies == []
+        assert census.nodes == 7_042_776_837_909
+        # Set equality without a second set of 47,096 tables: each find is
+        # the canonical map of the orthogonal matrix and translation read
+        # off its images of (0,0), (1,0) and (0,1), and no two finds share
+        # them, so the finds are all p^2 * |O(2)| canonical maps.
+        ortho = {(q.q11.rep, q.q12.rep, q.q21.rep, q.q22.rep)
+                 for q in enumerate_orthogonal_group(PrimeField(p))}
+        assert len(ortho) * p * p == 47_096
+        seen = set()
+        for table in census.found:
+            raw = table.raw
+            (t1, t2), (a1, a2), (b1, b2) = (divmod(raw[i], p) for i in (0, p, 1))
+            q11, q12, q21, q22 = (a1 - t1) % p, (b1 - t1) % p, (a2 - t2) % p, (b2 - t2) % p
+            assert (q11, q12, q21, q22) in ortho
+            assert raw == tuple(((q11 * x + q12 * y + t1) % p) * p + (q21 * x + q22 * y + t2) % p
+                                for x in range(p) for y in range(p))
+            seen.add((q11, q12, q21, q22, t1, t2))
+        assert len(seen) == 47_096

@@ -13,9 +13,15 @@ one reduction where three products and sums made one each; both must
 agree with the oracle's products and sums, integer for integer up to
 the oracle's product scale.
 
+A depth-2 product is the XOR convolution written out for its four
+monomials, and must equal the general loop it used to take.  ``_row``
+with rational a and b scales x and y in its one pass instead of building
+two ``_prod`` lists; the ``_prod``-based formula is kept as its oracle.
+
 ``random_element`` used to build each coefficient as a ``Fraction`` and
-join them with ``from_coeff_vector``; it now works on the integer pairs.
-The old sampler must give the same reps and leave the generator in the
+join them with ``from_coeff_vector``, then drew integer pairs with
+``rng.randint``; it now calls ``rng.getrandbits`` as randint does.  Both
+old samplers must give the same reps and leave the generator in the
 same state.
 """
 
@@ -29,6 +35,7 @@ from hypothesis import strategies as st
 
 from bqplane.errors import DivisionByZero
 from bqplane.fields import (
+    RANDOM_SIZE,
     FieldElement,
     PrimeField,
     Q,
@@ -108,6 +115,32 @@ def _old_inv(k, a):
     return _reduced([a.den * n for n in nums], e)
 
 
+def _loop_imul(w, x, y):
+    """The general XOR convolution with monomial weights w."""
+    out = [0] * len(x)
+    ys = [(j, b) for j, b in enumerate(y) if b]
+    for i, a in enumerate(x):
+        if a:
+            for j, b in ys:
+                out[i ^ j] += a * b * w[i & j]
+    return out
+
+
+def _prod_row(k, a, x, b, y, t):
+    """a*x + b*y + t from two ``_prod`` lists and one reduction."""
+    (u, ud), (v, vd) = k._prod(a, x), k._prod(b, y)
+    den = math.lcm(ud, vd, t.den)
+    fu, fv, ft = den // ud, den // vd, den // t.den
+    return _reduced([p * fu + q * fv + s * ft for p, q, s in zip(u, v, t.nums)], den)
+
+
+def _randint_random_element(k, rng):
+    pairs = [(rng.randint(-RANDOM_SIZE, RANDOM_SIZE), rng.randint(1, RANDOM_SIZE))
+             for _ in range(1 << k.depth)]
+    den = math.lcm(*(d for _, d in pairs))
+    return FieldElement(k, _reduced([n * (den // d) for n, d in pairs], den))
+
+
 def _old_random_element(k, rng):
     if isinstance(k, PrimeField):
         return k(rng.randrange(k.p))
@@ -161,6 +194,13 @@ def operands(draw, k):
     return _reduced((n,) + (0,) * ((1 << k.depth) - 1), draw(st.integers(1, 10**4)))
 
 
+@st.composite
+def rationals(draw, k):
+    """Rational reps, zero included, over any denominator."""
+    n = draw(st.one_of(st.just(0), st.integers(-10**6, 10**6)))
+    return _reduced((n,) + (0,) * ((1 << k.depth) - 1), draw(st.integers(1, 10**4)))
+
+
 def _old_row(k, a, x, b, y, t):
     return k._add(k._add(_old_mul(k, a, x), _old_mul(k, b, y)), t)
 
@@ -201,6 +241,26 @@ class TestFlatMultiply:
                 k._inv(b)
 
 
+class TestDepthTwoProduct:
+    SPECS = ["Q[sqrt 2][i]", "Q[sqrt 2/3][sqrt -5/7]"]
+    VECTORS = [(0, 0, 0, 0), (0, 0, 0, -3), (5, 0, 0, 0), (0, -2, 7, 0),
+               (-1, -1, -1, -1), (4, -9, 0, 6), (0, 11, 0, -13)]
+
+    @pytest.mark.parametrize("spec", SPECS)
+    @given(data=st.data())
+    def test_matches_the_loop(self, spec, data):
+        k = parse_field(spec)
+        x, y = data.draw(numerators(k)), data.draw(numerators(k))
+        assert k._imul(x, y) == _loop_imul(k._weights, x, y)
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_zero_sparse_and_negative_operands(self, spec):
+        k = parse_field(spec)
+        for x in self.VECTORS:
+            for y in self.VECTORS:
+                assert k._imul(x, y) == _loop_imul(k._weights, x, y), (x, y)
+
+
 class TestProductAndRow:
     SPECS = ["Q"] + RATIONAL_TOWERS + NESTED_TOWERS
 
@@ -226,6 +286,24 @@ class TestProductAndRow:
         assert got == _old_row(k, a, x, b, y, t)
         assert got.den > 0 and math.gcd(got.den, *got.nums) == 1
 
+    @pytest.mark.parametrize("spec", SPECS)
+    @given(data=st.data())
+    def test_rational_row_matches_prod_lists(self, spec, data):
+        k = parse_field(spec)
+        a, b = data.draw(rationals(k)), data.draw(rationals(k))
+        x, y, t = (data.draw(operands(k)) for _ in range(3))
+        assert k._row(a, x, b, y, t) == _prod_row(k, a, x, b, y, t)
+
+    def test_rational_row_unequal_denominators(self):
+        for spec in ("Q", "Q[sqrt 2][i]"):
+            k = parse_field(spec)
+            pad = (0,) * ((1 << k.depth) - 1)
+            a, b, x, y, t = (_reduced((n,) + pad, d) for n, d in
+                             [(3, 4), (-5, 6), (7, 9), (1, 10), (-11, 15)])
+            got = k._row(a, x, b, y, t)
+            assert got == _prod_row(k, a, x, b, y, t) == _old_row(k, a, x, b, y, t)
+            assert (got.nums[0], got.den) == (-7, 30)  # 7/12 - 1/12 - 11/15
+
     @pytest.mark.parametrize("p", [13, 61, 100000037])
     @given(data=st.data())
     def test_prime_row_is_the_residue_formula(self, p, data):
@@ -246,6 +324,17 @@ class TestRandomElement:
                 a, b = random_element(k, got), _old_random_element(k, want)
                 assert isinstance(a, FieldElement) and a.tower is k
                 assert a.rep == b.rep
+            assert got.getstate() == want.getstate()
+
+    @pytest.mark.parametrize("spec", ["Q", "Q[sqrt 2]", "Q[sqrt 2][i]",
+                                      "Q[sqrt 2][sqrt 3][i]", "GF(13)"])
+    def test_same_draws_as_randint(self, spec):
+        k = parse_field(spec)
+        draw = _randint_random_element if k.characteristic == 0 else _old_random_element
+        for seed in range(5):
+            got, want = random.Random(seed), random.Random(seed)
+            for _ in range(200):
+                assert random_element(k, got).rep == draw(k, want).rep
             assert got.getstate() == want.getstate()
 
     def test_reps_are_canonical(self):

@@ -1,4 +1,7 @@
+import copy
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bqplane.errors import (
+    FieldMismatch,
     FieldNotFinite,
     NoImaginaryPresentation,
     NoImaginaryUnit,
@@ -28,6 +32,7 @@ from bqplane.geometry import (
     xi,
 )
 from bqplane.maps import swap_affine
+from bqplane.parsing import parse_field
 
 QI = QuadExt(Q, -1)
 
@@ -299,3 +304,63 @@ def test_row_scan_reports_as_the_pair_scan(p, name, broken, monkeypatch):
     got = [(c.name, c.checked, c.witnesses) for c in rep.checks]
     assert not rep.ok
     assert got == _residue_scan_oracle(k)
+
+
+# phi is one row d1*d1 + d2*d2 + 0 with one reduction; it used to be five
+# operations, each reduced.  Point is a slotted class; it used to be a
+# frozen dataclass.  Both must behave as before.
+
+def _five_op_phi(x, y):
+    d1 = x.x1 - y.x1
+    d2 = x.x2 - y.x2
+    return d1 * d1 + d2 * d2
+
+
+@pytest.mark.parametrize("spec", ["Q", "GF(13)", "GF(100000037)", "Q[i]", "Q[sqrt 2][i]",
+                                  "Q[sqrt 2/3][sqrt -5/7]", "Q[sqrt 2][sqrt 3][sqrt 5 + r1*r2][i]"])
+def test_phi_matches_the_five_operation_formula(spec):
+    k = parse_field(spec)
+    rng = random.Random(4)
+    pts = [random_point(k, rng) for _ in range(30)] + [point(k, 0, 0), point(k, 3, -4)]
+    for x in pts:
+        for y in pts[:8]:
+            got = phi(x, y)
+            assert got == _five_op_phi(x, y) and got.tower is k
+            assert got.rep == _five_op_phi(x, y).rep
+
+
+class TestPoint:
+    def test_equality_and_hash_are_the_coordinate_pair(self, qi, gf13):
+        x, y = point(qi, 1, 2), point(qi, 1, 2)
+        assert x == y and x is not y and hash(x) == hash(y) == hash((x.x1, x.x2))
+        assert x != point(qi, 2, 1) and x != point(gf13, 1, 2)
+        assert x != (x.x1, x.x2) and (x == (x.x1, x.x2)) is False
+        assert Point.__eq__(x, (x.x1, x.x2)) is NotImplemented
+        assert len({x, y, point(qi, 2, 1)}) == 2
+
+    def test_repr_str_and_tower(self, qi):
+        x = point(qi, Fraction(1, 2), -3)
+        assert repr(x) == f"Point(x1={x.x1!r}, x2={x.x2!r})" == "Point(x1=<1/2 : Q[i]>, x2=<-3 : Q[i]>)"
+        assert str(x) == "(1/2, -3)" and x.tower is qi
+
+    def test_immutable(self, qi):
+        x = point(qi, 1, 2)
+        with pytest.raises(FrozenInstanceError):
+            x.x1 = qi(5)
+        with pytest.raises(FrozenInstanceError):
+            del x.x2
+        with pytest.raises(AttributeError):
+            x.extra = 1
+        assert x == point(qi, 1, 2) and not hasattr(x, "__dict__")
+
+    def test_copy_and_pickle(self, qi):
+        x = point(qi, Fraction(1, 2), -3)
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert y == x and hash(y) == hash(x) and y.tower == qi
+        with pytest.raises(FrozenInstanceError):
+            copy.copy(x).x1 = qi(1)
+
+    def test_coordinates_in_one_field(self, qi, gf13):
+        with pytest.raises(FieldMismatch, match="point coordinates in different fields: Q\\[i\\] vs GF\\(13\\)"):
+            Point(qi(1), gf13(1))
+        assert Point(qi(1), QuadExt(Q, -1)(2)).tower == qi

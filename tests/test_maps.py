@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -330,19 +331,38 @@ class TestPreservationScans:
                     assert _sample_rational_phi_pair(k, got) == (x, y)
                     assert phi(x, y) == square
 
-    def test_phi_scan_catches_the_thirds_shift(self, qi):
+    def test_phi_scan_catches_the_thirds_shift(self, qi, mod3_zero_sums):
         # x + (1, 0) when a coordinate of x has a denominator divisible by
         # 3, else x: a rational unit step has a denominator prime to 3, so
         # both ends of a unit pair of Q^2 move alike, yet the map is not
         # affine.  Pairs y = x + r*u stayed in one coset of the unit steps
         # and never saw it.
+        seen = []
+
         def shift(x):
+            seen.append(x)
             if x.x1.rep.den % 3 == 0 or x.x2.rep.den % 3 == 0:
                 return Point(x.x1 + 1, x.x2)
             return x
 
         unit = preserves_unit_distance(shift, Q, sample_domain(200, seed=1))
         assert unit.ok and unit.checked == 200
+        # The premise on each pair the scan drew, in integers: its step is
+        # (a/c, b/c) in lowest terms with a^2 + b^2 = c^2, so acceptance 7's
+        # mod-3 certificate leaves 3 out of c, and both ends move alike.
+        assert mod3_zero_sums == {(0, 0)} and len(seen) == 400
+        moved = 0
+        for x, y in zip(seen[::2], seen[1::2]):
+            u1, u2 = (Fraction(q.rep.nums[0], q.rep.den) - Fraction(p.rep.nums[0], p.rep.den)
+                      for p, q in ((x.x1, y.x1), (x.x2, y.x2)))
+            c = math.lcm(u1.denominator, u2.denominator)
+            a, b = int(u1 * c), int(u2 * c)
+            assert a * a + b * b == c * c and math.gcd(a, b, c) == 1
+            assert c % 3 != 0  # else (a % 3, b % 3) = (0, 0) and 3 | gcd(a, b, c)
+            thirds = [p.x1.rep.den % 3 == 0 or p.x2.rep.den % 3 == 0 for p in (x, y)]
+            assert thirds[0] == thirds[1]
+            moved += thirds[0]
+        assert 0 < moved < 200
         rep = preserves_phi(shift, Q, sample_domain(200, seed=1))
         assert not rep.ok and rep.witnesses
         third = point(Q, Fraction(1, 3), 0)

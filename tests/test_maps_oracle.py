@@ -15,7 +15,9 @@ An affine map used to apply its matrix as four products and two sums
 and then add its translation, with a reduction per operation; each
 image coordinate is now one row with one reduction.  That written
 formula is kept here too, and the rows must equal it, including the
-refusal of a point from another field.
+refusal of a point from another field.  An affine map then made its two
+rows through ``affine_row``, and a semi-affine map applied gamma even
+when it was the identity; both evaluations must equal those calls.
 
 A unit vector from a parameter t used to divide both of its numerators
 by 1 + t^2; it now inverts 1 + t^2 once.  The two-division formula is
@@ -398,6 +400,37 @@ def test_point_from_another_field_is_refused_as_before(spec):
         assert str(new.value) == str(old.value) == f"operands from different fields: {k} vs {other}"
         with pytest.raises(FieldMismatch, match="operands from different fields"):
             m.linear.apply(x)
+
+
+def _row_call(m, x):
+    """An AffineMap evaluated through ``affine_row``."""
+    q, t = m.linear, m.translation
+    return Point(maps.affine_row(q.q11, q.q12, x, t.x1), maps.affine_row(q.q21, q.q22, x, t.x2))
+
+
+@pytest.mark.parametrize("spec", ["Q"] + ROW_FIELDS)
+def test_map_evaluation_matches_affine_row(spec):
+    k = parse_field(spec)
+    rng = random.Random(9)
+    homs = catalog_homomorphisms(k)
+    for _ in range(40):
+        m = maps.AffineMap(maps.Matrix2(*(_entry(k, rng) for _ in range(4))),
+                           Point(_entry(k, rng), _entry(k, rng)))
+        gamma = rng.choice(homs)
+        semi = maps.SemiAffineMap(m, gamma)
+        for _ in range(3):
+            x = Point(_entry(k, rng), _entry(k, rng))
+            assert m(x) == _row_call(m, x)
+            gx = Point(apply_hom(gamma, x.x1), apply_hom(gamma, x.x2))
+            assert semi(x) == _row_call(m, gx) and semi(x).tower is k
+    for other in (PrimeField(17), parse_field("Q[sqrt 3]")):
+        x = point(other, 1, 2)
+        for f in (m, maps.SemiAffineMap(m)):
+            with pytest.raises(FieldMismatch) as new:
+                f(x)
+            with pytest.raises(FieldMismatch) as old:
+                _row_call(m, x)
+            assert str(new.value) == str(old.value)
 
 
 # ------------------------------------------------- unit from parameter
