@@ -39,6 +39,7 @@ import heapq
 import itertools
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import (
     BQError,
@@ -695,9 +696,10 @@ def search_unit_preservers(p: int, budget: int | None = None
     expected = n * 2 * (p - 1)
     found: list[MapTable] = []
     anomalies: list[Anomaly] = []
-    pos_of = sorted(range(n), key=order.__getitem__)  # point index -> position
-    for by_pos in found_pos:
-        table = MapTable(k, [by_pos[e] for e in pos_of])
+    by_index = itemgetter(*sorted(range(n), key=order.__getitem__))
+    found_pos.reverse()
+    while found_pos:  # each find by position is freed once its table is built
+        table = MapTable(k, by_index(found_pos.pop()))
         found.append(table)
         try:
             decompose(table, k)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import itemgetter
 
 from .errors import FieldMismatch, NoImaginaryUnit, ZeroScale
@@ -228,9 +229,11 @@ def _residue_identity_checks(k: PrimeField) -> list[Check]:
     xi_at, eta_at = ([point_index(f(x)) for x in pts] for f in (xi, eta))
 
     def rows(form):  # per x2: form(d1, x2 - y2), d1 = p-1..0, y2 = 0..p-1
-        of = [form(d, origin).rep for d in pts]
-        seq = [tuple(of[d1 * p + (x2 - y2) % p] for _ in (0, 1)
-                     for d1 in range(p - 1, -1, -1) for y2 in range(p))
+        back = [form(d, origin).rep for d in reversed(pts)]
+        # per d1 = p-1..0: form(d1, d2) for d2 = p-1..0, twice over, so
+        # that d2 = x2..0, p-1..x2+1 is the slice from p-1-x2
+        cycles = [back[i:i + p] * 2 for i in range(0, p * p, p)]
+        seq = [tuple(chain.from_iterable(c[p - 1 - x2:2 * p - 1 - x2] for c in cycles)) * 2
                for x2 in range(p)]
 
         def row(i: int) -> tuple:  # twice over, so one slice per x1

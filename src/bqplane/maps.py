@@ -196,11 +196,12 @@ class MapTable:
         if not isinstance(self.field, PrimeField):
             raise FieldNotFinite("map tables need a finite field")
         n = self.field.p ** 2
-        self.raw = tuple(self.raw)
-        if len(self.raw) != n or None in self.raw:
+        raw = self.raw = tuple(self.raw)
+        types = set(map(type, raw))
+        if len(raw) != n or type(None) in types:
             raise FieldMismatch(
                 f"table must cover all {n} points of {self.field}^2")
-        if not all(type(v) is int and 0 <= v < n for v in self.raw):
+        if types != {int} or min(raw) < 0 or max(raw) >= n:  # bool is no int here
             raise FieldMismatch("table image outside the field")
 
     def __call__(self, x: Point) -> Point:

@@ -230,6 +230,32 @@ class TestMapTables:
             with pytest.raises(FieldMismatch, match="table image outside the field"):
                 MapTable(gf13, [bad] + [0] * 168)
 
+    @pytest.mark.parametrize("bad, message", [
+        (True, "table image outside the field"),    # a bool is no index
+        (False, "table image outside the field"),
+        (-1, "table image outside the field"),
+        (169, "table image outside the field"),     # p^2
+        (2**64, "table image outside the field"),
+        (1.0, "table image outside the field"),
+        ("0", "table image outside the field"),
+        (None, "table must cover all 169 points of GF(13)^2"),
+    ])
+    def test_refusal_of_each_entry(self, gf13, bad, message):
+        for at in (0, 100, 168):
+            raw = list(range(169))
+            raw[at] = bad
+            with pytest.raises(FieldMismatch) as exc:
+                MapTable(gf13, raw)
+            assert str(exc.value) == message
+        with pytest.raises(FieldMismatch) as exc:
+            MapTable(gf13, [bad] * 169)
+        assert str(exc.value) == message
+
+    def test_a_hole_is_named_before_a_bad_image(self, gf13):
+        for bad in (1.0, -1, True):
+            with pytest.raises(FieldMismatch, match="^table must cover all 169 points"):
+                MapTable(gf13, [bad, None] + [0] * 167)
+
     def test_requires_finite_field(self):
         with pytest.raises(FieldNotFinite, match="map tables need a finite field"):
             MapTable(Q, ())

@@ -298,6 +298,7 @@ def _reading(reader, text, k):
 def _same_reading(text, k):
     got = _reading(parse_table_lines, text, k)
     assert got == _reading(_reference_table, text, k)
+    assert got == _reading(_table_by_line_match, text, k)
     return got
 
 
@@ -416,6 +417,231 @@ class TestOneMatchPerLine:
         text = "\n".join(lines) + "\n"
         assert _same_reading(text, k) == raw
         assert _reading(_table_by_sides, text, k) == raw
+
+
+_INT = r"\s*(-?[0-9]{1,18})\s*"
+_INT_LINE = re.compile(f"{_INT},{_INT}->{_INT},{_INT}")
+
+
+def _table_by_line_match(text, k):
+    """The table reader as it was before blocks: one match reads an
+    all-integer line, the element parser any other line."""
+    p = k.p
+    raw, line_of = [None] * (p * p), [0] * (p * p)
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        m = _INT_LINE.fullmatch(line)
+        if m is not None:
+            src = int(m[1]) % p * p + int(m[2]) % p
+            dst = int(m[3]) % p * p + int(m[4]) % p
+        elif "->" not in line:
+            raise ParseError(f"line {lineno}: missing '->'")
+        else:
+            try:
+                src, dst = (pt.x1.rep * p + pt.x2.rep for pt in
+                            (_parse_pair(side, k) for side in line.split("->", 1)))
+            except BQError as exc:
+                exc.args = (f"line {lineno}: {exc}",)
+                raise
+        if line_of[src]:
+            raise ParseError(f"line {lineno}: point ({src // p}, {src % p})"
+                             f" already mapped on line {line_of[src]}")
+        line_of[src] = lineno
+        raw[src] = dst
+    return raw
+
+
+# every separator that str.splitlines splits at
+_LINE_ENDS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+              "\u2028", "\u2029"]
+
+
+def _full_table(p, seed):
+    """The lines of a random table over GF(p), in ``format_table_lines``
+    order, and the table they give."""
+    rng = random.Random(seed)
+    raw = [rng.randrange(p * p) for _ in range(p * p)]
+    return format_table_lines(MapTable(PrimeField(p), raw)).splitlines(), raw
+
+
+def _split_line(line):
+    lhs, rhs = line.split(" -> ")
+    return [int(v) for v in lhs.split(",") + rhs.split(",")]
+
+
+def _spell(values, forms):
+    """A table line from four integers, each through a form of its own."""
+    x1, x2, y1, y2 = (form(v) for form, v in zip(forms, values))
+    return f"{x1},{x2} -> {y1},{y2}"
+
+
+# Lines across the first blocks, and the last lines of a GF(13) file.
+_AT = [0, 1, 31, 32, 62, 63, 64, 65, 127, 128, 129, 167, 168]
+
+
+class TestBlockReading:
+    """Whole files read a block at a time give the table, or the error,
+    of the line-by-line readers."""
+
+    @pytest.mark.parametrize("end", _LINE_ENDS)
+    def test_every_line_end(self, end):
+        lines, raw = _full_table(13, 1)
+        assert _same_reading(end.join(lines) + end, PrimeField(13)) == raw
+        assert _same_reading(end.join(lines), PrimeField(13)) == raw
+
+    def test_mixed_line_ends(self):
+        lines, raw = _full_table(29, 2)
+        rng = random.Random(5)
+        text = "".join(line + rng.choice(_LINE_ENDS) for line in lines)
+        assert _same_reading(text, PrimeField(29)) == raw
+
+    @pytest.mark.parametrize("note", [
+        "  # a comment after the data",
+        "# -> 1,2 | 3,4",
+        "\t#",
+        "#, , , -> ->",
+    ])
+    def test_comments_after_data(self, note):
+        lines, raw = _full_table(13, 3)
+        text = "".join(f"{line}{note}\n" for line in lines)
+        assert _same_reading(text, PrimeField(13)) == raw
+
+    @pytest.mark.parametrize("filler", ["", " ", "\t \t", "\u3000", "\x1f", "# only a comment",
+                                        "   # indented comment"])
+    def test_blank_and_comment_lines(self, filler):
+        lines, raw = _full_table(13, 4)
+        for j in reversed(_AT):
+            lines[j:j] = [filler, filler]
+        text = "\n".join([filler] + lines + [filler]) + "\n"
+        assert _same_reading(text, PrimeField(13)) == raw
+
+    def test_whitespace_around_tokens(self):
+        lines, raw = _full_table(13, 5)
+        spaced = [f"\t{line.replace(',', ' ,  ').replace(' -> ', '->  ')} " if j % 2 else
+                  line.replace(" -> ", "\u3000->\u3000") for j, line in enumerate(lines)]
+        assert _same_reading("\n".join(spaced), PrimeField(13)) == raw
+
+    @pytest.mark.parametrize("form", [
+        lambda v: str(v + 13),                # residues >= p
+        lambda v: str(v - 13),                # negatives
+        lambda v: str(v - 13 * 10**6),
+        lambda v: f"{v:05d}",                 # leading zeros
+        lambda v: f"-0{13 - v}",
+        lambda v: str(v + 13 * 10**16),       # 18 digits
+        lambda v: str(v - 13 * 10**16),
+        lambda v: str(v + 13 * 10**17),       # 19 digits: the element parser's
+        lambda v: "0" * 18 + str(v),
+    ])
+    def test_integers_other_than_residues(self, form):
+        lines, raw = _full_table(13, 6)
+        for j in _AT:  # one coordinate changed, then all four
+            forms = [str] * 4
+            forms[j % 4] = form
+            lines[j] = _spell(_split_line(lines[j]), forms)
+        lines[100] = _spell(_split_line(lines[100]), [form] * 4)
+        assert _same_reading("\n".join(lines) + "\n", PrimeField(13)) == raw
+        every = [_spell(_split_line(line), [form] * 4) for line in lines]
+        assert _same_reading("\n".join(every) + "\n", PrimeField(13)) == raw
+
+    @pytest.mark.parametrize("first, again", [
+        (0, 1), (2, 9), (5, 60), (63, 64), (0, 168), (30, 140), (129, 130), (167, 168),
+    ])
+    @pytest.mark.parametrize("spelling", ["same", "shifted", "expression"])
+    def test_repeated_points(self, first, again, spelling):
+        lines, _ = _full_table(13, 7)
+        x1, x2, _, _ = _split_line(lines[first])
+        y1, y2 = (3, 4)
+        lines[again] = {
+            "same": f"{x1},{x2} -> {y1},{y2}",
+            "shifted": f"{x1 - 13},{x2 + 26} -> {y1},{y2}",
+            "expression": f"({x1}), {x2} + 0 -> {y1},{y2}",
+        }[spelling]
+        got = _same_reading("\n".join(lines) + "\n", PrimeField(13))
+        assert got == (ParseError, f"line {again + 1}: point ({x1}, {x2}) already mapped"
+                                   f" on line {first + 1}")
+
+    def test_first_error_in_line_order(self):
+        lines, _ = _full_table(13, 8)
+        lines[100] = lines[3]   # repeats line 4
+        lines[120] = "1,2 3,4"  # missing '->', after the repeat
+        got = _same_reading("\n".join(lines), PrimeField(13))
+        assert got[1].startswith("line 101: point")
+        lines[100], lines[3] = lines[120], lines[100]
+        assert _same_reading("\n".join(lines), PrimeField(13)) == (
+            ParseError, "line 101: missing '->'")
+
+    @pytest.mark.parametrize("fault", [
+        lambda line: line.replace(" -> ", " "),          # missing '->'
+        lambda line: line.replace(" -> ", " - > "),
+        lambda line: line.replace(" -> ", " <- "),        # seven tokens, no '->'
+        lambda line: line.replace(",", " - "),            # seven tokens, no ','
+        lambda line: line.replace(" -> ", " ->> "),
+        lambda line: line + " 5",                         # a token too many
+        lambda line: line + ",",
+        lambda line: line + " | 1,2 -> 3,4",
+        lambda line: line.rsplit(",", 1)[0],             # a token too few
+        lambda line: line.replace(",", " ", 1),
+        lambda line: line.replace(",", ",,", 1),
+        lambda line: line.replace(" -> ", " -> -> "),
+        lambda line: "|" + line,
+        lambda line: line.replace(",", "/0,", 1),         # zero denominator
+        lambda line: line.replace(",", " r1,", 1),
+        lambda line: line.replace(",", "\u0661,", 1),  # a digit that is not ASCII
+        lambda line: line.replace(",", "_0,", 1),
+        lambda line: "+" + line,
+    ])
+    def test_faulty_lines(self, fault):
+        lines, _ = _full_table(13, 9)
+        for j in _AT:
+            faulty = lines[:j] + [fault(lines[j])] + lines[j + 1:]
+            got = _same_reading("\n".join(faulty) + "\n", PrimeField(13))
+            assert isinstance(got, tuple) and got[1].startswith(f"line {j + 1}: ")
+
+    @pytest.mark.parametrize("rewrite", [
+        lambda a, b, c, d: f"{a}, {b} -> ({c}), {d}",
+        lambda a, b, c, d: f"{a} + 13,{b} -> {c}*1,{d} - 0",
+        lambda a, b, c, d: f"{a}/1,{b} -> {c},-(-{d})",
+        lambda a, b, c, d: f"{a},{b}->{c},{d}",           # an arrow without spaces
+        lambda a, b, c, d: f"{a},{b} ->{c},{d}",
+    ])
+    def test_expression_lines(self, rewrite):
+        lines, raw = _full_table(13, 10)
+        for j in _AT:
+            lines[j] = rewrite(*_split_line(lines[j]))
+        assert _same_reading("\n".join(lines), PrimeField(13)) == raw
+
+    @given(st.data())
+    def test_random_files(self, data):
+        """Line kinds drawn at random, most sources distinct, any line end."""
+        k = PrimeField(13)
+        count = data.draw(st.integers(0, 140))  # past two block ends
+        sources = data.draw(st.permutations(range(169)))
+        kinds = st.sampled_from(["plain"] * 8 + ["shifted", "expression", "note",
+                                                  "blank", "comment", "repeat", "fault"])
+        lines = []
+        for j in range(count):
+            kind = data.draw(kinds)
+            src = sources[j % 169]
+            if kind == "repeat" and j:
+                src = sources[data.draw(st.integers(0, j - 1)) % 169]
+            x1, x2 = divmod(src, 13)
+            y1, y2 = data.draw(st.integers(-20, 40)), data.draw(st.integers(-20, 40))
+            line = {
+                "shifted": f"{x1 + 13},{x2 - 26} -> {y1},{y2}",
+                "expression": f"{x1}, ({x2}) -> {y1}, {y2}",
+                "note": f"{x1},{x2} -> {y1},{y2} # ->",
+                "blank": " ",
+                "comment": "# x -> y",
+                "fault": data.draw(st.sampled_from([f"{x1},{x2} -> {y1},{y2},",
+                                                    f"{x1} {x2} -> {y1} {y2} 0",
+                                                    f"{x1},{x2} {y1},{y2}"])),
+            }.get(kind, f"{x1},{x2} -> {y1},{y2}")
+            lines.append(line + data.draw(st.sampled_from(_LINE_ENDS)))
+        text = "".join(lines)
+        got = _same_reading(text, k)
+        assert got == _reading(_table_by_sides, text, k)
 
 
 # ------------------------------------------ any text: a value or a BQError
