@@ -469,13 +469,19 @@ class Anomaly:
 
 @dataclass
 class SearchCensus:
+    """A census's finds and anomalies.  ``nodes`` counts the search
+    tree's nodes up to the end or the budget, and ``visited`` the nodes a
+    walk stepped onto: each node a forward walk counts and, for a walk
+    back from a child's end, its finished nodes and the open path at its
+    end."""
+
     p: int
     expected: int
     found: list[MapTable]
     anomalies: list[Anomaly]
     complete: bool
-    nodes: int    # nodes of the search tree up to the end or the budget
-    visited: int  # of those, the nodes the DFS walked one by one
+    nodes: int
+    visited: int
 
     @property
     def total_found(self) -> int:
@@ -585,6 +591,47 @@ def _walk(img: list[int], masks: list[int], seed: list[int],
             cm = nxt
 
 
+def _walk_back(img: list[int], masks: list[int], seed: list[int],
+               more: list[tuple[int, ...]], cm: int, count: int) -> tuple[int, int]:
+    """``_walk``'s child from its far end: the DFS that tries the highest
+    candidate first and counts a node once its children are done, whose
+    first count nodes to finish are the last count of ``_walk``'s preorder
+    (a reversed preorder is the postorder of the reversed DFS); count must
+    not exceed the child's size.  Returns (finds among those count nodes,
+    nodes stepped onto: those count and the open path at the end)."""
+    n = len(masks)
+    mpos = [0] * n
+    mpos[0], mpos[1] = masks[img[0]], masks[img[1]]
+    stack = [0] * n
+    hits = 0
+    left = count
+    last = n - 1
+    pos = 2
+    while True:
+        if cm:
+            v = cm.bit_length() - 1
+            cm ^= 1 << v
+            if pos == last:
+                hits += 1
+            else:
+                mpos[pos] = masks[v]
+                nxt = mpos[seed[pos]]
+                for e in more[pos]:
+                    nxt &= mpos[e]
+                if nxt:
+                    stack[pos] = cm
+                    pos += 1
+                    cm = nxt
+                    continue
+            # a find or a dead end finishes at once
+        else:  # the children of pos - 1 are done: its node finishes
+            pos -= 1
+            cm = stack[pos]
+        left -= 1
+        if not left:
+            return hits, count + pos - 2
+
+
 def _mirror(p: int, offs: list[tuple[int, int]]) -> tuple[int, ...]:
     """x -> 2<x, u0> u0 - x, u0 = (c, s) the lowest-index unit offset: the
     reflection (<u0, u0> = 1) that fixes (0,0) and u0."""
@@ -598,7 +645,7 @@ def _pair_census(p: int, offs: list[tuple[int, int]], neigh: list[tuple[int, ...
     """The DFS over every pair of images of positions 0 and 1, one child
     (image of position 2) at a time, walking only the children that no
     earlier child maps onto (see ``search_unit_preservers``): (finds by
-    position in DFS order, nodes, nodes walked, complete)."""
+    position in DFS order, nodes, nodes visited, complete)."""
     n = p * p
     # distinct offsets give distinct neighbours, so the sum is their union
     masks = [sum(1 << v for v in row) for row in neigh]
@@ -610,16 +657,16 @@ def _pair_census(p: int, offs: list[tuple[int, int]], neigh: list[tuple[int, ...
     kids: dict[int, tuple[int, list[list[int]]]] = {}  # first pair: v -> child
     first: tuple[int, list[list[int]]] | None = None  # the first pair subtree
     finds: list[list[int]] = []
-    nodes = mapped = 0
+    nodes = skipped = 0  # skipped: nodes counted but never stepped onto
     for a in range(n):
         nodes += 1
         if nodes == stop:
-            return finds, nodes, nodes - mapped, False
+            return finds, nodes, nodes - skipped, False
         a1, a2 = divmod(a, p)
         for b, (rc, rs) in sorted(zip(neigh[a], rots)):  # the DFS order of b
             nodes += 1
             if nodes == stop:
-                return finds, nodes, nodes - mapped, False
+                return finds, nodes, nodes - skipped, False
             img[0], img[1] = a, b
             if first is None:  # child w is the mirror of child sigma[w]
                 table, plan = sigma, [
@@ -630,27 +677,34 @@ def _pair_census(p: int, offs: list[tuple[int, int]], neigh: list[tuple[int, ...
                 if not stop or nodes + first[0] < stop:
                     finds.extend(sorted([table[x] for x in f] for f in first[1]))
                     nodes += first[0]
-                    mapped += first[0]
+                    skipped += first[0]
                     continue
                 plan = sorted((table[v], v) for v in kids)
             for w, v in plan:
                 src = kids.get(v)
-                if src is not None and (not stop or nodes + src[0] < stop):
-                    sub, got, cut = src[0], sorted(
-                        [table[x] for x in f] for f in src[1]), False
-                    mapped += sub
+                at = stop - nodes if stop else 0  # the stop's node in this child
+                if src is None or 0 < at <= src[0] + 1 - at:  # the stop nearer its start
+                    sub, got, cut = _walk(img, masks, seed, more, 1 << w, at)
                 else:
-                    sub, got, cut = _walk(img, masks, seed, more, 1 << w,
-                                          stop - nodes if stop else 0)
+                    sub, got = src[0], sorted([table[x] for x in f] for f in src[1])
+                    cut = 0 < at <= sub
+                    if cut:  # walk the nodes from the stop to the end, from the end
+                        hits, walked = _walk_back(img, masks, seed, more, 1 << w,
+                                                  sub - at + 1)
+                        del got[len(got) - hits:]  # the finds from the stop on, its own too
+                        skipped += at - walked
+                        sub = at
+                    else:
+                        skipped += sub
                 finds.extend(got)
                 nodes += sub
                 if cut:
-                    return finds, nodes, nodes - mapped, False
+                    return finds, nodes, nodes - skipped, False
                 if first is None:
                     kids[w] = (sub, got)
             if first is None:  # below its nodes 1 and 2; no find precedes
                 first = (nodes - 2, finds[:])
-    return finds, nodes, nodes - mapped, True
+    return finds, nodes, nodes - skipped, True
 
 
 def search_unit_preservers(p: int, budget: int | None = None
@@ -681,9 +735,14 @@ def search_unit_preservers(p: int, budget: int | None = None
     first pair's child v onto its child sigma(v).  So only the first
     pair's children with v <= sigma(v) are walked, and of the pair the
     budget cuts, child by child in the order of J(v), only the one where
-    the stop falls.  ``nodes``, ``complete`` and the finds in order are
-    those of the full walk; ``visited`` counts the nodes walked one by
-    one.  Each find, walked or mapped, is decomposed.
+    the stop falls, from its nearer end: when that child is a mapped one
+    and the stop is its node L of S with 2L > S + 1, the walk that tries
+    the highest candidate first and counts a node once its children are
+    done finishes the last S - L + 1 nodes first (``_walk_back``), and
+    the finds before the stop are the child's mapped finds less those it
+    meets.  ``nodes``, ``complete`` and the finds in order are those of
+    the full walk; ``visited`` counts the nodes the walks stepped onto.
+    Each find, walked or mapped, is decomposed.
     """
     k = PrimeField(p)
     n = p * p

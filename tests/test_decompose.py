@@ -515,12 +515,14 @@ class TestPreserverSearch:
         assert census.expected == 17 * 17 * 2 * 16
 
     def test_visited_counts_only_the_walked_nodes(self):
-        # one child of the first pair subtree and the part of the child
-        # the budget cuts are walked; the mirrored child, the 26 or so
-        # subtrees between and the cut pair's earlier children are mapped
+        # one child of the first pair subtree (18,524 nodes) is walked,
+        # and of the child the budget cuts only its last 326 nodes, from
+        # the stop on, walked back from its end; the mirrored child, the
+        # 26 or so subtrees between and the cut pair's earlier children
+        # are mapped
         census = search_unit_preservers(13, budget=1_000_000)
         assert census.nodes == 1_000_001
-        assert census.visited < 40_000
+        assert census.visited < 19_000
 
     def test_complete_census_walks_one_child_of_each_mirror_pair(self):
         census = search_unit_preservers(13)

@@ -38,9 +38,12 @@ from bqplane.decompose import (
     _lorentz_on_table,
     _mirror,
     _neighbors,
+    _pair_census,
     _read_prime_gamma,
     _rotations,
     _search_order,
+    _walk,
+    _walk_back,
     decompose,
     decompose_lorentz,
     search_unit_preservers,
@@ -534,13 +537,29 @@ def test_decompose_uses_the_frame_scan_wording(gf13):
 # ...: the budgets cut the second child, the fifth (292,038 to 471,722),
 # the first node of the first mirrored child (927,291) and a later
 # mirrored child (1,264,480 to 1,382,858).
+#
+# A cut child whose size S and finds are known is walked back from its
+# end when the stop is its node L with 2L > S + 1.  30,000 cuts the
+# mirrored child at p = 13 before its find.  46,311 to 46,313 cut the
+# second pair's first child (S = 18,524, nodes 37,052 to 55,575) at
+# 2L = S - 2, S and S + 2: the first two walk forward, the third back.
+# At p = 17, 964,246 to 964,248 cut the first mirrored child (S = 73,915,
+# nodes 927,291 to 1,001,205) at 2L = S - 1, S + 1 and S + 3, again the
+# third walking back, and 1,001,204 its last node.  3,465,000 cuts the
+# second pair's last child, the J-image of the first pair's child 18
+# (nodes 3,371,897 to 3,465,507), 506 nodes before its end, and 1,850,000
+# the second pair's second child (nodes 1,767,781 to 1,854,579), the
+# J-image of child 2, after both its finds, which J puts out of order.
 SEARCH_CASES = ([(p, budget) for p in (13, 17, 29, 37)
                  for budget in (0, 1, 1_000, 40_000, 200_000)]
                 + [(13, budget) for budget in (37_049, 37_050, 37_051, 74_098,
                                                1_000_000)]
                 + [(13, budget) for budget in (18_525, 18_526, 18_527, 55_574)]
+                + [(13, budget) for budget in (30_000, 46_311, 46_312, 46_313)]
                 + [(17, budget) for budget in (100_000, 300_000, 927_290,
-                                               1_300_000, 1_732_754, 1_800_000)])
+                                               1_300_000, 1_732_754, 1_800_000)]
+                + [(17, budget) for budget in (964_246, 964_247, 964_248,
+                                               1_001_204, 1_850_000, 3_465_000)])
 
 
 @pytest.mark.parametrize("p, budget", SEARCH_CASES,
@@ -550,6 +569,108 @@ def test_search_visits_the_oracle_nodes(p, budget):
     nodes, complete, found = _search_prime_raw(p, budget)
     assert (census.nodes, census.complete) == (nodes, complete)
     assert [t.raw for t in census.found] == found
+
+
+def _census_inputs(p):
+    """The unit neighbours and earlier-neighbour positions, and the masks,
+    seed and more lists that ``_pair_census`` hands its walks."""
+    offs = [(u.x1.rep, u.x2.rep) for u in unit_circle(PrimeField(p))]
+    neigh = _neighbors(p, offs)
+    earlier = _search_order(neigh)[1]
+    masks = [sum(1 << v for v in row) for row in neigh]
+    seed = [e[0] for e in earlier[1:]] + [0]
+    more = [tuple(e[1:]) for e in earlier[1:]] + [()]
+    return neigh, earlier, masks, seed, more
+
+
+def _child_preorder(neigh, earlier, a, b, w):
+    """(position, whether a find) of each node of the child w below the
+    images a, b of positions 0 and 1, in the forward DFS preorder: each
+    position takes, in increasing order, the points on the unit circles
+    of all its earlier neighbours' images."""
+    n = len(neigh)
+    circle = [set(row) for row in neigh]
+    img = [a, b, w] + [0] * (n - 3)
+    out = [(2, False)]
+
+    def visit(pos):
+        for v in sorted(set.intersection(*(circle[img[e]] for e in earlier[pos]))):
+            img[pos] = v
+            out.append((pos, pos == n - 1))
+            if pos < n - 1:
+                visit(pos + 1)
+
+    visit(3)
+    return out
+
+
+# (p, pair, child, size): the first pair's mirrored child at p = 13 and
+# the second pair's J-image of the first pair's child 2 at p = 17, each
+# holding finds
+BACK_CHILDREN = [(13, 0, 150, 18_524), (17, 1, 15, 86_799)]
+
+
+@pytest.mark.parametrize("p, pair, w, size", BACK_CHILDREN)
+def test_back_walk_finishes_the_preorder_tail(p, pair, w, size):
+    """The first count nodes the back walk finishes are the child's last
+    count in preorder: it counts their finds, the stop node's included,
+    and steps onto them and the stop node's open ancestors."""
+    neigh, earlier, masks, seed, more = _census_inputs(p)
+    b = sorted(neigh[0])[pair]
+    pre = _child_preorder(neigh, earlier, 0, b, w)
+    assert len(pre) == size
+    at_finds = [size - i for i, (_, find) in enumerate(pre) if find]
+    assert at_finds
+    rng = random.Random(p)
+    counts = sorted(set(range(1, 200)) | {size - 1, size}
+                    | {c + d for c in at_finds for d in (-1, 0, 1)} - {size + 1}
+                    | {rng.randint(1, size) for _ in range(6)})
+    img = [0, b] + [0] * (p * p - 2)
+    for count in counts:
+        hits = sum(find for _, find in pre[size - count:])
+        visited = count + pre[size - count][0] - 2
+        assert _walk_back(img, masks, seed, more, 1 << w, count) == (hits, visited), count
+
+
+def _walk_back_forward(img, masks, seed, more, cm, count):
+    """``_walk_back``'s finds by the forward walk: all the child's finds
+    less those before its node size - count + 1."""
+    size, every, _ = _walk(img, masks, seed, more, cm, 0)
+    _, before, _ = _walk(img, masks, seed, more, cm, size - count + 1)
+    return len(every) - len(before), count
+
+
+def test_search_at_random_budgets(monkeypatch):
+    """Seeded budgets over the first 3.5M nodes at p = 17 and the complete
+    p = 13 census.  At p = 17 the oracle is the loop before masks.  Over
+    p = 13's 75,135,541 nodes that loop would take about a minute a
+    budget, so there each back walk is checked against the forward walk
+    of the same child, which the fixed cases check against that loop."""
+    import bqplane.decompose as module
+
+    rng = random.Random(30)
+    for budget in [rng.randrange(3_500_000) for _ in range(3)]:
+        census = search_unit_preservers(17, budget=budget)
+        nodes, complete, found = _search_prime_raw(17, budget)
+        assert (census.nodes, census.complete) == (nodes, complete), budget
+        assert [t.raw for t in census.found] == found, budget
+    p = 13
+    offs = [(u.x1.rep, u.x2.rep) for u in unit_circle(PrimeField(p))]
+    neigh = _neighbors(p, offs)
+    earlier = _search_order(neigh)[1]
+    stops = [rng.randrange(75_135_541) + 1 for _ in range(17)]
+    back = [_pair_census(p, offs, neigh, earlier, stop) for stop in stops]
+    counts = []
+
+    def replay(*args):
+        counts.append(args[-1])
+        return _walk_back_forward(*args)
+
+    monkeypatch.setattr(module, "_walk_back", replay)
+    for stop, (finds, nodes, _, complete) in zip(stops, back):
+        want = _pair_census(p, offs, neigh, earlier, stop)
+        assert (finds, nodes, complete) == (want[0], want[1], want[3]), stop
+    assert len(counts) >= 5
 
 
 @pytest.mark.parametrize("p", [13, 17, 29, 37, 41, 53, 61])

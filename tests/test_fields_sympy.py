@@ -9,15 +9,31 @@ Groebner basis (Buchberger's first criterion) and ``sympy.reduced`` gives
 the unique normal form.  ``_prod``, ``_mul``, ``_row`` and ``_inv`` must
 give that normal form's coefficients, compared as values: two ``Poly``
 objects of equal value can still differ in their domains.
+
+``sqrt_in_field`` is checked on squares whose values the oracle reduces,
+and ``apply_hom`` as the substitution r_L -> -r_L at each conjugated level
+followed by the reduction; a conjugation is multiplicative exactly when
+that substitution sends every relation into the ideal they generate.
 """
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
 
-from bqplane.fields import TowerRep, _reduced, tower_levels
+from bqplane.fields import (
+    FieldElement,
+    LevelConjugation,
+    TowerRep,
+    _reduced,
+    apply_hom,
+    is_automorphism,
+    sqrt_in_field,
+    tower_levels,
+)
 from bqplane.parsing import parse_field
 
 SPECS = [
@@ -59,6 +75,17 @@ class Oracle:
 
     def value(self, nums, den) -> dict:
         return _values(sympy.Poly(self.expr(nums, den), *self.gens))
+
+    def of(self, x) -> dict:
+        return self.value(x.rep.nums, x.rep.den)
+
+    def element(self, coeffs: dict):
+        """The tower element with these coefficients by monomial."""
+        fracs = [Fraction(0)] * (1 << self.k.depth)
+        for exps, c in coeffs.items():
+            fracs[sum(e << L for L, e in enumerate(exps))] = c
+        den = math.lcm(*(c.denominator for c in fracs))
+        return FieldElement(self.k, _reduced([int(c * den) for c in fracs], den))
 
 
 def _values(poly) -> dict:
@@ -132,3 +159,64 @@ def test_inv(spec):
             continue
         inv = o.k._inv(a)
         assert o.normal_form(o.expr(a) * o.expr(inv)) == {(0,) * o.k.depth: 1}
+
+
+def _negate(s):
+    """s with its coefficient signs flipped, by value."""
+    return {m: -c for m, c in s.items()}
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_sqrt_of_squares(spec):
+    """A square y^2, formed by the oracle, returns +-y, whose square the
+    oracle reduces to y^2; y is also a single top-level radical term, the
+    branch with no rational part."""
+    o = ORACLES[spec]
+    rng = random.Random(spec)
+    top = 1 << (o.k.depth - 1)
+    for y in [_operand(rng, o.k, kind) for kind in KINDS] + [
+            _reduced([rng.randint(-9, 9) or 1 if m & top else 0
+                      for m in range(1 << o.k.depth)], rng.randint(1, 9))]:
+        want = o.value(y.nums, y.den)
+        square = o.normal_form(o.expr(y) ** 2)
+        s = sqrt_in_field(o.element(square))
+        assert s is not None
+        assert o.of(s) in (want, _negate(want))
+        assert o.normal_form(o.expr(s.rep) ** 2) == square
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_a_returned_sqrt_squares_back(spec):
+    o = ORACLES[spec]
+    rng = random.Random(spec + "sqrt")
+    for _ in range(DRAWS):
+        x = FieldElement(o.k, _operand(rng, o.k, rng.choice(KINDS)))
+        s = sqrt_in_field(x)
+        if s is not None:
+            assert o.normal_form(o.expr(s.rep) ** 2) == o.of(x)
+
+
+def _level_sets(k):
+    return [levels for n in range(1, k.depth + 1)
+            for levels in itertools.combinations(range(1, k.depth + 1), n)]
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_apply_hom_is_the_radical_substitution(spec):
+    """Each level set's conjugation is r_L -> -r_L at those levels, then
+    the reduction; where every relation maps into the ideal, the
+    conjugation is an automorphism and keeps products."""
+    o = ORACLES[spec]
+    for levels in _level_sets(o.k):
+        h = LevelConjugation(*levels)
+        sub = {o.gens[L - 1]: -o.gens[L - 1] for L in levels}
+        lawful = all(o.normal_form(r.subs(sub, simultaneous=True)) == {}
+                     for r in o.basis)
+        assert is_automorphism(h, o.k) == lawful, levels
+        for a, b, *_ in _draws(spec):
+            x, y = FieldElement(o.k, a), FieldElement(o.k, b)
+            image = o.expr(a).subs(sub, simultaneous=True)
+            assert o.of(apply_hom(h, x)) == o.normal_form(image), levels
+            if lawful:
+                both = o.normal_form(image * o.expr(b).subs(sub, simultaneous=True))
+                assert o.of(apply_hom(h, x * y)) == both, levels
