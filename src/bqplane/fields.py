@@ -651,10 +651,9 @@ def sqrt_in_field(x: FieldElement) -> FieldElement | None:
         for cand in (s, -s):
             u = sqrt_in_field((a + cand) / 2)
             if u is not None and not u.is_zero:
+                # u^2 = (a + cand)/2, cand^2 = a^2 - d b^2, v = b/(2u): (u + v r)^2 = a + b r
                 v = b / (2 * u)
-                root = FieldElement(k, _join(u.rep, v.rep))
-                if root * root == x:
-                    return _canonical_sign(root)
+                return _canonical_sign(FieldElement(k, _join(u.rep, v.rep)))
         return None
     raise TypeError(f"unsupported field {k}")
 

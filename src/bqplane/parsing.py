@@ -371,8 +371,9 @@ def parse_map(s: str, k: FieldTower) -> MapExpression:
 
 # ------------------------------------------------------- map table files
 
-_BLOCK = 64  # lines tokenized at once: fewer read slower, more peak higher
 _PLAIN_INT = re.compile("-?[0-9]{1,18}")  # at most 18 digits: int() stays cheap
+_INT = rf"\s*({_PLAIN_INT.pattern})\s*"
+_INT_LINE = re.compile(f"{_INT},{_INT}->{_INT},{_INT}")
 
 
 def parse_table_lines(text: str, k: FieldTower) -> list[int | None]:
@@ -380,39 +381,24 @@ def parse_table_lines(text: str, k: FieldTower) -> list[int | None]:
     ``MapTable``, None where no line maps the point; a source point given
     twice is rejected, and every error names its line.
 
-    Lines are read a block at a time.  A block whose lines all hold four
-    plain integers is tokenized by one split; any other block is read
-    line by line, each line the same way if it can be, else by the
-    element parser.  An error, or a point mapped twice, sends the whole
-    text through the element parser line by line, which names the first
-    faulty line (and a repeated point's earlier line)."""
+    A text whose lines all hold four plain integers, each point given
+    once, is tokenized by one split.  Any other text is read line by
+    line, a line of plain integers by one match and any other line by
+    the element parser, which names the first faulty line (and a
+    repeated point's earlier line)."""
     if not isinstance(k, PrimeField):
         raise FieldNotFinite("map tables need a finite field")
     lines = text.splitlines()
-    raw = _table_by_blocks(lines, k)
-    return _table_by_lines(lines, k) if raw is None else raw
-
-
-def _table_by_blocks(lines: list[str], k: PrimeField) -> list[int | None] | None:
-    """The raw images, or None if a line is faulty or maps a point that
-    an earlier line maps."""
     p = k.p
-    raw: list[int | None] = [None] * (p * p)
-    rows, cols = _Residues(p, p), _Residues(p, 1)
-    mapped = 0
-    for start in range(0, len(lines), _BLOCK):
-        block = lines[start:start + _BLOCK]
-        pairs = _integer_block(block, rows, cols)
-        if pairs is None:
-            try:
-                pairs = _block_by_lines(block, rows, cols, k)
-            except BQError:  # raised again, naming its line, by _table_by_lines
-                return None
+    pairs = _integer_lines(lines, p)
+    if pairs is not None:
+        raw: list[int | None] = [None] * (p * p)
         srcs, dsts = pairs
-        mapped += len(srcs)
         for src, dst in zip(srcs, dsts):
             raw[src] = dst
-    return raw if p * p - raw.count(None) == mapped else None
+        if p * p - raw.count(None) == len(srcs):
+            return raw
+    return _table_by_lines(lines, k)
 
 
 class _Residues(dict):
@@ -430,21 +416,20 @@ class _Residues(dict):
         return value
 
 
-def _integer_block(block: list[str], rows: _Residues, cols: _Residues
-                   ) -> tuple[list[int], list[int]] | None:
-    """The source and image indices of a block's lines, or None unless
-    each line that is not blank or a comment holds ``x1,x2 -> y1,y2`` in
-    plain integers.
+def _integer_lines(lines: list[str], p: int) -> tuple[list[int], list[int]] | None:
+    """The source and image indices of the lines, or None unless each
+    line that is not blank or a comment holds ``x1,x2 -> y1,y2`` in plain
+    integers.
 
     With its commas and arrow spaced apart, such a line is the seven
     tokens x1 , x2 -> y1 , y2, and the lines are joined by a '|' token,
-    so the block's 8m - 1 tokens hold ',' at every position 1 and 5 mod
+    so the text's 8m - 1 tokens hold ',' at every position 1 and 5 mod
     8, '->' at 3 mod 8 and coordinates at the even positions.  None of
     these is '|', so the m - 1 joins take the positions 7 mod 8, and
     each line holds exactly its seven tokens."""
-    if "#" in "".join(block):
-        block = [line.split("#", 1)[0] for line in block]
-    lines = list(filter(str.strip, block))
+    if "#" in "".join(lines):
+        lines = [line.split("#", 1)[0] for line in lines]
+    lines = list(filter(str.strip, lines))
     m = len(lines)
     text = " | ".join(lines)
     if text.count(" -> ") != m:  # an arrow that touches its neighbours
@@ -453,7 +438,7 @@ def _integer_block(block: list[str], rows: _Residues, cols: _Residues
     if (len(tokens) != 8 * m - 1 or tokens[1::4].count(",") != 2 * m
             or tokens[3::8].count("->") != m):
         return None if m else ([], [])
-    row, col = rows.__getitem__, cols.__getitem__
+    row, col = _Residues(p, p).__getitem__, _Residues(p, 1).__getitem__
     try:  # x1*p + x2 and y1*p + y2
         return (list(map(operator.add, map(row, tokens[0::8]), map(col, tokens[2::8]))),
                 list(map(operator.add, map(row, tokens[4::8]), map(col, tokens[6::8]))))
@@ -461,56 +446,35 @@ def _integer_block(block: list[str], rows: _Residues, cols: _Residues
         return None
 
 
-def _block_by_lines(block: list[str], rows: _Residues, cols: _Residues, k: PrimeField
-                    ) -> tuple[list[int], list[int]]:
-    """The source and image indices of a block's lines, each line read on
-    its own: as plain integers if it holds them, else by the element
-    parser."""
-    srcs, dsts = [], []
-    for line in block:
-        pairs = _integer_block([line], rows, cols)
-        if pairs is None:
-            src, dst = _line_pair(line, k)
-            pairs = [src], [dst]
-        srcs += pairs[0]
-        dsts += pairs[1]
-    return srcs, dsts
-
-
 def _table_by_lines(lines: list[str], k: PrimeField) -> list[int | None]:
-    """The raw images, each line read by the element parser; refuses the
-    first faulty line and the first point mapped twice, naming both its
-    lines."""
+    """The raw images, each line read by one match if it holds four plain
+    integers, else by the element parser; refuses the first faulty line
+    and the first point mapped twice, naming both its lines."""
     p = k.p
     raw: list[int | None] = [None] * (p * p)
     line_of = [0] * (p * p)
     for lineno, line in enumerate(lines, start=1):
-        try:
-            pair = _line_pair(line, k)
-        except BQError as exc:
-            exc.args = (f"line {lineno}: {exc}",)
-            raise
-        if pair is None:
+        line = line.split("#", 1)[0].strip()
+        if not line:
             continue
-        src, dst = pair
+        m = _INT_LINE.fullmatch(line)
+        if m is not None:
+            src = int(m[1]) % p * p + int(m[2]) % p
+            dst = int(m[3]) % p * p + int(m[4]) % p
+        elif "->" not in line:
+            raise ParseError(f"line {lineno}: missing '->'")
+        else:
+            try:
+                src, dst = (point_index(_parse_pair(side, k)) for side in line.split("->", 1))
+            except BQError as exc:
+                exc.args = (f"line {lineno}: {exc}",)
+                raise
         if line_of[src]:
             raise ParseError(f"line {lineno}: point ({src // p}, {src % p})"
                              f" already mapped on line {line_of[src]}")
         line_of[src] = lineno
         raw[src] = dst
     return raw
-
-
-def _line_pair(line: str, k: PrimeField) -> tuple[int, int] | None:
-    """The source and image indices of one line, by the element parser;
-    None for a blank or comment line."""
-    line = line.split("#", 1)[0].strip()
-    if not line:
-        return None
-    if "->" not in line:
-        raise ParseError("missing '->'")
-    src, dst = (point_index(_parse_pair(side, k)) for side in line.split("->", 1))
-    return src, dst
 
 
 def _parse_pair(s: str, k: FieldTower) -> Point:

@@ -14,6 +14,9 @@ objects of equal value can still differ in their domains.
 and ``apply_hom`` as the substitution r_L -> -r_L at each conjugated level
 followed by the reduction; a conjugation is multiplicative exactly when
 that substitution sends every relation into the ideal they generate.
+``format_element`` is read by ``sympy.sympify``, with r_L, or i for a
+level whose radicand is -1, naming each radical, and ``parse_element``
+must read the same text back.
 """
 
 import itertools
@@ -34,7 +37,7 @@ from bqplane.fields import (
     sqrt_in_field,
     tower_levels,
 )
-from bqplane.parsing import parse_field
+from bqplane.parsing import format_element, parse_element, parse_field
 
 SPECS = [
     "Q[sqrt 2]",
@@ -220,3 +223,18 @@ def test_apply_hom_is_the_radical_substitution(spec):
             if lawful:
                 both = o.normal_form(image * o.expr(b).subs(sub, simultaneous=True))
                 assert o.of(apply_hom(h, x * y)) == both, levels
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_printed_text_is_the_value(spec):
+    """The printed text, read by sympy, reduces to the oracle's value, and
+    the element parser reads it back to the same element."""
+    o = ORACLES[spec]
+    names = {"i" if o.expr(layer.d.rep) == -1 else f"r{L}": g
+             for L, (g, layer) in enumerate(zip(o.gens, tower_levels(o.k)), start=1)}
+    for draw in _draws(spec):
+        for rep in draw:
+            x = FieldElement(o.k, rep)
+            text = format_element(x)
+            assert o.normal_form(sympy.sympify(text, locals=names)) == o.of(x), text
+            assert parse_element(text, o.k) == x, text

@@ -1,3 +1,4 @@
+import operator
 import random
 import re
 import sys
@@ -36,7 +37,7 @@ from bqplane.parsing import (
     parse_point,
     parse_table_lines,
 )
-from bqplane.parsing import _parse_pair
+from bqplane.parsing import _parse_pair, _Residues
 
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 QS2I = QuadExt(QuadExt(Q, 2), -1)
@@ -299,6 +300,7 @@ def _same_reading(text, k):
     got = _reading(parse_table_lines, text, k)
     assert got == _reading(_reference_table, text, k)
     assert got == _reading(_table_by_line_match, text, k)
+    assert got == _reading(_table_by_block_reader, text, k)
     return got
 
 
@@ -453,6 +455,75 @@ def _table_by_line_match(text, k):
     return raw
 
 
+_BLOCK = 64
+
+
+def _table_by_block_reader(text, k):
+    """The table reader as it was with blocks: 64 lines tokenized at once,
+    a block that fails read line by line, and the text read again line by
+    line on any error or repeated point, to name its line."""
+    lines = text.splitlines()
+    raw = _table_by_blocks(lines, k)
+    return _table_by_line_match(text, k) if raw is None else raw
+
+
+def _table_by_blocks(lines, k):
+    p = k.p
+    raw = [None] * (p * p)
+    rows, cols = _Residues(p, p), _Residues(p, 1)
+    mapped = 0
+    for start in range(0, len(lines), _BLOCK):
+        block = lines[start:start + _BLOCK]
+        pairs = _integer_block(block, rows, cols)
+        if pairs is None:
+            try:
+                pairs = _block_by_lines(block, rows, cols, k)
+            except BQError:
+                return None
+        srcs, dsts = pairs
+        mapped += len(srcs)
+        for src, dst in zip(srcs, dsts):
+            raw[src] = dst
+    return raw if p * p - raw.count(None) == mapped else None
+
+
+def _integer_block(block, rows, cols):
+    if "#" in "".join(block):
+        block = [line.split("#", 1)[0] for line in block]
+    lines = list(filter(str.strip, block))
+    m = len(lines)
+    text = " | ".join(lines)
+    if text.count(" -> ") != m:
+        text = text.replace("->", " -> ")
+    tokens = text.replace(",", " , ").split()
+    if (len(tokens) != 8 * m - 1 or tokens[1::4].count(",") != 2 * m
+            or tokens[3::8].count("->") != m):
+        return None if m else ([], [])
+    row, col = rows.__getitem__, cols.__getitem__
+    try:
+        return (list(map(operator.add, map(row, tokens[0::8]), map(col, tokens[2::8]))),
+                list(map(operator.add, map(row, tokens[4::8]), map(col, tokens[6::8]))))
+    except KeyError:
+        return None
+
+
+def _block_by_lines(block, rows, cols, k):
+    p = k.p
+    srcs, dsts = [], []
+    for line in block:
+        pairs = _integer_block([line], rows, cols)
+        if pairs is None:
+            line = line.split("#", 1)[0].strip()
+            if "->" not in line:
+                raise ParseError("missing '->'")
+            src, dst = (pt.x1.rep * p + pt.x2.rep for pt in
+                        (_parse_pair(side, k) for side in line.split("->", 1)))
+            pairs = [src], [dst]
+        srcs += pairs[0]
+        dsts += pairs[1]
+    return srcs, dsts
+
+
 # every separator that str.splitlines splits at
 _LINE_ENDS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
               "\u2028", "\u2029"]
@@ -477,13 +548,15 @@ def _spell(values, forms):
     return f"{x1},{x2} -> {y1},{y2}"
 
 
-# Lines across the first blocks, and the last lines of a GF(13) file.
+# Lines around the 32nd, 64th and 128th, where a reader that cuts the
+# text into chunks (such as the block reader above) would cut it, and
+# the last lines of a GF(13) file.
 _AT = [0, 1, 31, 32, 62, 63, 64, 65, 127, 128, 129, 167, 168]
 
 
 class TestBlockReading:
-    """Whole files read a block at a time give the table, or the error,
-    of the line-by-line readers."""
+    """Whole files give the table, or the error, of the line-by-line
+    readers and of the block reader."""
 
     @pytest.mark.parametrize("end", _LINE_ENDS)
     def test_every_line_end(self, end):
@@ -611,6 +684,20 @@ class TestBlockReading:
         for j in _AT:
             lines[j] = rewrite(*_split_line(lines[j]))
         assert _same_reading("\n".join(lines), PrimeField(13)) == raw
+
+    def test_a_file_larger_than_any_bench_table(self):
+        """GF(61): 3,721 lines, then a repeat and a fault near the end."""
+        k = PrimeField(61)
+        lines, raw = _full_table(61, 11)
+        assert _same_reading("\n".join(lines) + "\n", k) == raw
+        x1, x2, _, _ = _split_line(lines[40])
+        moved = lines[3690]
+        lines[3690] = f"{x1},{x2} -> 1,1"
+        lines[3700] = lines[3700].replace(" -> ", " ")
+        assert _same_reading("\n".join(lines) + "\n", k) == (
+            ParseError, f"line 3691: point ({x1}, {x2}) already mapped on line 41")
+        lines[3690] = moved
+        assert _same_reading("\n".join(lines), k) == (ParseError, "line 3701: missing '->'")
 
     @given(st.data())
     def test_random_files(self, data):
