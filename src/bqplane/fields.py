@@ -14,9 +14,12 @@ level with a nested radicand (such as sqrt(5 + r1*r2)) up, a product
 splits into halves over the level below, down to the rational levels
 beneath.  A rational operand (zero included) only scales the other's
 numerators.  An affine image coordinate a*x + b*y + t is one row,
-``_row``, with one reduction, and one pass when a and b are rational.
-Every geometric identity downstream is checked exactly, without floating
-point; the real order of a real tower is the exact ``real_sign``.
+``_row``, with one reduction, and one pass when a and b are rational;
+integer rows over one denominator (``_scaled_rows``) fold a conjugation's
+coefficient signs into that pass.  Over a tower topped by i, x*i swaps
+the numerator halves with a sign (``_times_i``).  Every geometric
+identity downstream is checked exactly, without floating point; the real
+order of a real tower is the exact ``real_sign``.
 
 The catalog homomorphisms of a tower are its "level conjugations": a
 set of levels, each radical r_L of which is sent to -r_L while the
@@ -50,6 +53,7 @@ from .errors import (
     InvalidField,
     InvalidLevel,
     NoImaginaryPresentation,
+    NoImaginaryUnit,
     ZeroRadicand,
 )
 from .ntheory import isprime, sqrt_mod
@@ -222,6 +226,7 @@ class PrimeField(FieldTower):
         self.zero_rep = 0
         self.one_rep = 1 % p
         self._i = FieldElement(self, sqrt_mod(p - 1, p))  # the smaller root of -1
+        self._half_rep = (p + 1) >> 1
 
     def _coerce(self, v):
         if isinstance(v, int):
@@ -247,6 +252,12 @@ class PrimeField(FieldTower):
 
     def _row(self, a, x, b, y, t):
         return (a * x + b * y + t) % self.p
+
+    def _times_i(self, a):
+        return a * self._i.rep % self.p
+
+    def _half(self, a):
+        return a * self._half_rep % self.p
 
     def _inv(self, a):
         if a == 0:
@@ -338,6 +349,7 @@ class FlatTower(FieldTower):
     zero_rep = TowerRep((0,), 1)
     one_rep = TowerRep((1,), 1)
     _pad = ()
+    _imaginary = False  # True on a QuadExt that adjoins sqrt(-1)
     _prod_scale = 1
     _weights = (1,)  # Q's monomial weights; see QuadExt.__init__
     _monos = ("",)  # Q's printed monomials; see QuadExt._monos
@@ -384,6 +396,36 @@ class FlatTower(FieldTower):
         den = math.lcm(ud, vd, t.den)
         fu, fv, ft = ca * (den // ud), cb * (den // vd), den // t.den
         return _reduced([p * fu + q * fv + s * ft for p, q, s in zip(u, v, t.nums)], den)
+
+    def _scaled_rows(self, den, rows, x, y, signs=None):
+        """(a*x + b*y + t)/den for both rows (a, b, t) of integers a, b and
+        numerators t, x and y times a conjugation's ``signs`` (None: the
+        identity) coefficientwise: per row one pass and one reduction."""
+        xn, yn, xd, yd = x.nums, y.nums, x.den, y.den
+        g = math.gcd(xd, yd)
+        ex, ey = yd // g, xd // g
+        lcm = xd * ex  # x = xn*ex/lcm and y = yn*ey/lcm
+        (a, b, t), (c, d, s) = rows
+        a, b, c, d = a * ex, b * ey, c * ex, d * ey
+        if signs is None:
+            u = [p * a + q * b + w * lcm for p, q, w in zip(xn, yn, t)]
+            v = [p * c + q * d + w * lcm for p, q, w in zip(xn, yn, s)]
+        else:
+            u = [(p * a + q * b) * z + w * lcm for p, q, w, z in zip(xn, yn, t, signs)]
+            v = [(p * c + q * d) * z + w * lcm for p, q, w, z in zip(xn, yn, s, signs)]
+        den *= lcm
+        return _reduced(u, den), _reduced(v, den)
+
+    def _times_i(self, a):
+        """a*i on a tower topped by i: a0 + a1*i -> -a1 + a0*i, the numerator
+        halves swapped with a sign over the same denominator, still reduced."""
+        if not self._imaginary:
+            raise NoImaginaryUnit(f"{self} has no canonical i with i*i = -1")
+        h = len(a.nums) >> 1
+        return TowerRep(tuple([-n for n in a.nums[h:]]) + a.nums[:h], a.den)
+
+    def _half(self, a):
+        return _reduced(a.nums, 2 * a.den)
 
     def _is_zero(self, a):
         return not any(a.nums)
@@ -831,34 +873,34 @@ def compose_homs(h1: LevelConjugation, h2: LevelConjugation) -> LevelConjugation
     return LevelConjugation(*(h1.levels ^ h2.levels))
 
 
-# apply_hom's coefficient signs per (level mask, vector length): one entry
-# per conjugation of each tower shape in use.
-_HOM_SIGNS: dict[tuple[int, int], tuple[int, ...]] = {}
+# hom_signs per (level set, tower depth), for the conjugations in use
+_HOM_SIGNS: dict[tuple[frozenset, int], tuple[int, ...]] = {}
+
+
+def hom_signs(h: LevelConjugation, k: FieldTower) -> tuple[int, ...]:
+    """h's signs on k's numerators: -1 where the index has an odd number of
+    the levels' bits set.  Levels outside 1..depth are refused."""
+    key = (h.levels, k.depth)
+    signs = _HOM_SIGNS.get(key)
+    if signs is None:
+        mask = 0
+        for L in h.levels:
+            if not 1 <= L <= k.depth:
+                raise InvalidLevel(f"level {L} not in 1..{k.depth} for {k}")
+            mask |= 1 << (L - 1)
+        signs = _HOM_SIGNS[key] = tuple(-1 if (i & mask).bit_count() & 1 else 1
+                                        for i in range(1 << k.depth))
+    return signs
 
 
 def apply_hom(h: LevelConjugation, x: FieldElement) -> FieldElement:
-    """Apply a catalog homomorphism to x.
-
-    Level conjugations act structurally on the coefficients: a numerator
-    is negated when its index has an odd number of the levels' bits set.
-    Whether the result is multiplicative depends on the tower (see
-    ``is_automorphism``).
-    """
+    """Apply a catalog homomorphism to x: its ``hom_signs`` on x's
+    coefficients.  Whether the result is multiplicative depends on the
+    tower (see ``is_automorphism``)."""
     if not h.levels:
         return x
-    k = x.tower
-    mask = 0
-    for L in h.levels:
-        if not 1 <= L <= k.depth:
-            raise InvalidLevel(f"level {L} not in 1..{k.depth} for {k}")
-        mask |= 1 << (L - 1)
-    nums = x.rep.nums
-    key = (mask, len(nums))
-    signs = _HOM_SIGNS.get(key)
-    if signs is None:
-        signs = _HOM_SIGNS[key] = tuple(-1 if (i & mask).bit_count() & 1 else 1
-                                        for i in range(len(nums)))
-    return FieldElement(k, TowerRep(tuple(map(operator.mul, nums, signs)), x.rep.den))
+    signs = hom_signs(h, x.tower)
+    return FieldElement(x.tower, TowerRep(tuple(map(operator.mul, x.rep.nums, signs)), x.rep.den))
 
 
 def is_automorphism(h: LevelConjugation, k: FieldTower) -> bool:
@@ -868,15 +910,6 @@ def is_automorphism(h: LevelConjugation, k: FieldTower) -> bool:
     none to conjugate."""
     return (all(1 <= L <= k.depth for L in h.levels)
             and all(apply_hom(h, k(layer.d)) == k(layer.d) for layer in tower_levels(k)))
-
-
-def catalog_homomorphisms(k: FieldTower) -> list[LevelConjugation]:
-    """Every level set that is an automorphism of k (``is_automorphism``):
-    the identity first, then by size, each size in lexicographic order."""
-    level_sets = (LevelConjugation(*levels)
-                  for n in range(k.depth + 1)
-                  for levels in itertools.combinations(range(1, k.depth + 1), n))
-    return [h for h in level_sets if is_automorphism(h, k)]
 
 
 # ------------------------------------------------------ random elements

@@ -2,19 +2,19 @@
 
 ``phi`` is the squared-distance form, ``psi`` the imaginary pairing of
 two points over a tower presented as F(i), and ``lm_distance`` the
-product form that ``xi``/``eta`` intertwine with ``phi``.  All values
-are exact field elements.
+product form that ``xi``/``eta`` intertwine with ``phi``; those two
+multiply by i and halve through the field kernel (``_times_i``, ``_half``).
+All values are exact field elements.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import FrozenInstanceError, dataclass
-from fractions import Fraction
 from itertools import chain
 from operator import itemgetter
 
-from .errors import FieldMismatch, NoImaginaryUnit, ZeroScale
+from .errors import FieldMismatch, ZeroScale
 from .fields import (
     EXHAUSTIVE,
     MAX_WITNESSES,
@@ -23,7 +23,6 @@ from .fields import (
     FieldElement,
     FieldTower,
     PrimeField,
-    imaginary_unit,
     random_element,
     re_im,
 )
@@ -103,28 +102,18 @@ def lm_distance(x: Point, y: Point) -> FieldElement:
     return (x.x1 - y.x1) * (x.x2 - y.x2)
 
 
-def _unit(k: FieldTower) -> FieldElement:
-    i = imaginary_unit(k)
-    if i is None:
-        raise NoImaginaryUnit(f"{k} has no canonical i with i*i = -1")
-    return i
-
-
 def xi(x: Point) -> Point:
     """Coordinate change (x1 + i x2, x1 - i x2); phi = lm after xi."""
-    ix2 = _unit(x.tower) * x.x2
-    return Point(x.x1 + ix2, x.x1 - ix2)
+    k, x1 = x.tower, x.x1.rep
+    ix2 = k._times_i(x.x2.rep)
+    return Point(FieldElement(k, k._add(x1, ix2)), FieldElement(k, k._sub(x1, ix2)))
 
 
 def eta(x: Point) -> Point:
-    """Inverse of xi: (x1/2 + x2/2, (i/2)(x2 - x1))."""
-    k = x.tower
-    scales = getattr(k, "_eta_scales", None)
-    if scales is None:
-        half = k(Fraction(1, 2))
-        scales = k._eta_scales = (half, _unit(k) * half)
-    half, i_half = scales
-    return Point(half * (x.x1 + x.x2), i_half * (x.x2 - x.x1))
+    """Inverse of xi: ((x1 + x2)/2, i (x2 - x1)/2)."""
+    k, x1, x2 = x.tower, x.x1.rep, x.x2.rep
+    return Point(FieldElement(k, k._half(k._add(x1, x2))),
+                 FieldElement(k, k._half(k._times_i(k._sub(x2, x1)))))
 
 
 def lambda_map(z: FieldElement, x: Point) -> Point:
@@ -283,7 +272,7 @@ def verify_transform_identities(
     """
     # DomainSpec refuses a mode other than these two with ValueError
     domain = EXHAUSTIVE if mode == "exhaustive" else DomainSpec(mode, samples, seed)
-    _unit(k)  # fail early with NoImaginaryUnit
+    k._times_i(k.one_rep)  # fail early with NoImaginaryUnit
     if domain.exhaustive_over(k):
         checks = _residue_identity_checks(k)
     else:

@@ -7,7 +7,9 @@ gamma is a catalog ``LevelConjugation`` (a level set that fixes every
 radicand) applied coordinatewise; a run of adjacent ``hom`` atoms is one
 gamma.  These are the semi-affine maps of the fundamental theorem of
 affine geometry, and the form the paper decomposes every unit-distance
-preserver into.
+preserver into.  An ``AffineMap`` derives its two rows once, on first use
+(integers over one denominator when M is rational), so a call is one pass
+per image coordinate with gamma's coefficient signs folded in.
 ``compose`` and ``invert`` are one formula each on it; orthogonality of M
 is a checked predicate, not a separate class.  ``MapTable`` carries a map
 of a finite plane as data.
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -37,9 +40,9 @@ from .fields import (  # EXHAUSTIVE and sample_domain are re-exported
     FieldTower,
     LevelConjugation,
     PrimeField,
-    Q,
     apply_hom,
     compose_homs,
+    hom_signs,
     imaginary_unit,
     is_automorphism,
     random_element,
@@ -140,21 +143,40 @@ class AffineMap:
         if self.linear.tower != self.translation.tower:
             raise FieldMismatch("matrix and translation fields differ")
 
+    @functools.cached_property
+    def _rows(self) -> tuple:
+        """(den, (row1, row2)): the rows (a, b, t) of M x + t, derived on first
+        use.  For a rational M over a flat tower, integers a, b and numerators
+        t over one common denominator den; else den is None, rows of reps."""
+        q, t1, t2 = self.linear, self.translation.x1.rep, self.translation.x2.rep
+        reps = [e.rep for e in q.entries()]
+        if isinstance(q.tower, PrimeField) or any(any(r.nums[1:]) for r in reps):
+            return None, ((reps[0], reps[1], t1), (reps[2], reps[3], t2))
+        den = math.lcm(t1.den, t2.den, *(r.den for r in reps))
+        a, b, c, d = (r.nums[0] * (den // r.den) for r in reps)
+        return den, ((a, b, [n * (den // t1.den) for n in t1.nums]),
+                     (c, d, [n * (den // t2.den) for n in t2.nums]))
+
     def __call__(self, x: Point) -> Point:
-        q, t = self.linear, self.translation
-        k = q.q11.tower
-        if x.x1.tower is not k and x.x1.tower != k:
+        return self._apply(x)
+
+    def _apply(self, x: Point, gamma: LevelConjugation = LevelConjugation()) -> Point:
+        """M gamma(x) + t: the field is checked first, then each image
+        coordinate is one row with gamma's signs folded in."""
+        k, x1, x2 = self.linear.q11.tower, x.x1, x.x2
+        if x1.tower is not k and x1.tower != k:
             raise FieldMismatch(f"operands from different fields: {k} vs {x.tower}")
-        return Point(FieldElement(k, k._row(q.q11.rep, x.x1.rep, q.q12.rep, x.x2.rep, t.x1.rep)),
-                     FieldElement(k, k._row(q.q21.rep, x.x1.rep, q.q22.rep, x.x2.rep, t.x2.rep)))
+        signs = hom_signs(gamma, k) if gamma.levels else None
+        den, rows = self._rows
+        if den is not None:
+            y1, y2 = k._scaled_rows(den, rows, x1.rep, x2.rep, signs)
+            return Point(FieldElement(k, y1), FieldElement(k, y2))
+        u, v = apply_hom(gamma, x1).rep, apply_hom(gamma, x2).rep  # GF(p), or M not rational
+        return Point(*(FieldElement(k, k._row(a, u, b, v, t)) for a, b, t in rows))
 
 
 def identity_map(k: FieldTower) -> AffineMap:
     return AffineMap(identity_matrix(k), point(k, 0, 0))
-
-
-def _hom_point(h: LevelConjugation, x: Point) -> Point:
-    return Point(apply_hom(h, x.x1), apply_hom(h, x.x2))
 
 
 def _hom_matrix(h: LevelConjugation, m: Matrix2) -> Matrix2:
@@ -169,7 +191,7 @@ class SemiAffineMap:
     gamma: LevelConjugation = LevelConjugation()
 
     def __call__(self, x: Point) -> Point:
-        return self.outer(_hom_point(self.gamma, x) if self.gamma.levels else x)
+        return self.outer._apply(x, self.gamma)
 
 
 def linear_map(m: Matrix2) -> SemiAffineMap:
@@ -223,15 +245,16 @@ def compose(m1: SemiAffineMap, m2: SemiAffineMap) -> SemiAffineMap:
     g1, q1 = m1.gamma, m1.outer.linear
     return SemiAffineMap(
         AffineMap(q1.matmul(_hom_matrix(g1, m2.outer.linear)),
-                  m1.outer(_hom_point(g1, m2.outer.translation))),
+                  m1(m2.outer.translation)),
         compose_homs(g1, m2.gamma))
 
 
 def invert(m: SemiAffineMap) -> SemiAffineMap:
     """(g(M^-1), -g(M^-1 t), g)."""
     g, inv = m.gamma, m.outer.linear.inverse()
-    shift = _hom_point(g, inv.apply(m.outer.translation))
-    return SemiAffineMap(AffineMap(_hom_matrix(g, inv), Point(-shift.x1, -shift.x2)), g)
+    shift = inv.apply(m.outer.translation)
+    shift = Point(-apply_hom(g, shift.x1), -apply_hom(g, shift.x2))
+    return SemiAffineMap(AffineMap(_hom_matrix(g, inv), shift), g)
 
 
 # --------------------------------------------------------- unit vectors
@@ -286,13 +309,6 @@ def enumerate_orthogonal_group(k: PrimeField) -> list[Matrix2]:
     return [ident] + [m for m, _ in rest]
 
 
-def enumerate_canonical_maps(k: PrimeField) -> list[SemiAffineMap]:
-    """Every translation composed with every orthogonal matrix; the
-    reference census for the preserver search."""
-    group = enumerate_orthogonal_group(k)
-    return [SemiAffineMap(AffineMap(q, t)) for t in all_points(k) for q in group]
-
-
 # -------------------------------------------------------- verdict scans
 
 def _sample_unit_pair(k: FieldTower, rng: random.Random) -> tuple[Point, Point]:
@@ -322,43 +338,6 @@ def preserves_unit_distance(m, k: FieldTower, domain: DomainSpec) -> Check:
         check.checked += 1
         value = phi(image(x), image(y))
         if value != 1 and check.note(str(x), str(y), str(value)):
-            break
-    return check
-
-
-def _sample_rational_phi_pair(k: FieldTower, rng: random.Random) -> tuple[Point, Point]:
-    # X plus a random v of the prime subfield's plane keeps phi in the prime
-    # subfield, phi = v1^2 + v2^2, and ties Y to no coset of the unit steps.
-    x = random_point(k, rng)
-    v = random_point(k if isinstance(k, PrimeField) else Q, rng)
-    return x, Point(x.x1 + k(v.x1), x.x2 + k(v.x2))
-
-
-def preserves_phi(m, k: FieldTower, domain: DomainSpec) -> Check:
-    """Check phi preservation; stops at the MAX_WITNESSES-th witness.
-
-    For a normal form with orthogonal M and gamma = id every pair is
-    quantified; for any other map only pairs whose phi lies in the prime
-    subfield are, which is the strongest claim the decomposed form
-    supports.
-    """
-    if domain.exhaustive_over(k):
-        pts = all_points(k)
-        image = {x: m(x) for x in pts}.__getitem__
-        pairs = ((x, y) for x in pts for y in pts)
-    else:
-        image = m
-        rng = random.Random(domain.seed)
-        if (isinstance(m, SemiAffineMap) and not m.gamma.levels
-                and m.outer.linear.is_orthogonal()):
-            pairs = ((random_point(k, rng), random_point(k, rng))
-                     for _ in range(domain.samples))
-        else:
-            pairs = (_sample_rational_phi_pair(k, rng) for _ in range(domain.samples))
-    check = Check("phi", domain)
-    for x, y in pairs:
-        check.checked += 1
-        if phi(image(x), image(y)) != phi(x, y) and check.note(str(x), str(y)):
             break
     return check
 

@@ -42,12 +42,10 @@ from bqplane.maps import (
     Matrix2,
     SemiAffineMap,
     compose,
-    enumerate_canonical_maps,
     enumerate_orthogonal_group,
     identity_map,
     lorentz_case1_matrix,
     lorentz_case2_matrix,
-    preserves_phi,
     preserves_unit_distance,
     raw_image_table,
     reflection_matrix,
@@ -56,6 +54,7 @@ from bqplane.maps import (
     translation_map,
     unit_from_parameter,
 )
+from helpers import enumerate_canonical_maps, preserves_phi
 
 QI = QuadExt(Q, -1)
 QS2I = QuadExt(QuadExt(Q, 2), -1)

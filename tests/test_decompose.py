@@ -57,7 +57,6 @@ from bqplane.maps import (
     identity_map,
     index_table,
     map_from_expression,
-    preserves_phi,
     preserves_unit_distance,
     raw_image_table,
     rotation_matrix,
@@ -66,6 +65,7 @@ from bqplane.maps import (
     unit_circle,
 )
 from bqplane.parsing import parse_element, parse_field, parse_map
+from helpers import enumerate_canonical_maps, preserves_phi
 
 QI = QuadExt(Q, -1)
 QS2I = QuadExt(QuadExt(Q, 2), -1)
@@ -348,8 +348,6 @@ class TestLorentzRoute:
 
     def test_routes_agree_on_sampled_canonical_maps(self, gf13):
         rng = random.Random(11)
-        from bqplane.maps import enumerate_canonical_maps
-
         maps = enumerate_canonical_maps(gf13)
         for f in rng.sample(maps, 25):
             frame = decompose(f, gf13)

@@ -71,7 +71,6 @@ from bqplane.maps import (
     MapTable,
     Matrix2,
     SemiAffineMap,
-    enumerate_canonical_maps,
     enumerate_orthogonal_group,
     index_table,
     invert,
@@ -82,6 +81,7 @@ from bqplane.maps import (
     unit_circle,
 )
 from bqplane.parsing import parse_field, parse_map
+from helpers import enumerate_canonical_maps
 
 
 # ------------------------------------------------------------- oracles

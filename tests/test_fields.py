@@ -28,7 +28,6 @@ from bqplane.fields import (
     TowerRep,
     apply_hom,
     basis_monomials,
-    catalog_homomorphisms,
     coeff_vector,
     compose_homs,
     embed,
@@ -46,6 +45,7 @@ from bqplane.fields import (
     tower_levels,
 )
 from bqplane.parsing import parse_element, parse_field
+from helpers import catalog_homomorphisms
 
 QI = QuadExt(Q, -1)
 QS2 = QuadExt(Q, 2)

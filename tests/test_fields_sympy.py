@@ -6,9 +6,10 @@ of degree at most 1 in each.  A product of two is reduced modulo the
 relations r_L^2 - d_L(r_1, ..., r_(L-1)), in lex order with the top level
 largest.  Their leading terms r_L^2 are pairwise coprime, so they are a
 Groebner basis (Buchberger's first criterion) and ``sympy.reduced`` gives
-the unique normal form.  ``_prod``, ``_mul``, ``_row`` and ``_inv`` must
-give that normal form's coefficients, compared as values: two ``Poly``
-objects of equal value can still differ in their domains.
+the unique normal form.  ``_prod``, ``_mul``, ``_row``, ``_scaled_rows``,
+``_times_i``, ``_half`` and ``_inv`` must give that normal form's
+coefficients, compared as values: two ``Poly`` objects of equal value can
+still differ in their domains.
 
 ``sqrt_in_field`` is checked on squares whose values the oracle reduces,
 and ``apply_hom`` as the substitution r_L -> -r_L at each conjugated level
@@ -27,12 +28,14 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from bqplane.errors import NoImaginaryUnit
 from bqplane.fields import (
     FieldElement,
     LevelConjugation,
     TowerRep,
     _reduced,
     apply_hom,
+    hom_signs,
     is_automorphism,
     sqrt_in_field,
     tower_levels,
@@ -152,6 +155,46 @@ def test_rational_row(spec):
         got = o.k._row(a, x, b, y, t)
         want = o.normal_form(o.expr(a) * o.expr(x) + o.expr(b) * o.expr(y) + o.expr(t))
         assert o.value(got.nums, got.den) == want
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_scaled_rows(spec):
+    """Both rows (a*x + b*y + t)/den with integer a, b and numerators t,
+    x and y conjugated at each level set first, as the substitution."""
+    o = ORACLES[spec]
+    rng = random.Random(spec + "rows")
+    width = 1 << o.k.depth
+    for levels in [()] + _level_sets(o.k):
+        sub = {o.gens[L - 1]: -o.gens[L - 1] for L in levels}
+        signs = hom_signs(LevelConjugation(*levels), o.k) if levels else None
+        for x, y, *_ in _draws(spec):
+            den = rng.randint(1, 30)
+            rows = [(rng.randint(-9, 9), rng.randint(-9, 9),
+                     [rng.randint(-50, 50) for _ in range(width)]) for _ in range(2)]
+            gx, gy = (o.expr(e).subs(sub, simultaneous=True) for e in (x, y))
+            for got, (a, b, t) in zip(o.k._scaled_rows(den, rows, x, y, signs), rows):
+                want = o.normal_form((a * gx + b * gy) / den + o.expr(t, den))
+                assert o.value(got.nums, got.den) == want, levels
+                assert got == _reduced(got.nums, got.den)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_times_i_and_half(spec):
+    """Over a tower topped by i, ``_times_i`` is the product with the top
+    radical, reduced; elsewhere it refuses.  ``_half`` is the product
+    with 1/2, reduced."""
+    o = ORACLES[spec]
+    for a, *_ in _draws(spec):
+        half = o.k._half(a)
+        assert o.value(half.nums, half.den) == o.normal_form(o.expr(a) / 2)
+        assert half == _reduced(half.nums, half.den)
+        if not o.k.describe().endswith("[i]"):
+            with pytest.raises(NoImaginaryUnit, match="has no canonical i"):
+                o.k._times_i(a)
+            continue
+        got = o.k._times_i(a)
+        assert o.value(got.nums, got.den) == o.normal_form(o.expr(a) * o.gens[-1])
+        assert got == _reduced(got.nums, got.den)
 
 
 @pytest.mark.parametrize("spec", SPECS)

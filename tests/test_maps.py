@@ -32,7 +32,6 @@ from bqplane.maps import (
     Matrix2,
     SemiAffineMap,
     compose,
-    enumerate_canonical_maps,
     enumerate_orthogonal_group,
     identity_map,
     invert,
@@ -41,7 +40,6 @@ from bqplane.maps import (
     lorentz_case2_matrix,
     map_from_expression,
     orthogonal_matrix,
-    preserves_phi,
     preserves_unit_distance,
     raw_image_table,
     reflection_matrix,
@@ -51,9 +49,9 @@ from bqplane.maps import (
     translation_map,
     unit_circle,
     unit_from_parameter,
-    _sample_rational_phi_pair,
 )
 from bqplane.parsing import parse_field, parse_map
+from helpers import enumerate_canonical_maps, preserves_phi, _sample_rational_phi_pair
 
 QI = QuadExt(Q, -1)
 
@@ -502,3 +500,31 @@ class TestExpressionElaboration:
         m = map_from_expression(parse_map("swap", gf13), gf13)
         assert m == swap_affine(gf13)
         assert m(point(gf13, 3, 8)) == point(gf13, 8, 3)
+
+
+class TestForeignPoints:
+    """A map refuses a point of another field before any arithmetic on it,
+    whatever its gamma: with FieldMismatch, the message of gamma = id."""
+
+    FOREIGN = ["GF(13)", "Q[i]", "Q[sqrt 3][sqrt 5][sqrt 7][i]"]
+
+    @pytest.mark.parametrize("other", FOREIGN)
+    def test_refused_whatever_gamma(self, other, monkeypatch):
+        from bqplane import maps
+
+        k, o = parse_field("Q[sqrt 2][i]"), parse_field(other)
+        plain = map_from_expression(parse_map("rot(3/5, 4/5)", k), k)
+        conj = map_from_expression(parse_map("rot(3/5, 4/5) . hom(conj@2)", k), k)
+        assert conj.gamma == LevelConjugation(2)
+        x = point(o, 1, 2)
+
+        def no_signs(*args):
+            raise AssertionError("gamma's signs taken for a foreign point")
+
+        monkeypatch.setattr(maps, "hom_signs", no_signs)
+        messages = set()
+        for m in (plain, conj):
+            with pytest.raises(FieldMismatch) as exc:
+                m(x)
+            messages.add(str(exc.value))
+        assert messages == {f"operands from different fields: {k} vs {o}"}

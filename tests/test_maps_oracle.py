@@ -19,6 +19,14 @@ refusal of a point from another field.  An affine map then made its two
 rows through ``affine_row``, and a semi-affine map applied gamma even
 when it was the identity; both evaluations must equal those calls.
 
+A semi-affine map used to apply gamma to its point as two elements and
+then make each image coordinate one ``_row``; it now derives its rows
+once and folds gamma's coefficient signs into one pass per coordinate.
+That path is kept here as the oracle, over rational and tower-valued M
+and t and every catalog gamma.  xi and eta used to multiply by the
+field's i and by 1/2 and i/2; they now swap numerator halves with a
+sign and double a denominator, and must equal those products.
+
 A unit vector from a parameter t used to divide both of its numerators
 by 1 + t^2; it now inverts 1 + t^2 once.  The two-division formula is
 kept here, and must agree with it, refusal of 1 + t^2 = 0 included.
@@ -41,16 +49,17 @@ from bqplane.errors import (
     ZeroScale,
 )
 from bqplane.fields import (
+    FieldElement,
     LevelConjugation,
     PrimeField,
     apply_hom,
-    catalog_homomorphisms,
     compose_homs,
     imaginary_unit,
     random_element,
 )
-from bqplane.geometry import Point, all_points, point, random_point
+from bqplane.geometry import Point, all_points, eta, point, random_point, xi
 from bqplane.parsing import MapAtom, MapExpression, parse_field
+from helpers import catalog_homomorphisms
 
 
 # ------------------------------------------------------------- oracle
@@ -465,3 +474,86 @@ def test_unit_from_parameter_matches_two_divisions(spec):
         assert got == want and got.tower is k
         assert got.x1 * got.x1 + got.x2 * got.x2 == k.one
     assert refused == (0 if i is None else 2)
+
+
+# ------------------------------------------- rows with gamma folded in
+
+DIFF_FIELDS = ["Q", "Q[i]", "Q[sqrt 2][i]", "Q[sqrt 2][sqrt 3][i]",
+               "Q[sqrt 2][sqrt 3][sqrt 5 + r1*r2][i]", "GF(13)"]
+
+
+def _old_semi_call(m, x):
+    """outer(gamma(x)) as evaluated before the map rows: gamma applied to
+    each coordinate as an element, then each image coordinate one ``_row``."""
+    if m.gamma.levels:
+        x = Point(apply_hom(m.gamma, x.x1), apply_hom(m.gamma, x.x2))
+    q, t = m.outer.linear, m.outer.translation
+    k = q.tower
+    if x.tower is not k and x.tower != k:
+        raise FieldMismatch(f"operands from different fields: {k} vs {x.tower}")
+    return Point(FieldElement(k, k._row(q.q11.rep, x.x1.rep, q.q12.rep, x.x2.rep, t.x1.rep)),
+                 FieldElement(k, k._row(q.q21.rep, x.x1.rep, q.q22.rep, x.x2.rep, t.x2.rep)))
+
+
+def _rational(k, rng):
+    return k(Fraction(rng.randint(-9, 9), rng.randint(1, 12)))
+
+
+@pytest.mark.parametrize("spec", DIFF_FIELDS)
+def test_map_rows_match_the_gamma_point_path(spec):
+    """Rational and tower-valued M, rational and tower-valued t, every
+    catalog gamma: the rows equal gamma's point followed by ``_row``."""
+    k = parse_field(spec)
+    rng = random.Random(spec)
+    homs = catalog_homomorphisms(k)
+    for n in range(24):
+        draw = _rational if n % 2 else _entry  # even n: dense, rational or zero entries
+        outer = maps.AffineMap(maps.Matrix2(*(draw(k, rng) for _ in range(4))),
+                               Point(_entry(k, rng), _entry(k, rng)))
+        for gamma in homs:
+            m = maps.SemiAffineMap(outer, gamma)
+            for _ in range(4):
+                x = random_point(k, rng) if rng.randrange(2) else Point(_entry(k, rng),
+                                                                        _entry(k, rng))
+                got = m(x)
+                assert got == _old_semi_call(m, x) and got.tower is k, (str(m.outer.linear), gamma)
+                if not gamma.levels:
+                    assert outer(x) == got
+
+
+def _old_xi(x):
+    """xi as it was: the product with the field's i."""
+    i = imaginary_unit(x.tower)
+    if i is None:
+        raise NoImaginaryUnit(f"{x.tower} has no canonical i with i*i = -1")
+    ix2 = i * x.x2
+    return Point(x.x1 + ix2, x.x1 - ix2)
+
+
+def _old_eta(x):
+    """eta as it was: products with 1/2 and i/2."""
+    k = x.tower
+    i = imaginary_unit(k)
+    if i is None:
+        raise NoImaginaryUnit(f"{k} has no canonical i with i*i = -1")
+    half = k(Fraction(1, 2))
+    return Point(half * (x.x1 + x.x2), i * half * (x.x2 - x.x1))
+
+
+@pytest.mark.parametrize("spec", DIFF_FIELDS)
+def test_xi_eta_match_the_products_with_i(spec):
+    k = parse_field(spec)
+    rng = random.Random(spec + "xi")
+    pts = (all_points(k) if isinstance(k, PrimeField)
+           else [random_point(k, rng) for _ in range(150)]
+           + [Point(_entry(k, rng), _entry(k, rng)) for _ in range(50)])
+    for x in pts:
+        for new, old in ((xi, _old_xi), (eta, _old_eta)):
+            if imaginary_unit(k) is None:
+                for f in (new, old):
+                    with pytest.raises(NoImaginaryUnit) as exc:
+                        f(x)
+                    assert str(exc.value) == f"{k} has no canonical i with i*i = -1"
+                continue
+            got = new(x)
+            assert got == old(x) and got.tower is k, str(x)
