@@ -469,15 +469,17 @@ class Anomaly:
 
 @dataclass
 class SearchCensus:
-    """A census's finds and anomalies.  ``nodes`` counts the search
-    tree's nodes up to the end or the budget, and ``visited`` the nodes a
-    walk stepped onto: each node a forward walk counts and, for a walk
-    back from a child's end, its finished nodes and the open path at its
-    end."""
+    """A census's finds and anomalies.  ``found`` holds each find that
+    decomposed as its images of (0,0), (1,0) and (0,1), the point indices
+    that fix it; ``total_found`` counts every find, anomalies included.
+    ``nodes`` counts the search tree's nodes up to the end or the budget,
+    and ``visited`` the nodes a walk stepped onto: each node a forward
+    walk counts and, for a walk back from a child's end, its finished
+    nodes and the open path at its end."""
 
     p: int
     expected: int
-    found: list[MapTable]
+    found: list[tuple[int, int, int]]
     anomalies: list[Anomaly]
     complete: bool
     nodes: int
@@ -485,14 +487,14 @@ class SearchCensus:
 
     @property
     def total_found(self) -> int:
-        return len(self.found)
+        return len(self.found) + len(self.anomalies)
 
     @property
     def ok(self) -> bool:
-        """No anomalies, and either every expected preserver was found or,
-        for a budget-limited census, at least one was: a census that
-        found nothing checked nothing."""
-        if self.anomalies:
+        """No anomalies, no find twice, and either every expected
+        preserver was found or, for a budget-limited census, at least one
+        was: a census that found nothing checked nothing."""
+        if self.anomalies or len(set(self.found)) < len(self.found):
             return False
         if self.complete:
             return self.total_found == self.expected
@@ -640,12 +642,13 @@ def _mirror(p: int, offs: list[tuple[int, int]]) -> tuple[int, ...]:
 
 
 def _pair_census(p: int, offs: list[tuple[int, int]], neigh: list[tuple[int, ...]],
-                 earlier: list[list[int]], stop: int
-                 ) -> tuple[list[list[int]], int, int, bool]:
+                 earlier: list[list[int]], stop: int, take) -> tuple[int, int, bool]:
     """The DFS over every pair of images of positions 0 and 1, one child
     (image of position 2) at a time, walking only the children that no
-    earlier child maps onto (see ``search_unit_preservers``): (finds by
-    position in DFS order, nodes, nodes visited, complete)."""
+    earlier child maps onto (see ``search_unit_preservers``).  Each
+    child's or mapped pair's finds by position go to take, in DFS order;
+    only the first pair subtree's are kept.  Returns (nodes, nodes
+    visited, complete)."""
     n = p * p
     # distinct offsets give distinct neighbours, so the sum is their union
     masks = [sum(1 << v for v in row) for row in neigh]
@@ -656,17 +659,16 @@ def _pair_census(p: int, offs: list[tuple[int, int]], neigh: list[tuple[int, ...
     img = [0] * n
     kids: dict[int, tuple[int, list[list[int]]]] = {}  # first pair: v -> child
     first: tuple[int, list[list[int]]] | None = None  # the first pair subtree
-    finds: list[list[int]] = []
     nodes = skipped = 0  # skipped: nodes counted but never stepped onto
     for a in range(n):
         nodes += 1
         if nodes == stop:
-            return finds, nodes, nodes - skipped, False
+            return nodes, nodes - skipped, False
         a1, a2 = divmod(a, p)
         for b, (rc, rs) in sorted(zip(neigh[a], rots)):  # the DFS order of b
             nodes += 1
             if nodes == stop:
-                return finds, nodes, nodes - skipped, False
+                return nodes, nodes - skipped, False
             img[0], img[1] = a, b
             if first is None:  # child w is the mirror of child sigma[w]
                 table, plan = sigma, [
@@ -675,7 +677,7 @@ def _pair_census(p: int, offs: list[tuple[int, int]], neigh: list[tuple[int, ...
             else:  # J maps the first pair's child v onto the child J(v)
                 table = index_table(p, rc, -rs, rs, rc, a1, a2)
                 if not stop or nodes + first[0] < stop:
-                    finds.extend(sorted([table[x] for x in f] for f in first[1]))
+                    take(sorted([table[x] for x in f] for f in first[1]))
                     nodes += first[0]
                     skipped += first[0]
                     continue
@@ -696,21 +698,21 @@ def _pair_census(p: int, offs: list[tuple[int, int]], neigh: list[tuple[int, ...
                         sub = at
                     else:
                         skipped += sub
-                finds.extend(got)
+                take(got)
                 nodes += sub
                 if cut:
-                    return finds, nodes, nodes - skipped, False
+                    return nodes, nodes - skipped, False
                 if first is None:
                     kids[w] = (sub, got)
-            if first is None:  # below its nodes 1 and 2; no find precedes
-                first = (nodes - 2, finds[:])
-    return finds, nodes, nodes - skipped, True
+            if first is None:  # below its nodes 1 and 2
+                first = (nodes - 2, [f for _, fs in kids.values() for f in fs])
+    return nodes, nodes - skipped, True
 
 
 def search_unit_preservers(p: int, budget: int | None = None
                            ) -> SearchCensus:
     """Enumerate every unit-distance-preserving self-map of GF(p)^2 by
-    backtracking, then decompose each find.
+    backtracking, decomposing each find as it is made.
 
     Only the unit-distance constraint is propagated: each point's
     candidate images are the intersection of the unit circles around the
@@ -719,7 +721,7 @@ def search_unit_preservers(p: int, budget: int | None = None
     falsification harness for the canonical-form count p^2 * 2(p-1).  A
     node budget stops the search early with the census marked
     incomplete; whatever was found is still decomposed, and any find
-    that fails to decompose becomes an anomaly entry.
+    that fails to decompose becomes an anomaly entry with its table.
 
     Positions 0 and 1 are (0,0) and its unit neighbour (0,1); they take
     every pair of images (a, b) with b - a a unit vector, in DFS order.
@@ -742,7 +744,8 @@ def search_unit_preservers(p: int, budget: int | None = None
     the finds before the stop are the child's mapped finds less those it
     meets.  ``nodes``, ``complete`` and the finds in order are those of
     the full walk; ``visited`` counts the nodes the walks stepped onto.
-    Each find, walked or mapped, is decomposed.
+    Each find, walked or mapped, goes through ``_frame_on_table``, which
+    checks every point, and only its frame images are kept.
     """
     k = PrimeField(p)
     n = p * p
@@ -750,19 +753,20 @@ def search_unit_preservers(p: int, budget: int | None = None
     neigh = _neighbors(p, offs)
     order, earlier = _search_order(neigh)
     stop = 0 if budget is None else budget + 1  # nodes never equals 0
-    found_pos, nodes, visited, complete = _pair_census(p, offs, neigh,
-                                                       earlier, stop)
-    expected = n * 2 * (p - 1)
-    found: list[MapTable] = []
+    found: list[tuple[int, int, int]] = []
     anomalies: list[Anomaly] = []
     by_index = itemgetter(*sorted(range(n), key=order.__getitem__))
-    found_pos.reverse()
-    while found_pos:  # each find by position is freed once its table is built
-        table = MapTable(k, by_index(found_pos.pop()))
-        found.append(table)
-        try:
-            decompose(table, k)
-        except BQError as exc:
-            anomalies.append(Anomaly(table, f"{type(exc).__name__}: {exc}"))
-    return SearchCensus(p, expected, found, anomalies, complete, nodes,
+
+    def take(finds: list[list[int]]):
+        for f in finds:
+            raw = by_index(f)
+            try:
+                _frame_on_table(raw, k)
+            except BQError as exc:
+                anomalies.append(Anomaly(MapTable(k, raw), f"{type(exc).__name__}: {exc}"))
+            else:  # the exhaustive check: these three images fix the table
+                found.append((raw[0], raw[p], raw[1]))
+
+    nodes, visited, complete = _pair_census(p, offs, neigh, earlier, stop, take)
+    return SearchCensus(p, n * 2 * (p - 1), found, anomalies, complete, nodes,
                         visited)

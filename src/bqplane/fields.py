@@ -639,16 +639,6 @@ def coeff_vector(x: FieldElement) -> list[Fraction]:
     return [Fraction(n, x.rep.den) for n in x.rep.nums]
 
 
-def from_coeff_vector(k: FieldTower, vec) -> FieldElement:
-    if len(vec) != 1 << k.depth:
-        raise ValueError(f"expected {1 << k.depth} coefficients, got {len(vec)}")
-    if isinstance(k, PrimeField):
-        raise TypeError(f"{k} has no rational coefficient vector")
-    vec = [Fraction(c) for c in vec]
-    den = math.lcm(*(c.denominator for c in vec))
-    return FieldElement(k, _reduced([c.numerator * (den // c.denominator) for c in vec], den))
-
-
 def _canonical_sign(x: FieldElement) -> FieldElement:
     """Flip sign so the leading nonzero coefficient of a tower element is
     positive."""

@@ -166,50 +166,39 @@ class TransformIdentityReport:
         return all(c.ok for c in self.checks)
 
 
-def _identity_checks(domain: DomainSpec, pairs, pts) -> list[Check]:
-    """Check the two form identities on every pair and the two inverse
-    identities on every point, counting every case; each distinct point
-    is mapped through xi and eta once per call."""
-    images: dict[Point, tuple[Point, Point]] = {}
-
-    def image(x: Point) -> tuple[Point, Point]:
-        got = images.get(x)
-        if got is None:
-            got = images[x] = (xi(x), eta(x))
-        return got
-
+def _identity_checks(domain: DomainSpec, pairs: list[tuple[Point, Point]]) -> list[Check]:
+    """Check the two form identities on every pair (x, y) and the two
+    inverse identities on its first point x, in one pass over the pairs;
+    each check counts every pair and keeps its witnesses in pair order."""
     checks = [Check(name, domain) for name in _IDENTITY_NAMES]
     phi_lm, lm_phi, eta_xi, xi_eta = checks
     for x, y in pairs:
-        xi_x, eta_x = image(x)
-        xi_y, eta_y = image(y)
-        phi_lm.checked += 1
-        if phi(x, y) != lm_distance(xi_x, xi_y):
+        xi_x, eta_x = xi(x), eta(x)
+        if phi(x, y) != lm_distance(xi_x, xi(y)):
             phi_lm.note(str(x), str(y))
-        lm_phi.checked += 1
-        if lm_distance(x, y) != phi(eta_x, eta_y):
+        if lm_distance(x, y) != phi(eta_x, eta(y)):
             lm_phi.note(str(x), str(y))
-    for x in pts:
-        xi_x, eta_x = image(x)
-        eta_xi.checked += 1
         if eta(xi_x) != x:
             eta_xi.note(str(x))
-        xi_eta.checked += 1
         if xi(eta_x) != x:
             xi_eta.note(str(x))
+    for check in checks:
+        check.checked = len(pairs)
     return checks
 
 
 def _residue_identity_checks(k: PrimeField) -> list[Check]:
-    """The same four checks over every pair and point of GF(p)^2, on
-    ``point_index`` indices.
+    """The same four checks over GF(p)^2, the form identities on every
+    pair and the inverse identities on every point, on ``point_index``
+    indices.
 
     xi and eta are called once per point, and phi and lm_distance once
     per difference vector d = x - y (both forms read only x - y).  A
     form's row over all y is one tuple slice and a row read after xi or
     eta is that row permuted, so each of the 2p^2 row pairs of the p^4
     pair scan is one tuple compare.  Counts, witnesses and witness order
-    are those of ``_identity_checks`` over all pairs.
+    are those of checking each pair, then each point, in ``all_points``
+    order.
     """
     p = k.p
     pts = all_points(k)
@@ -278,5 +267,5 @@ def verify_transform_identities(
     else:
         rng = random.Random(seed)
         pairs = [(random_point(k, rng), random_point(k, rng)) for _ in range(samples)]
-        checks = _identity_checks(domain, pairs, [x for x, _ in pairs])
+        checks = _identity_checks(domain, pairs)
     return TransformIdentityReport(str(k), domain.describe(), checks)

@@ -3,6 +3,9 @@ from hypothesis import HealthCheck, Phase, settings
 
 from bqplane.fields import PrimeField, Q, QuadExt, format_element
 
+# census_tables checks what a census kept; report its operands on failure
+pytest.register_assert_rewrite("helpers")
+
 # Exact-fraction arithmetic makes single examples slow; cap the example
 # count and drop the per-example deadline instead of thinning assertions.
 settings.register_profile(

@@ -1,21 +1,39 @@
-"""Reference helpers that only the tests use: the canonical-map census of
-GF(p), the catalog of a tower's level conjugations, and the phi
-preservation scan."""
+"""Reference helpers that only the tests use: tower elements from their
+coefficient vectors, the canonical-map census of GF(p), the tables a
+preserver census decomposes, the catalog of a tower's level
+conjugations, and the phi preservation scan."""
 
 import itertools
+import math
 import random
+import sys
+from fractions import Fraction
 
 from bqplane.fields import (
     Check,
     DomainSpec,
+    FieldElement,
     FieldTower,
     LevelConjugation,
     PrimeField,
     Q,
+    _reduced,
     is_automorphism,
 )
 from bqplane.geometry import Point, all_points, phi, random_point
 from bqplane.maps import AffineMap, SemiAffineMap, enumerate_orthogonal_group
+
+
+def from_coeff_vector(k: FieldTower, vec) -> FieldElement:
+    """The element of k with the rational coefficients vec over the
+    monomial basis of its tower: the inverse of ``coeff_vector``."""
+    if len(vec) != 1 << k.depth:
+        raise ValueError(f"expected {1 << k.depth} coefficients, got {len(vec)}")
+    if isinstance(k, PrimeField):
+        raise TypeError(f"{k} has no rational coefficient vector")
+    vec = [Fraction(c) for c in vec]
+    den = math.lcm(*(c.denominator for c in vec))
+    return FieldElement(k, _reduced([c.numerator * (den // c.denominator) for c in vec], den))
 
 
 def catalog_homomorphisms(k: FieldTower) -> list[LevelConjugation]:
@@ -32,6 +50,27 @@ def enumerate_canonical_maps(k: PrimeField) -> list[SemiAffineMap]:
     reference census for the preserver search."""
     group = enumerate_orthogonal_group(k)
     return [SemiAffineMap(AffineMap(q, t)) for t in all_points(k) for q in group]
+
+
+def census_tables(monkeypatch, p: int, budget: int | None = None):
+    """``search_unit_preservers(p, budget)`` with a spy on
+    ``_frame_on_table``: (the census, every table it decomposed, in
+    order).  Its finds must be the images of (0,0), (1,0) and (0,1) of
+    the tables that decomposed, in order."""
+    module = sys.modules["bqplane.decompose"]
+    frame, tables, frames = module._frame_on_table, [], []
+
+    def spy(raw, k):
+        tables.append(raw)
+        res = frame(raw, k)
+        frames.append((raw[0], raw[p], raw[1]))
+        return res
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "_frame_on_table", spy)
+        census = module.search_unit_preservers(p, budget)
+    assert census.found == frames
+    return census, tables
 
 
 def _sample_rational_phi_pair(k: FieldTower, rng: random.Random) -> tuple[Point, Point]:

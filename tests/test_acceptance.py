@@ -26,7 +26,6 @@ from bqplane.fields import (
     LevelConjugation,
     Q,
     QuadExt,
-    from_coeff_vector,
     imaginary_unit,
     random_element,
 )
@@ -54,7 +53,7 @@ from bqplane.maps import (
     translation_map,
     unit_from_parameter,
 )
-from helpers import enumerate_canonical_maps, preserves_phi
+from helpers import census_tables, enumerate_canonical_maps, from_coeff_vector, preserves_phi
 
 QI = QuadExt(Q, -1)
 QS2I = QuadExt(QuadExt(Q, 2), -1)
@@ -282,10 +281,10 @@ def test_09_rational_phi_preserved_by_canonical_maps(acceptance):
     assert ok, line
 
 
-def test_10_preserver_search_census(gf13, canonical_maps13, acceptance):
-    census = search_unit_preservers(13)
+def test_10_preserver_search_census(gf13, canonical_maps13, acceptance, monkeypatch):
+    census, tables = census_tables(monkeypatch, 13)
     oracle = {raw_image_table(f, gf13) for f in canonical_maps13}
-    found = {t.raw for t in census.found}
+    found = set(tables)
     limited = search_unit_preservers(13, budget=50_000)
     ok = (census.complete
           and census.total_found == census.expected == 4056

@@ -21,7 +21,6 @@ from bqplane.fields import (
     FieldElement,
     Q,
     QuadExt,
-    from_coeff_vector,
     imaginary_unit,
     re_im,
     real_sign,
@@ -29,6 +28,7 @@ from bqplane.fields import (
 )
 from bqplane.geometry import Point, phi, point
 from bqplane.ntheory import isprime
+from helpers import from_coeff_vector
 
 QI = QuadExt(Q, -1)
 

@@ -1,9 +1,14 @@
 import functools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import bqplane
 from bqplane import fields
 from bqplane.decompose import (
     _index_pairs,
@@ -37,7 +42,6 @@ from bqplane.fields import (
     QuadExt,
     apply_hom,
     coeff_vector,
-    from_coeff_vector,
     imaginary_unit,
     random_element,
     tower_levels,
@@ -65,7 +69,7 @@ from bqplane.maps import (
     unit_circle,
 )
 from bqplane.parsing import parse_element, parse_field, parse_map
-from helpers import enumerate_canonical_maps, preserves_phi
+from helpers import census_tables, enumerate_canonical_maps, from_coeff_vector, preserves_phi
 
 QI = QuadExt(Q, -1)
 QS2I = QuadExt(QuadExt(Q, 2), -1)
@@ -484,6 +488,26 @@ class TestPrimeTablesReadOnce:
         assert module.decompose is decompose
 
 
+# A fresh process's peak RSS growth, in kB, from a census that finds
+# nothing to the complete GF(17) census.  It reads VmHWM, the peak of the
+# process's own address space: ru_maxrss would start at the spawning
+# process's RSS, which it keeps across fork and exec.
+CENSUS_PEAK_GROWTH = r"""
+import re
+from bqplane.decompose import search_unit_preservers
+
+def peak():
+    with open("/proc/self/status") as f:
+        return int(re.search(r"VmHWM:\s*(\d+) kB", f.read())[1])
+
+search_unit_preservers(17, budget=0)
+before = peak()
+census = search_unit_preservers(17)
+assert census.complete and census.ok
+print(peak() - before)
+"""
+
+
 class TestPreserverSearch:
     def test_budgeted_search_is_marked_incomplete(self):
         census = search_unit_preservers(17, budget=40_000)
@@ -500,13 +524,12 @@ class TestPreserverSearch:
         assert census.total_found == 0 and census.anomalies == []
         assert census.ok is False
 
-    def test_found_tables_decompose(self):
-        census = search_unit_preservers(17, budget=40_000)
-        k = census.found[0].field
-        for table in census.found:
-            res = decompose(table, k)
-            assert raw_image_table(res.reconstruction(), k) == \
-                raw_image_table(table, k)
+    def test_found_tables_decompose(self, monkeypatch, gf17):
+        census, tables = census_tables(monkeypatch, 17, budget=40_000)
+        assert len(tables) == census.total_found == 2
+        for raw in tables:
+            res = decompose(MapTable(gf17, raw), gf17)
+            assert raw_image_table(res.reconstruction(), gf17) == raw
 
     def test_expected_count_formula(self):
         census = search_unit_preservers(17, budget=1)
@@ -529,10 +552,12 @@ class TestPreserverSearch:
         p = 17
         offs = [(u.x1.rep, u.x2.rep) for u in unit_circle(PrimeField(p))]
         neigh = _neighbors(p, offs)
-        _, nodes, visited, complete = _pair_census(
-            p, offs, neigh, _search_order(neigh)[1], 0)
+        sizes = []
+        nodes, visited, complete = _pair_census(
+            p, offs, neigh, _search_order(neigh)[1], 0, lambda finds: sizes.append(len(finds)))
         assert complete and nodes == 8_012_250_161
         assert visited <= 1_000_000
+        assert sum(sizes) == 9_248
 
     @pytest.mark.parametrize("p", [13, 17, 29, 37, 41, 53, 61])
     def test_census_mirror_keeps_the_first_pair(self, p):
@@ -562,8 +587,20 @@ class TestPreserverSearch:
             assert rot[unit[0]] == c * p + s
             assert sorted(rot[o] for o in unit) == unit
 
-    def test_complete_census_of_gf17_is_the_canonical_maps(self, gf17):
-        census = search_unit_preservers(17)
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="reads the peak RSS of a Linux process")
+    def test_complete_census_memory_stays_flat(self):
+        # each find is decomposed as it is made and only its frame images
+        # are kept, so the complete GF(17) census (9,248 finds of 289
+        # images each) peaks within 10 MB of a census that found nothing
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(bqplane.__file__).resolve().parents[1]))
+        out = subprocess.run([sys.executable, "-c", CENSUS_PEAK_GROWTH], env=env,
+                             capture_output=True, text=True, check=True, timeout=120)
+        assert int(out.stdout) < 10 * 1024  # kB
+
+    def test_complete_census_of_gf17_is_the_canonical_maps(self, monkeypatch, gf17):
+        census, tables = census_tables(monkeypatch, 17)
         assert census.complete and census.ok
         assert census.total_found == census.expected == 9_248
         assert census.anomalies == []
@@ -576,31 +613,38 @@ class TestPreserverSearch:
             for q in enumerate_orthogonal_group(gf17)
             for t1 in range(p) for t2 in range(p)}
         assert len(canonical) == 9_248
-        assert {t.raw for t in census.found} == canonical
+        assert set(tables) == canonical
 
     @pytest.mark.slow
-    def test_complete_census_of_gf29_is_the_canonical_maps(self):
+    def test_complete_census_of_gf29_is_the_canonical_maps(self, monkeypatch):
         # about two minutes: 153,151,640 nodes walked
         p = 29
-        census = search_unit_preservers(p)
-        assert census.complete and census.ok
-        assert census.total_found == census.expected == 47_096
-        assert census.anomalies == []
-        assert census.nodes == 7_042_776_837_909
-        # Set equality without a second set of 47,096 tables: each find is
-        # the canonical map of the orthogonal matrix and translation read
-        # off its images of (0,0), (1,0) and (0,1), and no two finds share
-        # them, so the finds are all p^2 * |O(2)| canonical maps.
         ortho = {(q.q11.rep, q.q12.rep, q.q21.rep, q.q22.rep)
                  for q in enumerate_orthogonal_group(PrimeField(p))}
         assert len(ortho) * p * p == 47_096
-        seen = set()
-        for table in census.found:
-            raw = table.raw
+        module = sys.modules["bqplane.decompose"]
+        frame, frames = module._frame_on_table, []
+
+        def spy(raw, k):
+            # each table the census decomposes is the canonical map of the
+            # orthogonal matrix and translation read off its images of
+            # (0,0), (1,0) and (0,1); checked here, without holding 47,096
+            # tables
             (t1, t2), (a1, a2), (b1, b2) = (divmod(raw[i], p) for i in (0, p, 1))
             q11, q12, q21, q22 = (a1 - t1) % p, (b1 - t1) % p, (a2 - t2) % p, (b2 - t2) % p
             assert (q11, q12, q21, q22) in ortho
             assert raw == tuple(((q11 * x + q12 * y + t1) % p) * p + (q21 * x + q22 * y + t2) % p
                                 for x in range(p) for y in range(p))
-            seen.add((q11, q12, q21, q22, t1, t2))
-        assert len(seen) == 47_096
+            frames.append((raw[0], raw[p], raw[1]))
+            return frame(raw, k)
+
+        monkeypatch.setattr(module, "_frame_on_table", spy)
+        census = search_unit_preservers(p)
+        assert census.complete and census.ok
+        assert census.total_found == census.expected == 47_096
+        assert census.anomalies == []
+        assert census.nodes == 7_042_776_837_909
+        # no two finds share their frame images, so the finds are all
+        # p^2 * |O(2)| canonical maps
+        assert census.found == frames
+        assert len(set(census.found)) == 47_096

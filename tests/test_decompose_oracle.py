@@ -46,7 +46,6 @@ from bqplane.decompose import (
     _walk_back,
     decompose,
     decompose_lorentz,
-    search_unit_preservers,
 )
 from bqplane.errors import (
     BQError,
@@ -81,7 +80,7 @@ from bqplane.maps import (
     unit_circle,
 )
 from bqplane.parsing import parse_field, parse_map
-from helpers import enumerate_canonical_maps
+from helpers import census_tables, enumerate_canonical_maps
 
 
 # ------------------------------------------------------------- oracles
@@ -564,11 +563,11 @@ SEARCH_CASES = ([(p, budget) for p in (13, 17, 29, 37)
 
 @pytest.mark.parametrize("p, budget", SEARCH_CASES,
                          ids=[f"{budget}-{p}" for p, budget in SEARCH_CASES])
-def test_search_visits_the_oracle_nodes(p, budget):
-    census = search_unit_preservers(p, budget=budget)
+def test_search_visits_the_oracle_nodes(p, budget, monkeypatch):
+    census, tables = census_tables(monkeypatch, p, budget)
     nodes, complete, found = _search_prime_raw(p, budget)
     assert (census.nodes, census.complete) == (nodes, complete)
-    assert [t.raw for t in census.found] == found
+    assert tables == found
 
 
 def _census_inputs(p):
@@ -650,16 +649,22 @@ def test_search_at_random_budgets(monkeypatch):
 
     rng = random.Random(30)
     for budget in [rng.randrange(3_500_000) for _ in range(3)]:
-        census = search_unit_preservers(17, budget=budget)
+        census, tables = census_tables(monkeypatch, 17, budget)
         nodes, complete, found = _search_prime_raw(17, budget)
         assert (census.nodes, census.complete) == (nodes, complete), budget
-        assert [t.raw for t in census.found] == found, budget
+        assert tables == found, budget
     p = 13
     offs = [(u.x1.rep, u.x2.rep) for u in unit_circle(PrimeField(p))]
     neigh = _neighbors(p, offs)
     earlier = _search_order(neigh)[1]
     stops = [rng.randrange(75_135_541) + 1 for _ in range(17)]
-    back = [_pair_census(p, offs, neigh, earlier, stop) for stop in stops]
+
+    def pair_census(stop):  # (finds in the order handed over, nodes, complete)
+        finds = []
+        nodes, _, complete = _pair_census(p, offs, neigh, earlier, stop, finds.extend)
+        return finds, nodes, complete
+
+    back = [pair_census(stop) for stop in stops]
     counts = []
 
     def replay(*args):
@@ -667,9 +672,8 @@ def test_search_at_random_budgets(monkeypatch):
         return _walk_back_forward(*args)
 
     monkeypatch.setattr(module, "_walk_back", replay)
-    for stop, (finds, nodes, _, complete) in zip(stops, back):
-        want = _pair_census(p, offs, neigh, earlier, stop)
-        assert (finds, nodes, complete) == (want[0], want[1], want[3]), stop
+    for stop, got in zip(stops, back):
+        assert got == pair_census(stop), stop
     assert len(counts) >= 5
 
 

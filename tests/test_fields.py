@@ -33,7 +33,6 @@ from bqplane.fields import (
     embed,
     ensure_sqrt,
     format_element,
-    from_coeff_vector,
     imaginary_unit,
     is_automorphism,
     is_f_of_i,
@@ -45,7 +44,7 @@ from bqplane.fields import (
     tower_levels,
 )
 from bqplane.parsing import parse_element, parse_field
-from helpers import catalog_homomorphisms
+from helpers import catalog_homomorphisms, from_coeff_vector
 
 QI = QuadExt(Q, -1)
 QS2 = QuadExt(Q, 2)

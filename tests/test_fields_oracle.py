@@ -41,10 +41,10 @@ from bqplane.fields import (
     Q,
     TowerRep,
     _reduced,
-    from_coeff_vector,
     random_element,
 )
 from bqplane.parsing import parse_field
+from helpers import from_coeff_vector
 
 
 # ------------------------------------------------------------- oracles

@@ -16,7 +16,7 @@ from bqplane.errors import (
     ZeroScale,
 )
 from bqplane import geometry
-from bqplane.fields import PrimeField, Q, QuadExt, from_coeff_vector
+from bqplane.fields import PrimeField, Q, QuadExt
 from bqplane.geometry import (
     Point,
     all_points,
@@ -33,6 +33,7 @@ from bqplane.geometry import (
 )
 from bqplane.maps import swap_affine
 from bqplane.parsing import parse_field
+from helpers import from_coeff_vector
 
 QI = QuadExt(Q, -1)
 
@@ -236,6 +237,18 @@ class TestScanAgainstReference:
         assert got == want
         assert [len(v) for _, _, v in got] == [0, 10, 10, 10]
         assert [n for _, n, _ in got] == [169 * 169, 169 * 169, 169, 169]
+
+    def test_wrong_xi_is_reported_in_samples(self, monkeypatch):
+        # the sampled scan checks all four identities in one pass over the
+        # pairs: each check counts every pair and keeps its witnesses in
+        # pair order
+        monkeypatch.setattr(geometry, "xi",
+                            lambda x: Point(x.x1 + x.x2, x.x1 - x.x2))
+        rep, got, want = _scan_and_reference(QS2I, "samples", 30, seed=5)
+        assert not rep.ok
+        assert got == want
+        assert [len(v) for _, _, v in got] == [10, 0, 10, 10]
+        assert [n for _, n, _ in got] == [30] * 4
 
 
 # ------------------------ the row-compare scan against the pair-by-pair scan

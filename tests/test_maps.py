@@ -21,7 +21,6 @@ from bqplane.fields import (
     PrimeField,
     Q,
     QuadExt,
-    from_coeff_vector,
     imaginary_unit,
 )
 from bqplane.geometry import Point, all_points, phi, point, random_point
@@ -51,7 +50,7 @@ from bqplane.maps import (
     unit_from_parameter,
 )
 from bqplane.parsing import parse_field, parse_map
-from helpers import enumerate_canonical_maps, preserves_phi, _sample_rational_phi_pair
+from helpers import enumerate_canonical_maps, from_coeff_vector, preserves_phi, _sample_rational_phi_pair
 
 QI = QuadExt(Q, -1)
 

@@ -22,7 +22,6 @@ from bqplane.fields import (
     PrimeField,
     Q,
     QuadExt,
-    from_coeff_vector,
     tower_levels,
 )
 from bqplane.geometry import Point, all_points
@@ -38,6 +37,7 @@ from bqplane.parsing import (
     parse_table_lines,
 )
 from bqplane.parsing import _parse_pair, _Residues
+from helpers import from_coeff_vector
 
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 QS2I = QuadExt(QuadExt(Q, 2), -1)
