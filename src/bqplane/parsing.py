@@ -29,7 +29,6 @@ Printing is canonical and parse(print(x)) round-trips exactly.
 from __future__ import annotations
 
 import operator
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -371,20 +370,15 @@ def parse_map(s: str, k: FieldTower) -> MapExpression:
 
 # ------------------------------------------------------- map table files
 
-_PLAIN_INT = re.compile("-?[0-9]{1,18}")  # at most 18 digits: int() stays cheap
-_INT = rf"\s*({_PLAIN_INT.pattern})\s*"
-_INT_LINE = re.compile(f"{_INT},{_INT}->{_INT},{_INT}")
-
-
 def parse_table_lines(text: str, k: FieldTower) -> list[int | None]:
     """Parse ``x1,x2 -> y1,y2`` lines over GF(p) into the raw images of a
     ``MapTable``, None where no line maps the point; a source point given
     twice is rejected, and every error names its line.
 
-    A text whose lines all hold four plain integers, each point given
-    once, is tokenized by one split.  Any other text is read line by
-    line, a line of plain integers by one match and any other line by
-    the element parser, which names the first faulty line (and a
+    A text whose lines all hold four canonical residues (``0`` to
+    ``p-1``, as ``format_table_lines`` writes them), each point given
+    once, is tokenized by one split.  Any other text is read line by line
+    by the element parser, which names the first faulty line (and a
     repeated point's earlier line)."""
     if not isinstance(k, PrimeField):
         raise FieldNotFinite("map tables need a finite field")
@@ -401,25 +395,10 @@ def parse_table_lines(text: str, k: FieldTower) -> list[int | None]:
     return _table_by_lines(lines, k)
 
 
-class _Residues(dict):
-    """x mod p times a scale, keyed by the digits of x: each residue from
-    the start, any other plain integer once it is met."""
-
-    def __init__(self, p: int, scale: int):
-        super().__init__((str(r), r * scale) for r in range(p))
-        self.p, self.scale = p, scale
-
-    def __missing__(self, digits: str) -> int:
-        if _PLAIN_INT.fullmatch(digits) is None:
-            raise KeyError(digits)
-        value = self[digits] = int(digits) % self.p * self.scale
-        return value
-
-
 def _integer_lines(lines: list[str], p: int) -> tuple[list[int], list[int]] | None:
     """The source and image indices of the lines, or None unless each
-    line that is not blank or a comment holds ``x1,x2 -> y1,y2`` in plain
-    integers.
+    line that is not blank or a comment holds ``x1,x2 -> y1,y2`` in
+    canonical residues, looked up by their digits.
 
     With its commas and arrow spaced apart, such a line is the seven
     tokens x1 , x2 -> y1 , y2, and the lines are joined by a '|' token,
@@ -438,18 +417,19 @@ def _integer_lines(lines: list[str], p: int) -> tuple[list[int], list[int]] | No
     if (len(tokens) != 8 * m - 1 or tokens[1::4].count(",") != 2 * m
             or tokens[3::8].count("->") != m):
         return None if m else ([], [])
-    row, col = _Residues(p, p).__getitem__, _Residues(p, 1).__getitem__
+    row = {str(r): r * p for r in range(p)}.__getitem__
+    col = {str(r): r for r in range(p)}.__getitem__
     try:  # x1*p + x2 and y1*p + y2
         return (list(map(operator.add, map(row, tokens[0::8]), map(col, tokens[2::8]))),
                 list(map(operator.add, map(row, tokens[4::8]), map(col, tokens[6::8]))))
-    except KeyError:  # a coordinate that is no plain integer
+    except KeyError:  # a coordinate that is no canonical residue
         return None
 
 
 def _table_by_lines(lines: list[str], k: PrimeField) -> list[int | None]:
-    """The raw images, each line read by one match if it holds four plain
-    integers, else by the element parser; refuses the first faulty line
-    and the first point mapped twice, naming both its lines."""
+    """The raw images, each line read by the element parser; refuses the
+    first faulty line and the first point mapped twice, naming both its
+    lines."""
     p = k.p
     raw: list[int | None] = [None] * (p * p)
     line_of = [0] * (p * p)
@@ -457,18 +437,13 @@ def _table_by_lines(lines: list[str], k: PrimeField) -> list[int | None]:
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        m = _INT_LINE.fullmatch(line)
-        if m is not None:
-            src = int(m[1]) % p * p + int(m[2]) % p
-            dst = int(m[3]) % p * p + int(m[4]) % p
-        elif "->" not in line:
+        if "->" not in line:
             raise ParseError(f"line {lineno}: missing '->'")
-        else:
-            try:
-                src, dst = (point_index(_parse_pair(side, k)) for side in line.split("->", 1))
-            except BQError as exc:
-                exc.args = (f"line {lineno}: {exc}",)
-                raise
+        try:
+            src, dst = (point_index(_parse_pair(side, k)) for side in line.split("->", 1))
+        except BQError as exc:
+            exc.args = (f"line {lineno}: {exc}",)
+            raise
         if line_of[src]:
             raise ParseError(f"line {lineno}: point ({src // p}, {src % p})"
                              f" already mapped on line {line_of[src]}")

@@ -27,18 +27,27 @@ are now residues and M^T.  Both former versions are kept here, and the
 new ones must equal them: the row on seeded probes of three towers, in
 both cases and at a rational and a non-rational scale, and the rebuild on
 every canonical GF(13) table and on perturbed ones.
+
+Over towers ``_read_gamma`` checked the laws on the seeded probe pairs
+first, then read gamma off the generators; it now reads the generators
+first and checks agreement with gamma at each pair's sum and product.
+The former read is kept here, and on seeded callables both must accept
+the same ones with the same gamma and refuse the same ones.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from bqplane.decompose import (
     DecompositionResult,
+    _index_pairs,
     _lorentz_on_table,
     _mirror,
     _neighbors,
     _pair_census,
+    _read_gamma,
     _read_prime_gamma,
     _rotations,
     _search_order,
@@ -55,14 +64,23 @@ from bqplane.errors import (
     NotAHomomorphism,
     ProductFormViolation,
 )
+from bqplane.errors import FieldMismatch
 from bqplane.fields import (
     EXHAUSTIVE,
+    FieldElement,
     LevelConjugation,
     PrimeField,
+    Q,
+    TowerRep,
+    apply_hom,
+    basis_monomials,
+    hom_signs,
     imaginary_unit,
+    is_automorphism,
     probe_elements,
     random_element,
     sample_domain,
+    tower_levels,
 )
 from bqplane.geometry import Point, all_points, eta, point, xi
 from bqplane.maps import (
@@ -757,3 +775,156 @@ def test_lorentz_rebuild_is_the_field_element_rebuild(gf13):
             kinds.add(want[0].__name__ if isinstance(want, tuple) else "decomposed")
     assert {"ProductFormViolation", "NotAHomomorphism", "LorentzNormalizationFailed",
             "CaseUndetermined"} <= kinds
+
+
+# ------------------------------------------------------ gamma over towers
+
+def _read_gamma_as_before(gamma_eval, k, domain):
+    """``_read_gamma`` as it was before it read the generators first:
+    gamma(1), the laws on each seeded probe pair, the generator images,
+    the automorphism test, then agreement on the basis and the probes."""
+    count = domain.samples
+    rng = random.Random(domain.seed)
+    probes = probe_elements(k, rng, count)
+    cache = {}
+
+    def ev(x):
+        got = cache.get(x)
+        if got is None:
+            got = gamma_eval(x)
+            if got.tower != k:
+                raise FieldMismatch("extracted value left the field")
+            cache[x] = got
+        return got
+
+    one = k.one
+    if ev(one) != one:
+        raise NotAHomomorphism("gamma(1) != 1", witness=one)
+    for u, v in _index_pairs(rng, len(probes), count):
+        x, y = probes[u], probes[v]
+        if ev(x + y) != ev(x) + ev(y):
+            raise NotAHomomorphism(f"additivity fails at ({x}, {y})", witness=(x, y))
+        if ev(x * y) != ev(x) * ev(y):
+            raise NotAHomomorphism(f"multiplicativity fails at ({x}, {y})", witness=(x, y))
+    layers = tower_levels(k)
+    levels = []
+    for layer in layers:
+        r = k(layer.radical)
+        if ev(r) == -r:
+            levels.append(layer.level)
+        elif ev(r) != r:
+            raise NotAHomomorphism("generator images match no catalog homomorphism", witness=r)
+    match = LevelConjugation(*levels)
+    if not is_automorphism(match, k):
+        moved = next(d for d in (k(layer.d) for layer in layers) if apply_hom(match, d) != d)
+        raise NotAHomomorphism("generator images match no catalog homomorphism", witness=moved)
+    basis = basis_monomials(k)
+    for x in basis + probes[len(basis):]:
+        if ev(x) != apply_hom(match, x):
+            raise NotAHomomorphism(
+                f"disagrees at {x} with the homomorphism fixed by its "
+                "generator images", witness=x)
+    return match
+
+
+GAMMA_TOWERS = ["Q[i]", "Q[sqrt 2][i]", "Q[sqrt 2][sqrt 3][i]",
+                "Q[sqrt 2][sqrt 3][sqrt 5 + r1*r2][i]"]
+
+
+def _signed(k, signs):
+    """The map that multiplies each monomial's coefficient by its sign."""
+    return lambda x: FieldElement(k, TowerRep(tuple(map(int.__mul__, x.rep.nums, signs)),
+                                              x.rep.den))
+
+
+def _gamma_callables(k, count, seed):
+    """Seeded callables over k, by kind: every sign set's conjugation and
+    some with one monomial's sign flipped or drawn at random (these move a
+    radicand or a product of radicals), each lawful one perturbed at a
+    single probe, basis monomial, pair sum or product, or element outside
+    the probes, maps that are not additive, and ones with gamma(1) != 1."""
+    rng = random.Random(f"{k}/{count}/{seed}")
+    width = 1 << k.depth
+    level_sets = [[L for L in range(1, k.depth + 1) if m >> (L - 1) & 1]
+                  for m in range(1 << k.depth)]
+    signs = [hom_signs(LevelConjugation(*levels), k) if levels else (1,) * width
+             for levels in level_sets]
+    out = [("sign set", _signed(k, s)) for s in signs]
+    for s in rng.sample(signs, min(3, len(signs))):
+        j = rng.randrange(width)
+        out.append(("monomial flip", _signed(k, s[:j] + (-s[j],) + s[j + 1:])))
+        out.append(("random signs", _signed(k, tuple(rng.choice((1, -1)) for _ in s))))
+    lawful = [s for levels, s in zip(level_sets, signs)
+              if is_automorphism(LevelConjugation(*levels), k)]
+    rpr = random.Random(seed)
+    probes = probe_elements(k, rpr, count)
+    pairs = list(_index_pairs(rpr, len(probes), count))
+    for _ in range(6):
+        sigma = _signed(k, rng.choice(lawful))
+        u, v = rng.choice(pairs)
+        x, y = probes[u], probes[v]
+        at = rng.choice([rng.choice(probes), rng.choice(basis_monomials(k)), x + y, x * y,
+                         random_element(k, rng) + 1000])
+        bump = rng.choice([k.one, -k.one, rng.choice(basis_monomials(k))])
+        out.append(("one value moved",
+                    lambda z, sigma=sigma, at=at, bump=bump: sigma(z) + bump if z == at
+                    else sigma(z)))
+        out.append(("not additive",  # moves the values whose rational part is not 0 or 1
+                    lambda z, sigma=sigma: sigma(z) + k(Fraction(z.rep.nums[0], z.rep.den)) ** 2
+                    - k(Fraction(z.rep.nums[0], z.rep.den))))
+        out.append(("not multiplicative",  # moves the values over 49, products of sevenths
+                    lambda z, sigma=sigma: sigma(z) + k.one if z.rep.den % 49 == 0 else sigma(z)))
+        out.append(("gamma(1) != 1",
+                    lambda z, sigma=sigma: -sigma(z) if z == k.one else sigma(z)))
+        out.append(("gamma(1) != 1", lambda z, sigma=sigma: sigma(z) * 2))
+    return out
+
+
+def _gamma_outcome(read, gamma_eval, k, domain):
+    try:
+        return read(gamma_eval, k, domain)
+    except NotAHomomorphism as exc:
+        return exc
+
+
+def _same_gamma_reads(k, count, seed):
+    """Both reads on every seeded callable: the same gamma, or both
+    refused, each pair witness of the new read a genuine law failure.
+    Returns the new read's outcomes by message head."""
+    domain = sample_domain(count, seed=seed)
+    seen = set()
+    for kind, gamma_eval in _gamma_callables(k, count, seed):
+        got = _gamma_outcome(_read_gamma, gamma_eval, k, domain)
+        want = _gamma_outcome(_read_gamma_as_before, gamma_eval, k, domain)
+        assert type(got) is type(want), (kind, got, want)
+        if isinstance(got, LevelConjugation):
+            assert got == want, kind
+            seen.add("accepted")
+            continue
+        head = str(got).split(" at ")[0].split(" with ")[0]
+        seen.add(head)
+        if head in ("additivity fails", "multiplicativity fails"):
+            x, y = got.witness
+            if head == "additivity fails":
+                assert gamma_eval(x + y) != gamma_eval(x) + gamma_eval(y), kind
+            else:
+                assert gamma_eval(x * y) != gamma_eval(x) * gamma_eval(y), kind
+    return seen
+
+
+@pytest.mark.parametrize("spec", GAMMA_TOWERS)
+def test_gamma_read_accepts_what_the_laws_first_read_accepts(spec):
+    k = parse_field(spec)
+    seen = set()
+    for count in (1, 5, 40):
+        for seed in (1, 7):
+            seen |= _same_gamma_reads(k, count, seed)
+    assert {"accepted", "generator images match no catalog homomorphism",
+            "disagrees", "additivity fails", "multiplicativity fails"} <= seen
+
+
+def test_gamma_read_over_q_accepts_what_the_laws_first_read_accepts():
+    seen = set()
+    for count in (1, 5, 40, 200):
+        seen |= _same_gamma_reads(Q, count, 1729)
+    assert {"accepted", "disagrees", "additivity fails", "multiplicativity fails"} <= seen

@@ -36,7 +36,7 @@ from bqplane.parsing import (
     parse_point,
     parse_table_lines,
 )
-from bqplane.parsing import _parse_pair, _Residues
+from bqplane.parsing import _parse_pair
 from helpers import from_coeff_vector
 
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -301,6 +301,7 @@ def _same_reading(text, k):
     assert got == _reading(_reference_table, text, k)
     assert got == _reading(_table_by_line_match, text, k)
     assert got == _reading(_table_by_block_reader, text, k)
+    assert got == _reading(_table_by_residue_cache, text, k)
     return got
 
 
@@ -312,8 +313,8 @@ class TestIntegerTableLines:
         "007,0012 -> 000,01",               # leading zeros
         "\t3 ,\t4->  5 ,6\t",               # tabs and spaces
         "3,4 -> 5,6   # a comment, with -> in it",
-        "123456789012345678,-9 -> 0,0",     # longest integers read directly
-        "1234567890123456789,0 -> 0,0",     # one digit more: the parser's turn
+        "123456789012345678,-9 -> 0,0",     # 18 digits: the former match's longest
+        "1234567890123456789,0 -> 0,0",     # 19 digits: past the former match
         "1/2, 3 -> 4, -1",                  # fallback lines
         "- 1, 2 -> (3), 4*5",
         "1 + 1, 2 -> 3 - 4, -0",
@@ -455,6 +456,38 @@ def _table_by_line_match(text, k):
     return raw
 
 
+class _Residues(dict):
+    """x mod p times a scale, keyed by the digits of x: each residue from
+    the start, any other integer of at most 18 digits once it is met."""
+
+    def __init__(self, p, scale):
+        super().__init__((str(r), r * scale) for r in range(p))
+        self.p, self.scale = p, scale
+
+    def __missing__(self, digits):
+        if re.fullmatch("-?[0-9]{1,18}", digits) is None:
+            raise KeyError(digits)
+        value = self[digits] = int(digits) % self.p * self.scale
+        return value
+
+
+def _table_by_residue_cache(text, k):
+    """The table reader as it was before it kept to canonical residues:
+    one split whose coordinates are any integers of at most 18 digits,
+    else one match per all-integer line and the element parser for any
+    other line."""
+    p = k.p
+    raw = [None] * (p * p)
+    pairs = _integer_block(text.splitlines(), _Residues(p, p), _Residues(p, 1))
+    if pairs is not None:
+        srcs, dsts = pairs
+        for src, dst in zip(srcs, dsts):
+            raw[src] = dst
+        if p * p - raw.count(None) == len(srcs):
+            return raw
+    return _table_by_line_match(text, k)
+
+
 _BLOCK = 64
 
 
@@ -556,7 +589,7 @@ _AT = [0, 1, 31, 32, 62, 63, 64, 65, 127, 128, 129, 167, 168]
 
 class TestBlockReading:
     """Whole files give the table, or the error, of the line-by-line
-    readers and of the block reader."""
+    readers, of the block reader and of the residue-cache reader."""
 
     @pytest.mark.parametrize("end", _LINE_ENDS)
     def test_every_line_end(self, end):
@@ -762,8 +795,10 @@ class TestAnyText:
 
     @given(_TEXTS)
     def test_table_lines(self, text):
-        for k in (PrimeField(13), Q):
-            try:
-                parse_table_lines(text, k)
-            except BQError:
-                pass
+        k = PrimeField(13)
+        got = _reading(parse_table_lines, text, k)
+        assert got == _reading(_table_by_residue_cache, text, k)
+        try:
+            parse_table_lines(text, Q)
+        except BQError:
+            pass
